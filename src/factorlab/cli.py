@@ -156,6 +156,15 @@ def classification_report(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> dict:
 # ---------------------------------------------------------------------------
 # sweep
 
+# A sweep evaluates its whole grid as one stack of 4x4 matrices, so its memory
+# grows with num (about 5 kB per grid point for gisin_compare, the widest
+# family).  The README's sweeps use 101-point grids over a parameter's whole
+# range; the cap allows 100 times that resolution, and a gisin_compare sweep at
+# the cap peaks at about 85 MB resident (x86-64, numpy 2.4).  Larger grids are
+# rejected before anything is allocated.
+MAX_SWEEP_POINTS = 10_000
+
+
 @dataclass
 class SweepSpec:
     """Grid description for a sweep family."""
@@ -166,117 +175,151 @@ class SweepSpec:
     num: int
     outputs: list[str] = field(default_factory=list)
     theta: float | None = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         if self.num < 1:
             raise CliParseError("grid must contain at least one point")
+        if self.num > MAX_SWEEP_POINTS:
+            raise CliParseError(f"grid may hold at most {MAX_SWEEP_POINTS} points, got {self.num}")
+        if not (np.isfinite(self.start) and np.isfinite(self.stop)):
+            raise CliParseError(f"grid bounds must be finite, got {self.start} to {self.stop}")
         if self.stop < self.start:
             raise CliParseError("grid stop must not be below start")
 
 
-def _sweep_rho_theta(theta: float, _: float | None, tol: float) -> dict:
-    rho = states.rho_theta(theta, tol=tol)
-    switched = transforms.conjugate(rho, transforms.u_switch(), tol=tol)
+# Each evaluator takes the whole grid (and the fixed theta) and returns one
+# array per measure, built from the stacked kernels; the switches are built
+# once per sweep, so each unitarity check runs once.
+
+def _sweep_rho_theta(theta: np.ndarray, _: float | None, tol: float) -> dict:
+    rho = states.validate_stack(states.rho_theta_matrices(theta), tol)
+    switched = states.validate_stack(transforms.conjugated(rho, transforms.u_switch()), tol)
     return {
-        "C": measures.concurrence(rho, tol=tol),
-        "C_after_u_switch": measures.concurrence(switched, tol=tol),
-        "bmax": witness_bell.horodecki_bmax(rho),
-        "purity": measures.purity(rho),
+        "C": measures.concurrences(rho, tol=tol),
+        "C_after_u_switch": measures.concurrences(switched, tol=tol),
+        "bmax": witness_bell.bmax_values(rho),
+        "purity": measures.purities(rho),
     }
 
 
-def _sweep_werner(alpha: float, _: float | None, tol: float) -> dict:
-    rho = states.werner(alpha, tol=tol)
+def _sweep_werner(alpha: np.ndarray, _: float | None, tol: float) -> dict:
+    rho = states.validate_stack(states.werner_matrices(alpha), tol)
     return {
-        "ppt": measures.ppt_check(rho, tol=tol).min_pt_eigenvalue,
-        "bmax": witness_bell.horodecki_bmax(rho),
-        "C": measures.concurrence(rho, tol=tol),
-        "purity": measures.purity(rho),
-        "kz_member": float(measures.kz_ball_member(rho, tol=tol)),
+        "ppt": measures.pt_min_eigenvalues(rho, (2, 2)),
+        "bmax": witness_bell.bmax_values(rho),
+        "C": measures.concurrences(rho, tol=tol),
+        "purity": measures.purities(rho),
+        "kz_member": measures.kz_ball_members(rho, tol=tol).astype(float),
     }
 
 
-def _sweep_gisin(lam: float, theta: float | None, tol: float) -> dict:
-    rho = states.gisin(lam, theta, tol=tol)
+def _sweep_gisin(lam: np.ndarray, theta: float | None, tol: float) -> dict:
+    rho = states.validate_stack(states.gisin_matrices(lam, theta), tol)
     return {
-        "C": measures.concurrence(rho, tol=tol),
-        "bmax": witness_bell.horodecki_bmax(rho),
-        "purity": measures.purity(rho),
-        "ppt": measures.ppt_check(rho, tol=tol).min_pt_eigenvalue,
+        "C": measures.concurrences(rho, tol=tol),
+        "bmax": witness_bell.bmax_values(rho),
+        "purity": measures.purities(rho),
+        "ppt": measures.pt_min_eigenvalues(rho, (2, 2)),
     }
 
 
-def _sweep_gisin_compare(lam: float, theta: float | None, tol: float) -> dict:
-    plain = states.gisin(lam, theta, tol=tol)
-    filtered = transforms.apply_filter(plain, transforms.gisin_filter(theta), tol=tol)
-    unitary = transforms.gisin_unitary_family(lam, theta, tol=tol)
+def _sweep_gisin_compare(lam: np.ndarray, theta: float | None, tol: float) -> dict:
+    plain = states.validate_stack(states.gisin_matrices(lam, theta), tol)
+    filtered = states.validate_stack(
+        transforms.filtered(plain, transforms.gisin_filter(theta)), tol
+    )
+    unitary = states.validate_stack(transforms.gisin_unitary_matrices(lam, theta), tol)
     return {
-        "C_gisin": measures.concurrence(plain, tol=tol),
-        "C_filtered": measures.concurrence(filtered, tol=tol),
-        "C_unitary": measures.concurrence(unitary, tol=tol),
-        "B_gisin": witness_bell.horodecki_bmax(plain),
-        "B_filtered": witness_bell.horodecki_bmax(filtered),
-        "B_unitary": witness_bell.horodecki_bmax(unitary),
-        "purity_gisin": measures.purity(plain),
-        "purity_filtered": measures.purity(filtered),
-        "purity_unitary": measures.purity(unitary),
+        "C_gisin": measures.concurrences(plain, tol=tol),
+        "C_filtered": measures.concurrences(filtered, tol=tol),
+        "C_unitary": measures.concurrences(unitary, tol=tol),
+        "B_gisin": witness_bell.bmax_values(plain),
+        "B_filtered": witness_bell.bmax_values(filtered),
+        "B_unitary": witness_bell.bmax_values(unitary),
+        "purity_gisin": measures.purities(plain),
+        "purity_filtered": measures.purities(filtered),
+        "purity_unitary": measures.purities(unitary),
     }
 
 
-def _sweep_ghz_traced(theta: float, _: float | None, tol: float) -> dict:
-    rho = states.ghz_traced(theta, tol=tol)
-    c_u1 = measures.concurrence(transforms.conjugate(rho, transforms.u1_ghz(), tol=tol), tol=tol)
-    c_u2 = measures.concurrence(transforms.conjugate(rho, transforms.u2_ghz(), tol=tol), tol=tol)
-    c_switch = measures.concurrence(
-        transforms.conjugate(rho, transforms.u_switch(), tol=tol), tol=tol
+def _sweep_ghz_traced(theta: np.ndarray, _: float | None, tol: float) -> dict:
+    rho = states.validate_stack(states.ghz_traced_matrices(theta), tol)
+    c_u1, c_u2, c_switch = (
+        measures.concurrences(states.validate_stack(transforms.conjugated(rho, switch), tol), tol=tol)
+        for switch in (transforms.u1_ghz(), transforms.u2_ghz(), transforms.u_switch())
     )
     return {
         "C_u1": c_u1,
         "C_u2": c_u2,
-        "C_best": max(c_u1, c_u2),
+        "C_best": np.where(c_u2 > c_u1, c_u2, c_u1),
         "C_after_u_switch": c_switch,
-        "mixedness": measures.mixedness(rho),
+        "mixedness": 1.0 - measures.purities(rho),
     }
 
 
+# family -> (grid parameter, needs --theta, evaluator, measures, default outputs)
 _SWEEP_FAMILIES = {
-    "rho_theta": ("theta", False, _sweep_rho_theta, ["C", "C_after_u_switch"]),
-    "werner": ("alpha", False, _sweep_werner, ["ppt", "bmax"]),
-    "gisin": ("lambda", True, _sweep_gisin, ["C", "bmax"]),
-    "gisin_compare": (
-        "lambda",
-        True,
-        _sweep_gisin_compare,
-        ["C_gisin", "C_filtered", "C_unitary"],
+    "rho_theta": (
+        "theta", False, _sweep_rho_theta,
+        ("C", "C_after_u_switch", "bmax", "purity"),
+        ("C", "C_after_u_switch"),
     ),
-    "ghz_traced": ("theta", False, _sweep_ghz_traced, ["C_best", "C_after_u_switch", "mixedness"]),
+    "werner": (
+        "alpha", False, _sweep_werner,
+        ("ppt", "bmax", "C", "purity", "kz_member"),
+        ("ppt", "bmax"),
+    ),
+    "gisin": (
+        "lambda", True, _sweep_gisin,
+        ("C", "bmax", "purity", "ppt"),
+        ("C", "bmax"),
+    ),
+    "gisin_compare": (
+        "lambda", True, _sweep_gisin_compare,
+        ("C_gisin", "C_filtered", "C_unitary", "B_gisin", "B_filtered", "B_unitary",
+         "purity_gisin", "purity_filtered", "purity_unitary"),
+        ("C_gisin", "C_filtered", "C_unitary"),
+    ),
+    "ghz_traced": (
+        "theta", False, _sweep_ghz_traced,
+        ("C_u1", "C_u2", "C_best", "C_after_u_switch", "mixedness"),
+        ("C_best", "C_after_u_switch", "mixedness"),
+    ),
 }
 
 
 def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], list[dict]]:
-    """Evaluate one sweep family over its grid; returns (column names, rows)."""
+    """Evaluate one sweep family over its grid as one stacked batch; returns
+    (column names, rows).
+
+    Every check of the per-state functions runs on each grid point; a check
+    that fails on a state names the first offending grid value.
+    """
     if spec.family not in _SWEEP_FAMILIES:
         raise CliParseError(
             f"unknown sweep family {spec.family!r}; valid: {', '.join(sorted(_SWEEP_FAMILIES))}"
         )
-    param, needs_theta, evaluate, default_outputs = _SWEEP_FAMILIES[spec.family]
+    param, needs_theta, evaluate, names, default_outputs = _SWEEP_FAMILIES[spec.family]
     if needs_theta and spec.theta is None:
         raise CliParseError(f"sweep family {spec.family!r} requires --theta")
-    outputs = spec.outputs or default_outputs
-    probe = evaluate(spec.start, spec.theta, tol)
-    unknown = [name for name in outputs if name not in probe]
+    outputs = list(spec.outputs or default_outputs)
+    unknown = [name for name in outputs if name not in names]
     if unknown:
         raise CliParseError(
             f"unknown measure(s) {unknown} for family {spec.family!r}; "
-            f"valid: {', '.join(sorted(probe))}"
+            f"valid: {', '.join(sorted(names))}"
         )
     grid = np.linspace(spec.start, spec.stop, spec.num)
-    rows = []
-    for x in grid:
-        values = evaluate(float(x), spec.theta, tol)
-        rows.append({param: float(x), **{name: values[name] for name in outputs}})
-    return [param] + list(outputs), rows
+    try:
+        values = evaluate(grid, spec.theta, tol)
+    except (ValueError, AssertionError) as exc:
+        index = getattr(exc, "index", None)
+        if index is not None:
+            exc.args = (f"{exc} at {param} = {float(grid[index])!r}",)
+        raise
+    columns = [param] + outputs
+    table = zip(grid.tolist(), *(values[name].tolist() for name in outputs))
+    return columns, [dict(zip(columns, row)) for row in table]
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +485,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_tol(cli_tol: float | None) -> float:
+    """--tol, else FACTORLAB_TOL, else the default; a tolerance must be finite
+    and non-negative."""
     if cli_tol is not None:
-        return cli_tol
-    env = os.environ.get("FACTORLAB_TOL")
-    if env is not None:
+        tol, source = cli_tol, "--tol"
+    else:
+        env = os.environ.get("FACTORLAB_TOL")
+        if env is None:
+            return DEFAULT_TOL
         try:
-            return float(env)
+            tol, source = float(env), "FACTORLAB_TOL"
         except ValueError:
             raise CliParseError(f"FACTORLAB_TOL is not a number: {env!r}") from None
-    return DEFAULT_TOL
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise CliParseError(f"{source} must be a finite non-negative number, got {tol!r}")
+    return tol
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -483,7 +532,6 @@ def main(argv: list[str] | None = None) -> int:
                 num=args.num,
                 outputs=outputs,
                 theta=args.theta,
-                fmt=args.format,
             )
             columns, rows = run_sweep(spec, tol)
             text = render_table(columns, rows, args.format)

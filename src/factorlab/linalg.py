@@ -1,8 +1,11 @@
 """Dense complex linear algebra sized for small Hilbert spaces (dim <= ~64).
 
 All operators are plain square ``numpy`` arrays of complex dtype; vectors are
-1-D arrays.  Every predicate takes an explicit tolerance (default 1e-9) and is
-pure: no function here mutates its input or keeps state.
+1-D arrays.  The partial trace/transpose and ``psd_sqrt`` also take an
+(N, D, D) stack and treat each matrix on its own;
+``fail_first`` reports the first matrix of a stack that fails a check.  Every
+predicate takes an explicit tolerance (default 1e-9) and is pure: no function
+here mutates its input or keeps state.
 """
 
 from __future__ import annotations
@@ -18,21 +21,44 @@ class DimensionMismatchError(ValueError):
     """Operands act on Hilbert spaces of incompatible dimension."""
 
 
-def _as_square(m: np.ndarray) -> np.ndarray:
+def _as_square(m: np.ndarray, stack: bool = False) -> np.ndarray:
+    """m as a complex square matrix; with ``stack``, an (N, D, D) stack of them is accepted too."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+def fail_first(bad: np.ndarray, error) -> None:
+    """Raise ``error(k)`` for the first k with ``bad[k]`` set, if there is one.
+
+    Per-matrix checks on a stack go through here, so a batch of one fails with
+    the same message as a single matrix.  The raised exception carries k as
+    ``index``, so a caller that knows what each matrix stands for (a sweep's
+    grid value) can name it.
+    """
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        k = int(hits[0])
+        exc = error(k)
+        exc.index = k
+        raise exc
+
+
+def hermitian_deviation(m: np.ndarray) -> np.ndarray:
+    """max |m - m^dagger| of each matrix of a stack (a 0-d array for one matrix)."""
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def require_hermitian(m: np.ndarray, tol: float, caller: str) -> None:
+    """Raise ValueError naming ``caller`` unless each matrix is Hermitian within tol."""
+    ok = hermitian_deviation(m) <= tol
+    if not ok.all():
+        fail_first(np.ravel(~ok), lambda k: ValueError(f"{caller} requires a Hermitian matrix"))
 
 
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = _as_square(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(hermitian_deviation(_as_square(m)) <= tol)
 
 
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -63,9 +89,9 @@ def hs_norm(a: np.ndarray) -> float:
 
 def _check_split(m: np.ndarray, split: tuple[int, int]) -> tuple[int, int]:
     d1, d2 = int(split[0]), int(split[1])
-    if d1 < 1 or d2 < 1 or d1 * d2 != m.shape[0]:
+    if d1 < 1 or d2 < 1 or d1 * d2 != m.shape[-1]:
         raise DimensionMismatchError(
-            f"split {split} inconsistent with matrix dimension {m.shape[0]}"
+            f"split {split} inconsistent with matrix dimension {m.shape[-1]}"
         )
     return d1, d2
 
@@ -73,34 +99,38 @@ def _check_split(m: np.ndarray, split: tuple[int, int]) -> tuple[int, int]:
 def partial_transpose(
     m: np.ndarray, split: tuple[int, int], side: str = "second"
 ) -> np.ndarray:
-    """Transpose one tensor factor of a bipartite operator.
+    """Transpose one tensor factor of a bipartite operator (or of each operator
+    of an (N, D, D) stack).
 
     ``side`` selects the factor ("first" or "second").  The map is involutive
     and basis-dependent; indices follow the row-major product ordering.
     """
-    m = _as_square(m)
+    m = _as_square(m, stack=True)
     d1, d2 = _check_split(m, split)
-    r = m.reshape(d1, d2, d1, d2)
+    lead = m.shape[:-2]
+    n = len(lead)
     if side == "first":
-        r = r.transpose(2, 1, 0, 3)
+        axes = (n + 2, n + 1, n, n + 3)
     elif side == "second":
-        r = r.transpose(0, 3, 2, 1)
+        axes = (n, n + 3, n + 2, n + 1)
     else:
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    return r.reshape(d1 * d2, d1 * d2)
+    r = m.reshape(lead + (d1, d2, d1, d2)).transpose(tuple(range(n)) + axes)
+    return r.reshape(lead + (d1 * d2, d1 * d2))
 
 
 def partial_trace(
     m: np.ndarray, split: tuple[int, int], keep: str = "first"
 ) -> np.ndarray:
-    """Trace out one tensor factor, returning the reduced operator of ``keep``."""
-    m = _as_square(m)
+    """Trace out one tensor factor, returning the reduced operator of ``keep``
+    (of each operator, for an (N, D, D) stack)."""
+    m = _as_square(m, stack=True)
     d1, d2 = _check_split(m, split)
-    r = m.reshape(d1, d2, d1, d2)
+    r = m.reshape(m.shape[:-2] + (d1, d2, d1, d2))
     if keep == "first":
-        return np.einsum("ijkj->ik", r)
+        return np.einsum("...ijkj->...ik", r)
     if keep == "second":
-        return np.einsum("ijil->jl", r)
+        return np.einsum("...ijil->...jl", r)
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
@@ -127,15 +157,16 @@ def herm_eigensystem(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
 
 
 def psd_sqrt(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Positive-semidefinite square root of a PSD matrix."""
-    m = _as_square(m)
-    if not is_hermitian(m, tol):
-        raise ValueError("psd_sqrt requires a Hermitian matrix")
+    """Positive-semidefinite square root of a PSD matrix (or of each matrix of
+    an (N, D, D) stack)."""
+    m = _as_square(m, stack=True)
+    require_hermitian(m, tol, "psd_sqrt")
     w, v = np.linalg.eigh(m)
-    if w.min() < -tol:
-        raise ValueError(f"psd_sqrt: negative eigenvalue {w.min():.3e} below -{tol:.1e}")
+    lo = np.ravel(w.min(axis=-1))
+    fail_first(lo < -tol, lambda k: ValueError(
+        f"psd_sqrt: negative eigenvalue {lo[k]:.3e} below -{tol:.1e}"))
     w = np.sqrt(np.clip(w, 0.0, None))
-    return (v * w) @ v.conj().T
+    return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 @dataclass(frozen=True)

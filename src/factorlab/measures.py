@@ -1,5 +1,11 @@
 """Scalar diagnostics: purity, entropy, PPT classification, concurrence,
-Hilbert-Schmidt geometry, and absolute-separability tests."""
+Hilbert-Schmidt geometry, and absolute-separability tests.
+
+Purity, the partial-transpose minimum, concurrence and the purity-ball test
+each have one kernel that works on an (N, D, D) stack of validated matrices
+(``purities``, ``pt_min_eigenvalues``, ``concurrences``, ``kz_ball_members``);
+the DensityMatrix functions call it on their one matrix.
+"""
 
 from __future__ import annotations
 
@@ -14,14 +20,22 @@ from .linalg import (
     hs_norm,
     partial_transpose,
     psd_sqrt,
+    require_hermitian,
     schmidt_decompose,
 )
 from .states import PAULI, DensityMatrix
 
+_YY = np.kron(PAULI[1], PAULI[1])
+
+
+def purities(m: np.ndarray) -> np.ndarray:
+    """Tr m^2 of a matrix or of each matrix of a stack."""
+    return np.trace(m @ m, axis1=-2, axis2=-1).real
+
 
 def purity(rho: DensityMatrix) -> float:
     """Tr rho^2, ranging from 1/dim (maximally mixed) to 1 (pure)."""
-    return float(np.trace(rho.matrix @ rho.matrix).real)
+    return float(purities(rho.matrix))
 
 
 def mixedness(rho: DensityMatrix) -> float:
@@ -53,10 +67,39 @@ class PptVerdict:
         return self.classification == "NPT"
 
 
+def pt_min_eigenvalues(m: np.ndarray, split: tuple[int, int]) -> np.ndarray:
+    """Smallest eigenvalue of the partial transpose (second factor) of a
+    matrix or of each matrix of a stack."""
+    pt = partial_transpose(m, split, side="second")
+    return np.linalg.eigvalsh(pt).min(axis=-1)
+
+
 def ppt_check(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> PptVerdict:
-    pt = partial_transpose(rho.matrix, rho.split, side="second")
-    lo = float(np.linalg.eigvalsh(pt).min())
+    lo = float(pt_min_eigenvalues(rho.matrix, rho.split))
     return PptVerdict("NPT" if lo < -tol else "PPT", lo)
+
+
+def concurrences(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Two-qubit concurrence of a 4x4 matrix or of each matrix of a stack; see
+    ``concurrence``.
+
+    The psd_sqrt and Hermiticity checks apply to each matrix.  The eigenvalues
+    come from ``eigh`` (``eigvalsh`` takes another LAPACK path and can move a
+    last digit), reversed to descending order; reversing can only swap tied
+    signed zeros, which the 1e-14 clamp sets to +0.  The clamp to [0, 1]
+    picks exactly what ``min(1, max(0, c))`` picks, zeros included.
+    """
+    flipped = _YY @ m.conj() @ _YY
+    s = psd_sqrt(m, tol=tol)
+    core = s @ flipped @ s
+    core = (core + np.swapaxes(core.conj(), -1, -2)) / 2.0
+    require_hermitian(core, tol, "concurrence")
+    w = np.linalg.eigh(core)[0][..., ::-1].copy()
+    w[w < 1e-14] = 0.0
+    lam = np.sqrt(w)
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    c = np.where(c > 0.0, c, 0.0)
+    return np.where(c < 1.0, c, 1.0)
 
 
 def concurrence(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
@@ -72,15 +115,7 @@ def concurrence(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
     """
     if rho.split != (2, 2):
         raise DimensionMismatchError(f"concurrence requires split (2, 2), got {rho.split}")
-    m = rho.matrix
-    yy = np.kron(PAULI[1], PAULI[1])
-    flipped = yy @ m.conj() @ yy
-    s = psd_sqrt(m, tol=tol)
-    core = s @ flipped @ s
-    w = herm_eigensystem((core + core.conj().T) / 2.0, tol=tol).values
-    w[w < 1e-14] = 0.0
-    lam = np.sqrt(w)
-    return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
+    return float(concurrences(rho.matrix, tol=tol))
 
 
 def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -107,8 +142,12 @@ def kz_ball_member(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> bool:
     At D = 4 it reproduces the Werner separability bound alpha <= 1/3.  Every
     member stays PPT under any global unitary conjugation.
     """
-    d = rho.dim
-    return purity(rho) <= 1.0 / (d - 1) + tol
+    return bool(kz_ball_members(rho.matrix, tol))
+
+
+def kz_ball_members(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """kz_ball_member of a matrix or of each matrix of a stack."""
+    return purities(m) <= 1.0 / (m.shape[-1] - 1) + tol
 
 
 def abs_sep_2x2(spectrum, tol: float = DEFAULT_TOL) -> bool:

@@ -14,7 +14,8 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
-    is_hermitian,
+    fail_first,
+    hermitian_deviation,
     partial_trace,
 )
 
@@ -23,6 +24,8 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 I2 = np.eye(2, dtype=complex)
+# s_i (x) s_j for i, j in 0..3 with s_0 = 1, flattened as 4 i + j.
+PAULI_PRODUCTS = np.array([np.kron(a, b) for a in (I2, *PAULI) for b in (I2, *PAULI)])
 
 
 class StateValidationError(ValueError):
@@ -34,12 +37,52 @@ class StateValidationError(ValueError):
         super().__init__(f"{invariant}: {message}")
 
 
+def validate_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Check every matrix of a complex (..., D, D) stack is a density matrix;
+    returns the stack unchanged.
+
+    Each matrix must have finite entries, be Hermitian (max |m - m^dagger|
+    <= tol), have unit trace within tol and eigenvalues >= -tol, checked in
+    that order.  The first offending matrix raises StateValidationError, whose
+    ``index`` is its position in the flattened stack.  A non-finite entry
+    makes the Hermitian deviation NaN or infinite, so one comparison screens
+    for both.
+    """
+    flat = m.reshape((-1,) + m.shape[-2:])
+    with np.errstate(invalid="ignore"):
+        dev = hermitian_deviation(flat)
+    tr = flat.trace(axis1=-2, axis2=-1)
+    ok = np.maximum(dev, np.abs(tr - 1.0)) <= tol
+    stop = len(flat) if ok.all() else int(np.argmin(ok))
+    if stop:
+        lo = np.linalg.eigvalsh(flat[:stop]).min(axis=-1)
+        if (lo < -tol).any():
+            fail_first(lo < -tol, lambda k: StateValidationError(
+                "positive", f"eigenvalue {lo[k]:.3e} below -{tol:.1e}", float(lo[k])))
+
+    def error(k: int) -> StateValidationError:
+        bad = ~np.isfinite(flat[k])
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            return StateValidationError("finite", f"entry ({i}, {j}) is {flat[k, i, j]}")
+        if not dev[k] <= tol:
+            return StateValidationError(
+                "hermitian", f"deviation {dev[k]:.3e} exceeds {tol:.1e}", float(dev[k]))
+        trace = complex(tr[k])
+        return StateValidationError("trace", f"trace {trace} differs from 1", abs(trace - 1.0))
+
+    if stop < len(flat):
+        fail_first(~ok, error)
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Quantum state over a declared bipartite dimension split (d1, d2).
 
-    Validation enforces Hermiticity, unit trace, and positive semidefiniteness
-    (eigenvalues >= -tol) at construction time.
+    Validation (``validate_stack`` on a stack of one) enforces finite entries,
+    Hermiticity, unit trace, and positive semidefiniteness (eigenvalues >= -tol)
+    at construction time.
     """
 
     matrix: np.ndarray
@@ -55,15 +98,7 @@ class DensityMatrix:
             raise StateValidationError(
                 "split", f"split {self.split} does not factor dimension {m.shape[0]}"
             )
-        if not is_hermitian(m, tol):
-            dev = float(np.max(np.abs(m - m.conj().T)))
-            raise StateValidationError("hermitian", f"deviation {dev:.3e} exceeds {tol:.1e}", dev)
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > tol:
-            raise StateValidationError("trace", f"trace {tr} differs from 1", abs(tr - 1.0))
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -tol:
-            raise StateValidationError("positive", f"eigenvalue {lo:.3e} below -{tol:.1e}", lo)
+        validate_stack(m, tol)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "split", (d1, d2))
@@ -86,9 +121,9 @@ class BlochForm:
     t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float).reshape(3))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(3))
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(3, 3))
+        object.__setattr__(self, "r", np.array(self.r, dtype=float).reshape(3))
+        object.__setattr__(self, "u", np.array(self.u, dtype=float).reshape(3))
+        object.__setattr__(self, "t", np.array(self.t, dtype=float).reshape(3, 3))
 
 
 def from_bloch(b: BlochForm, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -106,17 +141,22 @@ def from_bloch(b: BlochForm, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(m / 4.0, (2, 2), tol=tol)
 
 
+def bloch_coefficients(m: np.ndarray) -> np.ndarray:
+    """c[..., i, j] = Re Tr(m s_i(x)s_j) with s_0 = 1, for a 4x4 matrix or a stack.
+
+    One stacked product against PAULI_PRODUCTS, then the trace of each: the
+    same products and sums as taking each trace on its own.
+    """
+    c = np.trace(m[..., None, :, :] @ PAULI_PRODUCTS, axis1=-2, axis2=-1).real
+    return c.reshape(m.shape[:-2] + (4, 4))
+
+
 def to_bloch(rho: DensityMatrix) -> BlochForm:
     """Recover (r, u, t) via r_i = Tr(rho s_i(x)1) and friends; split must be (2,2)."""
     if rho.split != (2, 2):
         raise DimensionMismatchError(f"Bloch form requires split (2, 2), got {rho.split}")
-    m = rho.matrix
-    r = np.array([np.trace(m @ np.kron(PAULI[i], I2)).real for i in range(3)])
-    u = np.array([np.trace(m @ np.kron(I2, PAULI[i])).real for i in range(3)])
-    t = np.array(
-        [[np.trace(m @ np.kron(PAULI[i], PAULI[j])).real for j in range(3)] for i in range(3)]
-    )
-    return BlochForm(r=r, u=u, t=t)
+    c = bloch_coefficients(rho.matrix)
+    return BlochForm(r=c[1:, 0], u=c[0, 1:], t=c[1:, 1:])
 
 
 _BELL_SIGNS = {"psi+": +1, "psi-": -1, "phi+": +1, "phi-": -1}
@@ -135,9 +175,19 @@ def bell_vector(kind: str) -> np.ndarray:
     return v / np.sqrt(2.0)
 
 
+def projectors(v: np.ndarray) -> np.ndarray:
+    """|v><v| for a vector, or for each vector of a stack."""
+    return v[..., :, None] * v.conj()[..., None, :]
+
+
 def bell_state(kind: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    v = bell_vector(kind)
-    return DensityMatrix(np.outer(v, v.conj()), (2, 2), tol=tol)
+    return DensityMatrix(projectors(bell_vector(kind)), (2, 2), tol=tol)
+
+
+def bell_projectors(kind: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Validated stack of ``shape`` copies of a Bell projector: the per-state
+    Bell intermediate of a stacked family builder."""
+    return validate_stack(projectors(np.broadcast_to(bell_vector(kind), shape + (4,))))
 
 
 def product_state(a: int, b: int, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -150,16 +200,22 @@ def product_state(a: int, b: int, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
 
 def psi_theta(theta: float) -> np.ndarray:
-    """Partially entangled vector sin(theta)|01> - cos(theta)|10>."""
-    v = np.zeros(4, dtype=complex)
-    v[1] = np.sin(theta)
-    v[2] = -np.cos(theta)
+    """Partially entangled vector sin(theta)|01> - cos(theta)|10> (one row per
+    angle for an array of angles)."""
+    theta = np.asarray(theta, dtype=float)
+    v = np.zeros(theta.shape + (4,), dtype=complex)
+    v[..., 1] = np.sin(theta)
+    v[..., 2] = -np.cos(theta)
     return v
 
 
+def rho_theta_matrices(theta) -> np.ndarray:
+    """Unvalidated projector(s) onto psi_theta, for an angle or an array of angles."""
+    return projectors(psi_theta(theta))
+
+
 def rho_theta(theta: float, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    v = psi_theta(theta)
-    return DensityMatrix(np.outer(v, v.conj()), (2, 2), tol=tol)
+    return DensityMatrix(rho_theta_matrices(theta), (2, 2), tol=tol)
 
 
 def weyl_basis_state(k: int, l: int, d: int) -> np.ndarray:
@@ -192,12 +248,28 @@ def weyl_operator(k: int, l: int, d: int) -> np.ndarray:
     return w
 
 
+def unit_interval(x, name: str) -> np.ndarray:
+    """x as a float array, after checking every entry lies in [0, 1] (NaN does
+    not); the error names the first entry that fails."""
+    x = np.asarray(x, dtype=float)
+    flat = np.ravel(x)
+    bad = np.flatnonzero(~((0.0 <= flat) & (flat <= 1.0)))
+    if bad.size:
+        raise ValueError(f"{name} must lie in [0, 1], got {flat[bad[0]]}")
+    return x
+
+
+def werner_matrices(alpha) -> np.ndarray:
+    """Unvalidated Werner matrix (or stack, for an array of weights)."""
+    alpha = unit_interval(alpha, "alpha")
+    singlet = bell_projectors("psi-", alpha.shape)
+    alpha = alpha[..., None, None]
+    return alpha * singlet + (1.0 - alpha) / 4.0 * np.eye(4)
+
+
 def werner(alpha: float, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Isotropic mixture alpha * psi- projector + (1 - alpha)/4 * identity."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    m = alpha * bell_state("psi-").matrix + (1.0 - alpha) / 4.0 * np.eye(4)
-    return DensityMatrix(m, (2, 2), tol=tol)
+    return DensityMatrix(werner_matrices(alpha), (2, 2), tol=tol)
 
 
 def werner_generalized(
@@ -208,8 +280,7 @@ def werner_generalized(
     ``projector`` must be a rank-1 projector onto a maximally entangled vector;
     it defaults to the (0, 0) Weyl basis projector.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    unit_interval(alpha, "alpha")
     if projector is None:
         chi = weyl_basis_state(0, 0, d)
         projector = np.outer(chi, chi.conj())
@@ -225,22 +296,38 @@ def werner_generalized(
     return DensityMatrix(m, (d, d), tol=tol)
 
 
+def mix_with_diagonal(lam: np.ndarray, pure: np.ndarray) -> np.ndarray:
+    """lam * pure + (1 - lam)/2 * (|00><00| + |11><11|), entry by entry of a stack."""
+    m = lam[..., None, None] * pure
+    m[..., 0, 0] += (1.0 - lam) / 2.0
+    m[..., 3, 3] += (1.0 - lam) / 2.0
+    return m
+
+
+def gisin_matrices(lam, theta) -> np.ndarray:
+    """Unvalidated Gisin matrix (or stack: lam and theta broadcast together)."""
+    lam, theta = np.broadcast_arrays(unit_interval(lam, "lambda"), np.asarray(theta, dtype=float))
+    return mix_with_diagonal(lam, validate_stack(rho_theta_matrices(theta)))
+
+
 def gisin(lam: float, theta: float, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Mixture lam * rho_theta + (1 - lam)/2 * (|00><00| + |11><11|)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    m = lam * rho_theta(theta).matrix
-    m[0, 0] += (1.0 - lam) / 2.0
-    m[3, 3] += (1.0 - lam) / 2.0
-    return DensityMatrix(m, (2, 2), tol=tol)
+    return DensityMatrix(gisin_matrices(lam, theta), (2, 2), tol=tol)
 
 
 def ghz_vector(theta: float) -> np.ndarray:
-    """Three-qubit vector sin(theta)|000> + cos(theta)|111>."""
-    v = np.zeros(8, dtype=complex)
-    v[0] = np.sin(theta)
-    v[7] = np.cos(theta)
+    """Three-qubit vector sin(theta)|000> + cos(theta)|111> (one row per angle
+    for an array of angles)."""
+    theta = np.asarray(theta, dtype=float)
+    v = np.zeros(theta.shape + (8,), dtype=complex)
+    v[..., 0] = np.sin(theta)
+    v[..., 7] = np.cos(theta)
     return v
+
+
+def ghz_traced_matrices(theta) -> np.ndarray:
+    """Unvalidated two-qubit marginal(s) of the GHZ-type vector."""
+    return partial_trace(projectors(ghz_vector(theta)), (4, 2), keep="first")
 
 
 def ghz_traced(theta: float, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -249,9 +336,7 @@ def ghz_traced(theta: float, tol: float = DEFAULT_TOL) -> DensityMatrix:
     Which qubit is traced is irrelevant by symmetry; the result is the diagonal
     matrix diag(sin^2 theta, 0, 0, cos^2 theta), separable for every theta.
     """
-    v = ghz_vector(theta)
-    full = np.outer(v, v.conj())
-    return DensityMatrix(partial_trace(full, (4, 2), keep="first"), (2, 2), tol=tol)
+    return DensityMatrix(ghz_traced_matrices(theta), (2, 2), tol=tol)
 
 
 def narnhofer(tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -291,10 +376,16 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 
 
 def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Parse the JSON state format; raises KeyError/ValueError on malformed input."""
-    split = tuple(int(x) for x in data["split"])
-    if len(split) != 2:
-        raise ValueError(f"split must have two entries, got {data['split']!r}")
+    """Parse the JSON state format.
+
+    A missing field raises KeyError and a split that is not a list of two
+    integers raises TypeError (both malformed input); ValueError and
+    StateValidationError report a well-formed state that is not valid.
+    """
+    split = data["split"]
+    if not (isinstance(split, (list, tuple)) and len(split) == 2
+            and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in split)):
+        raise TypeError(f"split must be a list of two integers, got {split!r}")
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data["im"], dtype=float)
     if re.shape != im.shape:

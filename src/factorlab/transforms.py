@@ -19,6 +19,7 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
     extend_to_unitary,
+    fail_first,
     herm_eigensystem,
     is_unitary,
     schmidt_decompose,
@@ -26,8 +27,11 @@ from .linalg import (
 from .measures import ppt_check
 from .states import (
     DensityMatrix,
-    bell_state,
-    gisin,
+    bell_projectors,
+    gisin_matrices,
+    mix_with_diagonal,
+    unit_interval,
+    validate_stack,
     weyl_basis_state,
 )
 
@@ -64,14 +68,19 @@ class NotApplicable:
         )
 
 
+def conjugated(m: np.ndarray, switch: FactorizationSwitch) -> np.ndarray:
+    """U m U^dagger for a matrix or for each matrix of a stack (unvalidated)."""
+    u = switch.unitary
+    return u @ m @ u.conj().T
+
+
 def conjugate(rho: DensityMatrix, switch: FactorizationSwitch, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """State as seen from the switched factorization: U rho U^dagger."""
     if rho.dim != switch.unitary.shape[0]:
         raise DimensionMismatchError(
             f"dimension mismatch: state {rho.dim} vs switch {switch.unitary.shape[0]}"
         )
-    u = switch.unitary
-    return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.split, tol=tol)
+    return DensityMatrix(conjugated(rho.matrix, switch), rho.split, tol=tol)
 
 
 def algebra_image(switch: FactorizationSwitch, basis_op: np.ndarray) -> np.ndarray:
@@ -377,12 +386,17 @@ def apply_filter(rho: DensityMatrix, filt: LocalFilter, tol: float = DEFAULT_TOL
     """
     if rho.dim != 4:
         raise DimensionMismatchError(f"local filter expects a two-qubit state, got dim {rho.dim}")
+    return DensityMatrix(filtered(rho.matrix, filt), rho.split, tol=tol)
+
+
+def filtered(m: np.ndarray, filt: LocalFilter) -> np.ndarray:
+    """F m F^dagger / Tr(F m F^dagger) for a 4x4 matrix or each matrix of a
+    stack (unvalidated); each filtered trace must exceed 1e-12."""
     f = filt.combined
-    m = f @ rho.matrix @ f.conj().T
-    tr = float(np.trace(m).real)
-    if tr <= 1e-12:
-        raise ValueError("filtered state has zero trace")
-    return DensityMatrix(m / tr, rho.split, tol=tol)
+    out = f @ m @ f.conj().T
+    tr = np.trace(out, axis1=-2, axis2=-1).real
+    fail_first(np.ravel(~(tr > 1e-12)), lambda k: ValueError("filtered state has zero trace"))
+    return out / tr[..., None, None]
 
 
 def gisin_unitary_family(lam: float, theta: float, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -392,18 +406,22 @@ def gisin_unitary_family(lam: float, theta: float, tol: float = DEFAULT_TOL) -> 
     dependence drops out, so the family carries a constant amount of
     entanglement at fixed lam while keeping the purity of the original state.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    m = lam * bell_state("psi+").matrix
-    m[0, 0] += (1.0 - lam) / 2.0
-    m[3, 3] += (1.0 - lam) / 2.0
-    out = DensityMatrix(m, (2, 2), tol=tol)
-    residual = np.max(
-        np.abs(conjugate(gisin(lam, theta), u_theta(theta)).matrix - out.matrix)
-    )
-    if residual > 1e-10:
-        raise AssertionError(f"closed form deviates from conjugation by {residual:.3e}")
-    return out
+    return DensityMatrix(gisin_unitary_matrices(lam, theta), (2, 2), tol=tol)
+
+
+def gisin_unitary_matrices(lam, theta: float) -> np.ndarray:
+    """Unvalidated gisin_unitary_family matrix (or stack, for an array of lam).
+
+    Each is checked against the conjugation of gisin(lam, theta) by
+    u_theta(theta), which must agree within 1e-10.
+    """
+    lam = unit_interval(lam, "lambda")
+    m = mix_with_diagonal(lam, bell_projectors("psi+", lam.shape))
+    reference = validate_stack(conjugated(validate_stack(gisin_matrices(lam, theta)), u_theta(theta)))
+    residual = np.ravel(np.max(np.abs(reference - m), axis=(-2, -1)))
+    fail_first(~(residual <= 1e-10), lambda k: AssertionError(
+        f"closed form deviates from conjugation by {residual[k]:.3e}"))
+    return m
 
 
 SWITCH_BUILDERS = {

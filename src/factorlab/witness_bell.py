@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import DEFAULT_TOL, DimensionMismatchError, hs_inner, hs_norm, is_hermitian
-from .states import PAULI, DensityMatrix, to_bloch
+from .states import PAULI, DensityMatrix, bloch_coefficients, to_bloch
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,23 @@ def chsh_value(rho: DensityMatrix, setting: ChshSetting) -> float:
     return float(np.trace(rho.matrix @ chsh_operator(setting)).real)
 
 
+def bmax_values(m: np.ndarray) -> np.ndarray:
+    """horodecki_bmax of a 4x4 matrix or of each matrix of a stack.
+
+    Negative eigenvalues are clamped to 0 exactly as ``max(w, 0.0)`` does.
+    """
+    t = np.ascontiguousarray(bloch_coefficients(m)[..., 1:, 1:])
+    w = np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t)
+    w = np.where(w < 0.0, 0.0, w)
+    return np.sqrt(w[..., -1] + w[..., -2])
+
+
 def horodecki_bmax(rho: DensityMatrix) -> float:
     """Maximal CHSH value sqrt(t1^2 + t2^2) with t1^2 >= t2^2 the two largest
     eigenvalues of t^T t, t the Bloch correlation matrix.  Violation iff > 1."""
-    t = to_bloch(rho).t
-    w = np.linalg.eigvalsh(t.T @ t)
-    return float(np.sqrt(max(w[-1], 0.0) + max(w[-2], 0.0)))
+    if rho.split != (2, 2):
+        raise DimensionMismatchError(f"Bloch form requires split (2, 2), got {rho.split}")
+    return float(bmax_values(rho.matrix))
 
 
 def _unit(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ import pytest
 
 import factorlab as fl
 from factorlab.cli import (
+    MAX_SWEEP_POINTS,
+    CliParseError,
     SweepSpec,
     build_state,
     classification_report,
@@ -312,3 +314,72 @@ class TestReportHelpers:
         rho = build_state(["weyl", "1", "0", "3"], 1e-9)
         assert rho.split == (3, 3)
         assert fl.purity(rho) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestInputBoundary:
+    @staticmethod
+    def state_file(tmp_path, entry):
+        re = (np.eye(4) / 4).tolist()
+        re[0][0] = entry
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"split": [2, 2], "re": re, "im": np.zeros((4, 4)).tolist()}))
+        return str(path)
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_non_finite_state_file_is_validation_error(self, capsys, tmp_path, entry):
+        code, _, err = run(capsys, "classify", "file", self.state_file(tmp_path, entry))
+        assert code == 1
+        assert err.startswith("validation error: finite: entry (0, 0)")
+
+    def test_string_split_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"split": "22", "re": (np.eye(4) / 4).tolist(),
+                                    "im": np.zeros((4, 4)).tolist()}))
+        code, _, err = run(capsys, "classify", "file", str(path))
+        assert code == 2
+        assert "split" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+    def test_bad_tol_flag_is_parse_error(self, capsys, tol):
+        code, out, err = run(capsys, f"--tol={tol}", "classify", "werner", "0.5")
+        assert code == 2 and out == ""
+        assert "--tol must be a finite non-negative number" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "1e-3x"])
+    def test_bad_tol_env_is_parse_error(self, capsys, monkeypatch, tol):
+        monkeypatch.setenv("FACTORLAB_TOL", tol)
+        code, out, err = run(capsys, "classify", "werner", "0.5")
+        assert code == 2 and out == ""
+        assert "FACTORLAB_TOL" in err
+
+    def test_zero_tol_is_accepted(self, capsys):
+        code, _, _ = run(capsys, "--tol", "0", "classify", "tracial", "4")
+        assert code == 0
+
+    def test_sweep_num_cap(self, capsys):
+        SweepSpec(family="werner", start=0.0, stop=1.0, num=MAX_SWEEP_POINTS)
+        with pytest.raises(CliParseError, match=str(MAX_SWEEP_POINTS)):
+            SweepSpec(family="werner", start=0.0, stop=1.0, num=MAX_SWEEP_POINTS + 1)
+        code, out, err = run(capsys, "sweep", "werner", "--start", "0", "--stop", "1",
+                             "--num", str(MAX_SWEEP_POINTS + 1))
+        assert code == 2 and out == ""
+        assert "at most" in err
+
+    @pytest.mark.parametrize("start,stop", [("nan", "1"), ("0", "nan"), ("0", "inf"), ("-inf", "0")])
+    def test_sweep_non_finite_grid_is_parse_error(self, capsys, start, stop):
+        code, out, err = run(capsys, "sweep", "rho_theta", f"--start={start}", f"--stop={stop}",
+                             "--num", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: grid bounds must be finite")
+
+    def test_sweep_nan_theta_is_validation_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "gisin_compare", "--theta", "nan",
+                             "--start", "0", "--stop", "1", "--num", "5")
+        assert code == 1 and out == ""
+        assert err == "validation error: finite: entry (0, 1) is (nan+nanj) at lambda = 0.0\n"
+
+    def test_sweep_failure_names_grid_value(self, capsys):
+        code, _, err = run(capsys, "sweep", "gisin", "--theta", "nan",
+                           "--start", "0.25", "--stop", "0.75", "--num", "3")
+        assert code == 1
+        assert err.rstrip().endswith("at lambda = 0.25")

@@ -28,6 +28,7 @@ from factorlab import (
     weyl_basis_state,
     weyl_operator,
 )
+from factorlab.states import gisin_matrices, validate_stack, werner_matrices
 from conftest import random_density
 
 angles = st.floats(0.0, np.pi / 2, allow_nan=False)
@@ -63,6 +64,43 @@ class TestDensityMatrixValidation:
         with pytest.raises(StateValidationError):
             DensityMatrix(m, (2, 2))
         DensityMatrix(m, (2, 2), tol=1e-5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_entry_by_position(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = bad
+        with pytest.raises(StateValidationError, match=r"finite: entry \(1, 2\)") as err:
+            DensityMatrix(m, (2, 2))
+        assert err.value.invariant == "finite"
+
+    def test_stack_reports_first_offending_matrix(self):
+        good = np.eye(4, dtype=complex) / 4
+        indefinite = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
+        skew = good.copy()
+        skew[0, 1] = 0.1
+        nan = good.copy()
+        nan[3, 3] = np.nan
+        cases = [
+            ([good, skew, indefinite], 1, "hermitian"),
+            ([good, indefinite, skew], 1, "positive"),
+            ([good, good, indefinite, nan], 2, "positive"),
+            ([nan, indefinite], 0, "finite"),
+            ([good, 2 * good], 1, "trace"),
+        ]
+        for stack, index, invariant in cases:
+            with pytest.raises(StateValidationError) as err:
+                validate_stack(np.array(stack))
+            assert (err.value.index, err.value.invariant) == (index, invariant)
+        stack = np.array([good, werner(0.5).matrix])
+        assert validate_stack(stack) is stack
+
+    def test_stacked_range_checks_reject_nan(self):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\], got nan"):
+            werner_matrices([0.5, np.nan, 2.0])
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\], got 1.5"):
+            gisin_matrices([0.0, 1.5, np.nan], 0.3)
+        with pytest.raises(ValueError, match="got nan"):
+            werner(float("nan"))
 
     def test_matrix_is_frozen(self, rng):
         rho = random_density(rng, (2, 2))
@@ -321,6 +359,11 @@ class TestStateSerialization:
     def test_missing_field(self):
         with pytest.raises(KeyError):
             state_from_dict({"split": [2, 2], "re": [[1.0]]})
+
+    @pytest.mark.parametrize("split", ["22", [2], [2, 2, 1], [2.0, 2.0], [True, 2], 4, None])
+    def test_malformed_split_is_a_type_error(self, split):
+        with pytest.raises(TypeError, match="split"):
+            state_from_dict({"split": split, "re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()})
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
