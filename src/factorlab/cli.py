@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures, states, transforms, witness_bell
-from .linalg import DEFAULT_TOL, DimensionMismatchError, herm_eigensystem
+from .linalg import DEFAULT_TOL, DimensionMismatchError
 from .protocols import Isometry, ProtocolCheckError, swap_outcomes, teleport_outcomes
 from .states import DensityMatrix, StateValidationError
 
@@ -45,6 +46,13 @@ _STATE_FAMILIES = {
     "rho-theta": ("theta",),
 }
 
+# The README scopes factorlab to "dimensions up to a few dozen": no command
+# builds an array larger than a 64 x 64 density matrix.  ``tracial dim`` builds
+# a dim x dim matrix, ``weyl k l d`` a d^2 x d^2 one and ``protocol --d`` a d^4
+# vector per swap branch; larger values are rejected before allocation.
+MAX_DIMENSION = 64
+MAX_QUDIT = math.isqrt(MAX_DIMENSION)
+
 
 def _parse_float(token: str, name: str) -> float:
     try:
@@ -58,6 +66,13 @@ def _parse_int(token: str, name: str) -> int:
         return int(token)
     except ValueError:
         raise CliParseError(f"parameter {name!r} must be an integer, got {token!r}") from None
+
+
+def _capped(value: int, name: str, cap: int) -> int:
+    """value unless it is above cap; a value below 1 is left to the builder."""
+    if value > cap:
+        raise CliParseError(f"parameter {name!r} must lie in [1, {cap}], got {value}")
+    return value
 
 
 def build_state(tokens: list[str], tol: float) -> DensityMatrix:
@@ -95,11 +110,11 @@ def build_state(tokens: list[str], tol: float) -> DensityMatrix:
     if head == "narnhofer":
         return states.narnhofer(tol=tol)
     if head == "tracial":
-        return states.tracial(_parse_int(params[0], "dim"), tol=tol)
+        return states.tracial(_capped(_parse_int(params[0], "dim"), "dim", MAX_DIMENSION), tol=tol)
     if head == "weyl":
         k = _parse_int(params[0], "k")
         l = _parse_int(params[1], "l")
-        d = _parse_int(params[2], "d")
+        d = _capped(_parse_int(params[2], "d"), "d", MAX_QUDIT)
         v = states.weyl_basis_state(k, l, d)
         return DensityMatrix(np.outer(v, v.conj()), (d, d), tol=tol)
     return states.rho_theta(_parse_float(params[0], "theta"), tol=tol)
@@ -138,7 +153,7 @@ def classification_report(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> dict:
     if rho.split == (2, 2):
         report["concurrence"] = measures.concurrence(rho, tol=tol)
         report["bmax"] = witness_bell.horodecki_bmax(rho)
-        spectrum = np.clip(herm_eigensystem(rho.matrix).values, 0.0, None)
+        spectrum = np.clip(rho.spectrum.values, 0.0, None)
         report["abs_separable_spectrum"] = measures.abs_sep_2x2(spectrum / spectrum.sum())
     if rho.split[0] == rho.split[1]:
         report["kz_ball_member"] = measures.kz_ball_member(rho, tol=tol)
@@ -339,8 +354,8 @@ def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 def run_protocol(kind: str, d: int, seed: int) -> dict:
     """Exhaustive-outcome trace for one protocol; raises ProtocolCheckError on
     any probability/fidelity/composition failure."""
-    if d < 2:
-        raise CliParseError("protocol dimension must be at least 2")
+    if not 2 <= d <= MAX_QUDIT:
+        raise CliParseError(f"protocol --d must lie in [2, {MAX_QUDIT}], got {d}")
     rng = np.random.default_rng(seed)
     rows = []
     if kind == "teleport":

@@ -16,7 +16,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
-    herm_eigensystem,
     hs_norm,
     partial_transpose,
     psd_sqrt,
@@ -44,7 +43,13 @@ def mixedness(rho: DensityMatrix) -> float:
 
 
 def vn_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy -Tr rho ln rho in nats, with 0 ln 0 = 0."""
+    """Von Neumann entropy -Tr rho ln rho in nats, with 0 ln 0 = 0.
+
+    Takes its own ``eigvalsh`` rather than ``rho.spectrum``: a pure state's
+    entropy is rounding noise whose printed digits depend on the LAPACK routine
+    (values from ``eigh`` print differently for about half of random pure
+    states), so sharing the spectrum would change the output bytes.
+    """
     w = np.linalg.eigvalsh(rho.matrix)
     w = w[w > 1e-15]
     return float(-np.sum(w * np.log(w)))
@@ -186,7 +191,7 @@ def maxent_weight(rho: DensityMatrix, tol: float = 1e-6) -> float | None:
     d1, d2 = rho.split
     if d1 != d2:
         return None
-    eigensystem = herm_eigensystem(rho.matrix)
+    eigensystem = rho.spectrum
     top = eigensystem.vectors[:, 0]
     sd = schmidt_decompose(top / np.linalg.norm(top), rho.split)
     target = 1.0 / np.sqrt(d1)

@@ -8,13 +8,16 @@ mixtures, the Werner/Gisin families) are written in this ordering.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
+    Spectrum,
     fail_first,
+    herm_eigensystem,
     hermitian_deviation,
     partial_trace,
 )
@@ -107,6 +110,15 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """``herm_eigensystem`` of the matrix, computed on first use and shared
+        by every reader of the state's eigenvectors; both arrays are read-only."""
+        eigensystem = herm_eigensystem(self.matrix)
+        eigensystem.values.setflags(write=False)
+        eigensystem.vectors.setflags(write=False)
+        return eigensystem
+
 
 @dataclass(frozen=True)
 class BlochForm:
@@ -132,12 +144,9 @@ def from_bloch(b: BlochForm, tol: float = DEFAULT_TOL) -> DensityMatrix:
     Raises StateValidationError (carrying the offending eigenvalue) when the
     coefficients do not describe a positive-semidefinite matrix.
     """
-    m = np.eye(4, dtype=complex)
-    for i in range(3):
-        m += b.r[i] * np.kron(PAULI[i], I2)
-        m += b.u[i] * np.kron(I2, PAULI[i])
-        for j in range(3):
-            m += b.t[i, j] * np.kron(PAULI[i], PAULI[j])
+    # the coefficient of s_i(x)s_j, laid out as bloch_coefficients returns it
+    c = np.block([[np.ones((1, 1)), b.u[None, :]], [b.r[:, None], b.t]])
+    m = np.tensordot(c.reshape(16), PAULI_PRODUCTS, axes=1)
     return DensityMatrix(m / 4.0, (2, 2), tol=tol)
 
 
@@ -184,12 +193,6 @@ def bell_state(kind: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(projectors(bell_vector(kind)), (2, 2), tol=tol)
 
 
-def bell_projectors(kind: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Validated stack of ``shape`` copies of a Bell projector: the per-state
-    Bell intermediate of a stacked family builder."""
-    return validate_stack(projectors(np.broadcast_to(bell_vector(kind), shape + (4,))))
-
-
 def product_state(a: int, b: int, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Computational product projector |ab><ab| with a, b in {0, 1}."""
     if a not in (0, 1) or b not in (0, 1):
@@ -201,11 +204,13 @@ def product_state(a: int, b: int, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
 def psi_theta(theta: float) -> np.ndarray:
     """Partially entangled vector sin(theta)|01> - cos(theta)|10> (one row per
-    angle for an array of angles)."""
+    angle for an array of angles).  A non-finite angle gives NaN entries, which
+    state validation reports."""
     theta = np.asarray(theta, dtype=float)
     v = np.zeros(theta.shape + (4,), dtype=complex)
-    v[..., 1] = np.sin(theta)
-    v[..., 2] = -np.cos(theta)
+    with np.errstate(invalid="ignore"):
+        v[..., 1] = np.sin(theta)
+        v[..., 2] = -np.cos(theta)
     return v
 
 
@@ -222,16 +227,12 @@ def weyl_basis_state(k: int, l: int, d: int) -> np.ndarray:
     """Maximally entangled basis vector built from shift k and phase l.
 
     chi_kl = (1/sqrt(d)) sum_j exp(2 pi i j l / d) |j> (x) |(j+k) mod d>.
-    The d*d vectors for 0 <= k, l < d form an orthonormal basis.
+    The d*d vectors for 0 <= k, l < d form an orthonormal basis.  As a d x d
+    coefficient array chi_kl is W_kl^T / sqrt(d), W_kl the ``weyl_operator``.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    if not (0 <= k < d and 0 <= l < d):
-        raise ValueError(f"indices (k, l) = ({k}, {l}) out of range for d = {d}")
-    v = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        v[j * d + (j + k) % d] = np.exp(2j * np.pi * j * l / d)
-    return v / np.sqrt(d)
+    return weyl_operator(k, l, d).T.reshape(-1) / np.sqrt(d)
 
 
 def weyl_operator(k: int, l: int, d: int) -> np.ndarray:
@@ -261,10 +262,8 @@ def unit_interval(x, name: str) -> np.ndarray:
 
 def werner_matrices(alpha) -> np.ndarray:
     """Unvalidated Werner matrix (or stack, for an array of weights)."""
-    alpha = unit_interval(alpha, "alpha")
-    singlet = bell_projectors("psi-", alpha.shape)
-    alpha = alpha[..., None, None]
-    return alpha * singlet + (1.0 - alpha) / 4.0 * np.eye(4)
+    alpha = unit_interval(alpha, "alpha")[..., None, None]
+    return alpha * projectors(bell_vector("psi-")) + (1.0 - alpha) / 4.0 * np.eye(4)
 
 
 def werner(alpha: float, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -307,7 +306,7 @@ def mix_with_diagonal(lam: np.ndarray, pure: np.ndarray) -> np.ndarray:
 def gisin_matrices(lam, theta) -> np.ndarray:
     """Unvalidated Gisin matrix (or stack: lam and theta broadcast together)."""
     lam, theta = np.broadcast_arrays(unit_interval(lam, "lambda"), np.asarray(theta, dtype=float))
-    return mix_with_diagonal(lam, validate_stack(rho_theta_matrices(theta)))
+    return mix_with_diagonal(lam, rho_theta_matrices(theta))
 
 
 def gisin(lam: float, theta: float, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -317,11 +316,12 @@ def gisin(lam: float, theta: float, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
 def ghz_vector(theta: float) -> np.ndarray:
     """Three-qubit vector sin(theta)|000> + cos(theta)|111> (one row per angle
-    for an array of angles)."""
+    for an array of angles); a non-finite angle gives NaN entries, as in psi_theta."""
     theta = np.asarray(theta, dtype=float)
     v = np.zeros(theta.shape + (8,), dtype=complex)
-    v[..., 0] = np.sin(theta)
-    v[..., 7] = np.cos(theta)
+    with np.errstate(invalid="ignore"):
+        v[..., 0] = np.sin(theta)
+        v[..., 7] = np.cos(theta)
     return v
 
 
@@ -358,6 +358,8 @@ def tracial(dim: int, split: tuple[int, int] | None = None, tol: float = DEFAULT
     When no split is given, dim must be a perfect square and the balanced
     split (d, d) is used.
     """
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
     if split is None:
         d = int(round(np.sqrt(dim)))
         if d * d != dim:

@@ -20,18 +20,17 @@ from .linalg import (
     DimensionMismatchError,
     extend_to_unitary,
     fail_first,
-    herm_eigensystem,
     is_unitary,
     schmidt_decompose,
 )
 from .measures import ppt_check
 from .states import (
     DensityMatrix,
-    bell_projectors,
+    bell_vector,
     gisin_matrices,
     mix_with_diagonal,
+    projectors,
     unit_interval,
-    validate_stack,
     weyl_basis_state,
 )
 
@@ -224,8 +223,7 @@ def separabilize(rho: DensityMatrix) -> FactorizationSwitch:
     conjugated state is a classical mixture of products: separable and PPT
     for every input.
     """
-    eigensystem = herm_eigensystem(rho.matrix)
-    return FactorizationSwitch(eigensystem.vectors.conj().T, rho.split, "separabilize")
+    return FactorizationSwitch(rho.spectrum.vectors.conj().T, rho.split, "separabilize")
 
 
 def weylize(rho: DensityMatrix) -> FactorizationSwitch:
@@ -238,11 +236,10 @@ def weylize(rho: DensityMatrix) -> FactorizationSwitch:
     d1, d2 = rho.split
     if d1 != d2:
         raise DimensionMismatchError(f"equal factor dimensions required, got {rho.split}")
-    eigensystem = herm_eigensystem(rho.matrix)
     targets = np.column_stack(
         [weyl_basis_state(a // d1, a % d1, d1) for a in range(d1 * d1)]
     )
-    return FactorizationSwitch(targets @ eigensystem.vectors.conj().T, rho.split, "weylize")
+    return FactorizationSwitch(targets @ rho.spectrum.vectors.conj().T, rho.split, "weylize")
 
 
 def geometric_mean_predicts_npt(spectrum: np.ndarray) -> bool:
@@ -275,7 +272,7 @@ def constrained_entangle(rho: DensityMatrix) -> FactorizationSwitch | NotApplica
     dim = d * d
     if dim < 4:
         raise DimensionMismatchError("construction needs a total dimension of at least 4")
-    eigensystem = herm_eigensystem(rho.matrix)
+    eigensystem = rho.spectrum
     bound = 3.0 / dim
     if eigensystem.values[0] <= bound:
         return NotApplicable(float(eigensystem.values[0]), bound)
@@ -416,8 +413,8 @@ def gisin_unitary_matrices(lam, theta: float) -> np.ndarray:
     u_theta(theta), which must agree within 1e-10.
     """
     lam = unit_interval(lam, "lambda")
-    m = mix_with_diagonal(lam, bell_projectors("psi+", lam.shape))
-    reference = validate_stack(conjugated(validate_stack(gisin_matrices(lam, theta)), u_theta(theta)))
+    m = mix_with_diagonal(lam, projectors(bell_vector("psi+")))
+    reference = conjugated(gisin_matrices(lam, theta), u_theta(theta))
     residual = np.ravel(np.max(np.abs(reference - m), axis=(-2, -1)))
     fail_first(~(residual <= 1e-10), lambda k: AssertionError(
         f"closed form deviates from conjugation by {residual[k]:.3e}"))
@@ -445,5 +442,7 @@ def named_switch(name: str, theta: float | None = None) -> FactorizationSwitch:
     if needs_theta:
         if theta is None:
             raise ValueError(f"transform {name!r} requires a theta parameter")
+        if not np.isfinite(theta):
+            raise ValueError(f"transform {name!r} requires a finite theta, got {theta}")
         return builder(theta)
     return builder()

@@ -3,9 +3,9 @@
 Witness side: the projector witness 1 - d P, the tangent-plane construction
 from a nearest separable state, and expectation evaluation.  Bell side: the
 CHSH operator for arbitrary measurement directions, the closed-form maximal
-violation sqrt(t1^2 + t2^2) from the correlation matrix, a constructive
-maximizer with a hill-climbing cross-check, concurrence-based violation
-bounds, and the Gisin-family violation thresholds.
+violation sqrt(t1^2 + t2^2) from the correlation matrix, the constructive
+maximizer that attains it, concurrence-based violation bounds, and the
+Gisin-family violation thresholds.
 """
 
 from __future__ import annotations
@@ -156,38 +156,14 @@ def _constructive_setting(t: np.ndarray) -> ChshSetting:
     return ChshSetting(a=a, a_prime=a_prime, b=b, b_prime=b_prime)
 
 
-def chsh_maximize(
-    rho: DensityMatrix, seed: int = 0, restarts: int = 12, iters: int = 60
-) -> tuple[float, ChshSetting]:
-    """Measurement directions maximizing the CHSH value.
+def chsh_maximize(rho: DensityMatrix) -> tuple[float, ChshSetting]:
+    """Measurement directions maximizing the CHSH value, with that value.
 
-    Uses the constructive optimum from the correlation-matrix eigenplane and
-    cross-checks it with a deterministic seeded random-restart alternating
-    ascent; the best of the two is returned and matches horodecki_bmax.
+    The constructive optimum from the correlation-matrix eigenplane (Horodecki
+    et al., Phys. Lett. A 200, 340 (1995)); its value matches horodecki_bmax.
     """
-    t = to_bloch(rho).t
-    best_setting = _constructive_setting(t)
-    best_value = chsh_value(rho, best_setting)
-
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        b = _unit(rng.normal(size=3), np.array([0.0, 0.0, 1.0]))
-        b_prime = _unit(rng.normal(size=3), np.array([1.0, 0.0, 0.0]))
-        a = a_prime = None
-        for _ in range(iters):
-            a = _unit(t @ (b + b_prime), fallback=np.array([1.0, 0.0, 0.0]))
-            a_prime = _unit(t @ (b - b_prime), fallback=np.array([0.0, 1.0, 0.0]))
-            b_new = _unit(t.T @ (a + a_prime), fallback=b)
-            b_prime_new = _unit(t.T @ (a - a_prime), fallback=b_prime)
-            if np.max(np.abs(b_new - b)) + np.max(np.abs(b_prime_new - b_prime)) < 1e-13:
-                b, b_prime = b_new, b_prime_new
-                break
-            b, b_prime = b_new, b_prime_new
-        candidate = ChshSetting(a=a, a_prime=a_prime, b=b, b_prime=b_prime)
-        value = chsh_value(rho, candidate)
-        if value > best_value:
-            best_value, best_setting = value, candidate
-    return best_value, best_setting
+    setting = _constructive_setting(to_bloch(rho).t)
+    return chsh_value(rho, setting), setting
 
 
 def verstraete_wolf_bounds(concurrence_value: float) -> tuple[float, float]:

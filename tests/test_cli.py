@@ -1,10 +1,16 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import factorlab as fl
+from factorlab import cli
 from factorlab.cli import (
+    MAX_DIMENSION,
+    MAX_QUDIT,
     MAX_SWEEP_POINTS,
     CliParseError,
     SweepSpec,
@@ -13,7 +19,7 @@ from factorlab.cli import (
     main,
     run_sweep,
 )
-from conftest import random_density
+from conftest import ginibre_density, random_density
 
 
 def run(capsys, *argv):
@@ -310,6 +316,16 @@ class TestReportHelpers:
         assert "concurrence" not in report
         assert "kz_ball_member" not in report
 
+    @given(seed=st.integers(0, 2**32 - 1), weight=st.floats(0.0, 1.0), rank=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_kz_ball_member_is_abs_separable(self, seed, weight, rank):
+        # the purity ball (Kus-Zyczkowski) lies inside the absolutely separable
+        # set (Verstraete-Audenaert-De Moor)
+        m = weight * ginibre_density(np.random.default_rng(seed), 4, rank)
+        report = classification_report(fl.DensityMatrix(m + (1.0 - weight) * np.eye(4) / 4, (2, 2)))
+        if report["kz_ball_member"]:
+            assert report["abs_separable_spectrum"]
+
     def test_build_state_weyl(self):
         rho = build_state(["weyl", "1", "0", "3"], 1e-9)
         assert rho.split == (3, 3)
@@ -371,6 +387,37 @@ class TestInputBoundary:
                              "--num", "5")
         assert code == 2 and out == ""
         assert err.startswith("parse error: grid bounds must be finite")
+
+    @pytest.mark.parametrize("argv,builder,message", [
+        (("classify", "tracial", str(MAX_DIMENSION + 1)), "tracial",
+         f"parameter 'dim' must lie in [1, {MAX_DIMENSION}], got {MAX_DIMENSION + 1}"),
+        (("classify", "weyl", "0", "0", str(MAX_QUDIT + 1)), "weyl_basis_state",
+         f"parameter 'd' must lie in [1, {MAX_QUDIT}], got {MAX_QUDIT + 1}"),
+        (("protocol", "swap", "--d", str(MAX_QUDIT + 1)), "swap_outcomes",
+         f"protocol --d must lie in [2, {MAX_QUDIT}], got {MAX_QUDIT + 1}"),
+    ])
+    def test_dimension_cap(self, capsys, monkeypatch, argv, builder, message):
+        def must_not_build(*args, **kwargs):
+            raise AssertionError(f"{builder} called above the cap")
+
+        target = cli if builder == "swap_outcomes" else fl.states
+        monkeypatch.setattr(target, builder, must_not_build)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"parse error: {message}\n"
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (("classify", "tracial", "-4"), 1, "validation error: dim must be positive, got -4"),
+        (("transform", "u-theta", "--theta", "inf", "werner", "0.5"), 2,
+         "parse error: transform 'u-theta' requires a finite theta, got inf"),
+        (("classify", "rho-theta", "inf"), 1, "validation error: finite: entry (0, 1) is (nan+nanj)"),
+        (("classify", "ghz-traced", "inf"), 1, "validation error: finite: entry (0, 0) is (nan+nanj)"),
+        (("classify", "gisin", "0.5", "inf"), 1, "validation error: finite: entry (0, 1) is (nan+nanj)"),
+    ])
+    def test_bad_value_gives_one_error_line(self, capsys, argv, code, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, *argv) == (code, "", message + "\n")
 
     def test_sweep_nan_theta_is_validation_error(self, capsys):
         code, out, err = run(capsys, "sweep", "gisin_compare", "--theta", "nan",

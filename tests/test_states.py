@@ -13,6 +13,7 @@ from factorlab import (
     ghz_traced,
     ghz_vector,
     gisin,
+    herm_eigensystem,
     narnhofer,
     partial_trace,
     ppt_check,
@@ -38,6 +39,17 @@ class TestDensityMatrixValidation:
     def test_valid(self, rng):
         rho = random_density(rng, (2, 3))
         assert rho.dim == 6 and rho.split == (2, 3)
+
+    def test_spectrum_is_cached_and_read_only(self, rng):
+        rho = random_density(rng, (2, 3))
+        spectrum = rho.spectrum
+        assert rho.spectrum is spectrum
+        reference = herm_eigensystem(rho.matrix)
+        assert (spectrum.values == reference.values).all()
+        assert (spectrum.vectors == reference.vectors).all()
+        assert not spectrum.values.flags.writeable and not spectrum.vectors.flags.writeable
+        with pytest.raises(ValueError):
+            spectrum.values[0] = 0.0
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
@@ -202,6 +214,17 @@ class TestWeylBasis:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             weyl_basis_state(2, 0, 2)
+
+    def test_equals_sum_over_j_bitwise(self):
+        # chi_kl = d^(-1/2) sum_j exp(2 pi i j l / d) |j> (x) |(j+k) mod d>, term by term
+        for d in range(1, 13):
+            for k in range(d):
+                for l in range(d):
+                    v = np.zeros(d * d, dtype=complex)
+                    for j in range(d):
+                        v[j * d + (j + k) % d] = np.exp(2j * np.pi * j * l / d)
+                    chi = weyl_basis_state(k, l, d)
+                    assert (chi == v / np.sqrt(d)).all()
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_operator_vector_correspondence(self, d):

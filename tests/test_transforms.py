@@ -46,6 +46,7 @@ from factorlab import (
     weyl_basis_state,
     weylize,
 )
+from factorlab import cli, linalg, measures, states, transforms
 from factorlab.states import I2, PAULI
 from factorlab.transforms import FactorizationSwitch
 from conftest import haar_unitary, haar_vector, random_density
@@ -410,6 +411,29 @@ class TestSpectralSwitches:
         np.testing.assert_allclose(in_weyl_frame, np.diag(spectrum), atol=1e-10)
 
 
+class TestSharedEigensystem:
+    @pytest.mark.parametrize("build", [constrained_entangle, separabilize, weylize])
+    @pytest.mark.parametrize("top", [0.2, 0.6])
+    def test_report_then_switch_decomposes_once(self, rng, monkeypatch, build, top):
+        # top = 0.6 lies above constrained_entangle's bound 3/9, top = 0.2 below
+        calls = []
+        original = linalg.herm_eigensystem
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (linalg, states, measures, transforms, cli):
+            if getattr(module, "herm_eigensystem", None) is original:
+                monkeypatch.setattr(module, "herm_eigensystem", counted)
+        spectrum = np.array([top] + [(1.0 - top) / 8] * 8)
+        u = haar_unitary(rng, 9)
+        rho = DensityMatrix(u @ np.diag(spectrum) @ u.conj().T, (3, 3))
+        cli.classification_report(rho)
+        build(rho)
+        assert len(calls) == 1
+
+
 class TestConstrainedEntangle:
     def test_reference_spectrum(self, rng):
         spectrum = np.array([0.8, 0.1, 0.06, 0.04])
@@ -571,6 +595,10 @@ class TestGisinUnitaryFamily:
     def test_separable_limit(self):
         assert concurrence(gisin_unitary_family(0.0, 0.5)) == pytest.approx(0.0, abs=1e-12)
 
+    def test_nan_theta_fails_the_switch_check(self):
+        with pytest.raises(ValueError, match="switch 'u-theta': matrix is not unitary"):
+            gisin_unitary_family(0.5, float("nan"))
+
 
 class TestRegistry:
     def test_named_lookup(self):
@@ -584,3 +612,8 @@ class TestRegistry:
     def test_theta_required(self):
         with pytest.raises(ValueError, match="theta"):
             named_switch("u-theta")
+
+    @pytest.mark.parametrize("theta", [float("inf"), float("-inf"), float("nan")])
+    def test_theta_must_be_finite(self, theta):
+        with pytest.raises(ValueError, match="requires a finite theta"):
+            named_switch("u-theta", theta=theta)

@@ -20,6 +20,7 @@ from factorlab import (
     gisin_thresholds,
     horodecki_bmax,
     optimal_witness,
+    to_bloch,
     tracial,
     u_switch,
     verstraete_wolf_bounds,
@@ -228,7 +229,8 @@ class TestChsh:
         targets = [gisin(0.95, 0.35), werner(0.9), bell_state("phi-")]
         targets += [random_density(rng, (2, 2)) for _ in range(10)]
         for rho in targets:
-            value, setting = chsh_maximize(rho, seed=3)
+            value, setting = chsh_maximize(rho)
+            assert value >= chsh_ascent(rho, seed=3) - 1e-12
             assert value == pytest.approx(horodecki_bmax(rho), abs=1e-6)
             assert chsh_value(rho, setting) == pytest.approx(value, abs=1e-12)
 
@@ -246,6 +248,34 @@ class TestChsh:
 def haar_vector_real(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def _unit(v, fallback):
+    n = np.linalg.norm(v)
+    return v / n if n > 1e-14 else fallback
+
+
+def chsh_ascent(rho, seed, restarts=12, iters=60):
+    """Independent oracle for the CHSH maximum: the best value found by a
+    seeded random-restart alternating ascent over the four directions."""
+    t = to_bloch(rho).t
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    for _ in range(restarts):
+        b = _unit(rng.normal(size=3), np.array([0.0, 0.0, 1.0]))
+        b_prime = _unit(rng.normal(size=3), np.array([1.0, 0.0, 0.0]))
+        for _ in range(iters):
+            a = _unit(t @ (b + b_prime), np.array([1.0, 0.0, 0.0]))
+            a_prime = _unit(t @ (b - b_prime), np.array([0.0, 1.0, 0.0]))
+            b_new = _unit(t.T @ (a + a_prime), b)
+            b_prime_new = _unit(t.T @ (a - a_prime), b_prime)
+            done = np.max(np.abs(b_new - b)) + np.max(np.abs(b_prime_new - b_prime)) < 1e-13
+            b, b_prime = b_new, b_prime_new
+            if done:
+                break
+        setting = ChshSetting(a=a, a_prime=a_prime, b=b, b_prime=b_prime)
+        best = max(best, chsh_value(rho, setting))
+    return best
 
 
 class TestVerstraeteWolf:
