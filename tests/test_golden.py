@@ -5,8 +5,10 @@ Each README example runs in its own empty directory (holding only the
 ``state.json`` input the ``classify file`` examples read); its stdout and any
 file it writes are compared byte for byte with
 ``tests/golden/cli/<example>/``.  ``scripts/reproduce_figures.py`` runs the
-same way and is compared with ``tests/golden/figures/``.  A difference is a
-finding to explain, not a fixture to regenerate.
+same way and is compared with ``tests/golden/figures/``.  The protocol traces
+``protocol {teleport,swap} --d 2..8 --seed 5`` are compared with
+``tests/golden/protocol/<kind>_d<d>_seed5/stdout``.  A difference is a finding
+to explain, not a fixture to regenerate.
 """
 
 import contextlib
@@ -25,6 +27,7 @@ from factorlab.cli import main
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 STATE_FILE = GOLDEN / "state.json"
+PROTOCOL_SEED = 5
 
 
 def readme_examples() -> list[list[str]]:
@@ -65,6 +68,15 @@ def run_example(argv: list[str], workdir: pathlib.Path, monkeypatch) -> dict[str
     return {"stdout": out.getvalue().encode("utf-8"), **produced_files(workdir)}
 
 
+def run_protocol_trace(kind: str, d: int) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["protocol", kind, "--d", str(d), "--seed", str(PROTOCOL_SEED)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, f"factorlab {' '.join(argv)} exited {code}: {err.getvalue()}"
+    return out.getvalue().encode("utf-8")
+
+
 def run_figures(workdir: pathlib.Path, monkeypatch) -> dict[str, bytes]:
     """Run scripts/reproduce_figures.py in workdir with its default grid."""
     monkeypatch.chdir(workdir)
@@ -102,3 +114,10 @@ def test_readme_example_bytes(argv, tmp_path, monkeypatch):
 
 def test_reproduce_figures_bytes(tmp_path, monkeypatch):
     assert_same_bytes(run_figures(tmp_path, monkeypatch), GOLDEN / "figures")
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("kind", ["teleport", "swap"])
+def test_protocol_trace_bytes(kind, d):
+    want = GOLDEN / "protocol" / f"{kind}_d{d}_seed{PROTOCOL_SEED}" / "stdout"
+    assert run_protocol_trace(kind, d) == want.read_bytes()
