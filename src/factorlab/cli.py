@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures, states, transforms, witness_bell
-from .linalg import DEFAULT_TOL, DimensionMismatchError
-from .protocols import Isometry, ProtocolCheckError, swap_outcomes, teleport_outcomes
+from .linalg import DEFAULT_TOL, DimensionMismatchError, fail_first
+from .protocols import Isometry, ProtocolCheckError, swap_stack, teleport_stack
 from .states import DensityMatrix, StateValidationError
 
 
@@ -49,7 +49,7 @@ _STATE_FAMILIES = {
 # The README scopes factorlab to "dimensions up to a few dozen": no command
 # builds an array larger than a 64 x 64 density matrix.  ``tracial dim`` builds
 # a dim x dim matrix, ``weyl k l d`` a d^2 x d^2 one and ``protocol --d`` a d^4
-# vector per swap branch; larger values are rejected before allocation.
+# joint vector per swap; larger values are rejected before allocation.
 MAX_DIMENSION = 64
 MAX_QUDIT = math.isqrt(MAX_DIMENSION)
 
@@ -357,39 +357,25 @@ def run_protocol(kind: str, d: int, seed: int) -> dict:
     if not 2 <= d <= MAX_QUDIT:
         raise CliParseError(f"protocol --d must lie in [2, {MAX_QUDIT}], got {d}")
     rng = np.random.default_rng(seed)
-    rows = []
     if kind == "teleport":
-        phi = _haar_vector(rng, d)
-        for out in teleport_outcomes(phi):
-            rows.append(
-                {
-                    "outcome": list(out.index),
-                    "probability": out.probability,
-                    "correction": out.correction.label,
-                    "fidelity": out.fidelity,
-                }
-            )
+        stack = teleport_stack(_haar_vector(rng, d), *states.weyl_indices(d))
     elif kind == "swap":
         i12 = Isometry(_haar_unitary(rng, d), d, "I12")
         i34 = Isometry(_haar_unitary(rng, d), d, "I34")
-        for out in swap_outcomes(i12, i34):
-            rows.append(
-                {
-                    "outcome": list(out.index),
-                    "probability": out.probability,
-                    "correction": f"composed@{out.index[0]},{out.index[1]}",
-                    "fidelity": out.fidelity,
-                }
-            )
+        stack = swap_stack(*states.weyl_indices(d), i12, i34)
     else:
         raise CliParseError(f"unknown protocol {kind!r}; valid: teleport, swap")
-    for row in rows:
-        if abs(row["probability"] - 1.0 / (d * d)) > 1e-10:
-            raise ProtocolCheckError(
-                f"outcome {row['outcome']}: probability {row['probability']} != 1/d^2"
-            )
-        if abs(row["fidelity"] - 1.0) > 1e-9:
-            raise ProtocolCheckError(f"outcome {row['outcome']}: fidelity {row['fidelity']} != 1")
+    outcome = stack.indices.tolist()
+    probability = stack.probabilities.tolist()
+    fidelity = stack.fidelities.tolist()
+    fail_first(np.abs(stack.probabilities - 1.0 / (d * d)) > 1e-10, lambda n: ProtocolCheckError(
+        f"outcome {outcome[n]}: probability {probability[n]} != 1/d^2"))
+    fail_first(np.abs(stack.fidelities - 1.0) > 1e-9, lambda n: ProtocolCheckError(
+        f"outcome {outcome[n]}: fidelity {fidelity[n]} != 1"))
+    rows = [
+        {"outcome": o, "probability": p, "correction": c, "fidelity": f}
+        for o, p, c, f in zip(outcome, probability, stack.labels, fidelity)
+    ]
     return {"kind": kind, "d": d, "seed": seed, "outcomes": rows}
 
 

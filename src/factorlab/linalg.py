@@ -1,8 +1,8 @@
 """Dense complex linear algebra sized for small Hilbert spaces (dim <= ~64).
 
 All operators are plain square ``numpy`` arrays of complex dtype; vectors are
-1-D arrays.  The partial trace/transpose and ``psd_sqrt`` also take an
-(N, D, D) stack and treat each matrix on its own;
+1-D arrays.  The partial trace/transpose, ``psd_sqrt`` and the Hermitian and
+unitary deviations also take an (N, D, D) stack and treat each matrix on its own;
 ``fail_first`` reports the first matrix of a stack that fails a check.  Every
 predicate takes an explicit tolerance (default 1e-9) and is pure: no function
 here mutates its input or keeps state.
@@ -61,10 +61,14 @@ def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(hermitian_deviation(_as_square(m)) <= tol)
 
 
+def unitary_deviation(m: np.ndarray) -> np.ndarray:
+    """max |m m^dagger - 1| of each matrix of a stack (a 0-d array for one matrix)."""
+    eye = np.eye(m.shape[-1])
+    return np.abs(m @ m.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
+
+
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = _as_square(m)
-    eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m @ m.conj().T - eye)) <= tol)
+    return bool(unitary_deviation(_as_square(m)) <= tol)
 
 
 def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -151,8 +151,14 @@ def kz_ball_member(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> bool:
 
 
 def kz_ball_members(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """kz_ball_member of a matrix or of each matrix of a stack."""
-    return purities(m) <= 1.0 / (m.shape[-1] - 1) + tol
+    """kz_ball_member of a matrix or of each matrix of a stack.
+
+    At D = 1 the bound 1/(D - 1) is infinite: the only 1x1 state is the
+    maximally mixed one, the ball's centre, so it is a member.
+    """
+    dim = m.shape[-1]
+    bound = 1.0 / (dim - 1) if dim > 1 else np.inf
+    return purities(m) <= bound + tol
 
 
 def abs_sep_2x2(spectrum, tol: float = DEFAULT_TOL) -> bool:

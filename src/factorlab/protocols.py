@@ -12,6 +12,12 @@ teleportation realizes I_13 = I_23 . conj(I_12) and swapping realizes
 I_14 = I_34 . conj(I_23) . I_12 (matrix products, rightmost factor first).
 Every simulated outcome is checked against the algebraic composition and a
 ProtocolCheckError is raised on disagreement.
+
+Each protocol is one kernel over a stack of outcomes (k, l), ``teleport_stack``
+and ``swap_stack``: the joint vector is built once, and every branch's
+contraction, normalization, extraction and check runs on the whole stack; a
+failing check names the first failing outcome.  ``teleport``/``swap`` are a
+batch of one, ``teleport_outcomes``/``swap_outcomes`` a batch of all d^2.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import is_unitary
-from .states import weyl_basis_state, weyl_operator
+from .linalg import fail_first, is_unitary, unitary_deviation
+from .states import weyl_basis_state, weyl_indices, weyl_operator
 
 ISOMETRY_TOL = 1e-10
 
@@ -73,9 +79,56 @@ class BellMeasurementOutcome:
     fidelity: float
 
 
+@dataclass(frozen=True)
+class OutcomeStack:
+    """Outcomes of one protocol run, evaluated together.
+
+    Row n of every array belongs to outcome ``indices[n] = (k, l)``:
+    ``post_states[n]`` is the normalized state the branch leaves behind and
+    ``maps[n]`` its isometry (teleportation's correction, swapping's extracted
+    composition), named ``labels[n]``.
+    """
+
+    d: int
+    indices: np.ndarray
+    probabilities: np.ndarray
+    post_states: np.ndarray
+    maps: np.ndarray
+    fidelities: np.ndarray
+    labels: tuple[str, ...]
+
+    def outcomes(self) -> list[BellMeasurementOutcome]:
+        """One BellMeasurementOutcome per row."""
+        return [
+            BellMeasurementOutcome((k, l), p, state, Isometry(m, self.d, label), f)
+            for (k, l), p, state, m, f, label in zip(
+                self.indices.tolist(), self.probabilities.tolist(), self.post_states,
+                self.maps, self.fidelities.tolist(), self.labels,
+            )
+        ]
+
+
+def _maxent_vectors(maps: np.ndarray) -> np.ndarray:
+    """maxent_from_isometry of each matrix of a (..., d, d) stack."""
+    d = maps.shape[-1]
+    return np.swapaxes(maps, -1, -2).reshape(maps.shape[:-2] + (d * d,)) / np.sqrt(d)
+
+
 def maxent_from_isometry(iso: Isometry) -> np.ndarray:
     """Maximally entangled vector (1/sqrt(d)) sum_i |i> (x) |iso i>."""
-    return iso.map.T.reshape(-1) / np.sqrt(iso.d)
+    return _maxent_vectors(iso.map)
+
+
+def _isometry_maps(v: np.ndarray, d: int, tol: float, names) -> np.ndarray:
+    """Inverse of ``_maxent_vectors`` on a (..., d*d) stack, after checking
+    that each vector's Schmidt coefficients are flat within tol; ``names[n]``
+    prefixes the message for vector n."""
+    coeff = v.reshape(v.shape[:-1] + (d, d))
+    singular = np.linalg.svd(coeff, compute_uv=False)
+    flat = np.abs(singular - 1.0 / np.sqrt(d)).max(axis=-1) <= tol
+    fail_first(np.ravel(~flat), lambda n: ValueError(
+        f"{names[n]}input vector is not maximally entangled"))
+    return np.sqrt(d) * np.swapaxes(coeff, -1, -2)
 
 
 def isometry_of_maxent(v: np.ndarray, d: int, tol: float = 1e-8) -> Isometry:
@@ -87,131 +140,142 @@ def isometry_of_maxent(v: np.ndarray, d: int, tol: float = 1e-8) -> Isometry:
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.size != d * d:
         raise ValueError(f"vector of length {v.size} does not match d = {d}")
-    coeff = v.reshape(d, d)
-    singular = np.linalg.svd(coeff, compute_uv=False)
-    if np.max(np.abs(singular - 1.0 / np.sqrt(d))) > tol:
-        raise ValueError("input vector is not maximally entangled")
-    return Isometry(np.sqrt(d) * coeff.T, d)
+    return Isometry(_isometry_maps(v, d, tol, [""]), d)
 
 
-def _phase_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Max-norm distance between u and v after removing one global phase.
+def _phase_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Max-norm distance between each row of u and of v after removing one
+    global phase per row.
 
-    The phase is extracted at the largest-magnitude entry of the reference v
-    and applied to v; a single shared pivot keeps the comparison stable when
-    several entries tie in magnitude.
+    The phase is extracted at the largest-magnitude entry of the reference row
+    of v and applied to v; a single shared pivot keeps the comparison stable
+    when several entries tie in magnitude.  Where that pivot is zero in u or
+    v, the rows are compared as they are.
     """
-    u = np.asarray(u).reshape(-1)
-    v = np.asarray(v).reshape(-1)
-    idx = int(np.argmax(np.abs(v)))
-    if abs(v[idx]) == 0.0 or abs(u[idx]) == 0.0:
-        return float(np.max(np.abs(u - v)))
-    phase = u[idx] / v[idx]
-    phase /= abs(phase)
-    return float(np.max(np.abs(u - phase * v)))
+    idx = np.argmax(np.abs(v), axis=-1)[..., None]
+    pu = np.take_along_axis(u, idx, -1)
+    pv = np.take_along_axis(v, idx, -1)
+    zero = (pu == 0.0) | (pv == 0.0)
+    phase = np.where(zero, 1.0, pu / np.where(zero, 1.0, pv))
+    return np.abs(u - phase / np.abs(phase) * v).max(axis=-1)
 
 
-def teleport(
-    phi: np.ndarray, alice_outcome: tuple[int, int]
-) -> tuple[np.ndarray, Isometry, float]:
-    """Teleport ``phi`` through the identity-isometry resource, one outcome.
+def _outcome_names(k, l) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """k and l as 1-D arrays, and the message prefix naming each outcome."""
+    k, l = np.broadcast_arrays(np.ravel(k), np.ravel(l))
+    return k, l, [f"outcome ({a},{b}): " for a, b in zip(k.tolist(), l.tolist())]
+
+
+def _require_unitary(maps: np.ndarray, names: list[str]) -> None:
+    fail_first(unitary_deviation(maps) > ISOMETRY_TOL,
+               lambda n: ValueError(f"{names[n]}isometry matrix must be unitary"))
+
+
+def _require_close(residual: np.ndarray, names: list[str], law: str) -> None:
+    fail_first(residual > 1e-9, lambda n: ProtocolCheckError(
+        f"{names[n]}{law} violated by {residual[n]:.3e}"))
+
+
+def teleport_stack(phi: np.ndarray, k, l) -> OutcomeStack:
+    """Teleport ``phi`` through the identity-isometry resource, for each
+    outcome (k[n], l[n]).
 
     Alice holds phi on factor 1 and shares (1/sqrt(d)) sum_i |ii> on (2, 3)
     with Bob; she measures (1, 2) in the Weyl basis.  For outcome (k, l) the
     branch has probability exactly 1/d^2 and Bob's factor ends in
     correction . phi where the correction is the Weyl-class unitary
-    conj(W_kl) = W_(k, -l mod d); undoing it recovers phi.  The simulated
-    branch is checked against this algebraic prediction on every call.
+    conj(W_kl) = W_(k, -l mod d); undoing it recovers phi.  Each simulated
+    branch is checked against this algebraic prediction: the correction's
+    unitarity, then the composition law.
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     d = phi.size
     norm = np.linalg.norm(phi)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"input state must be normalized, |phi| = {norm}")
-    k, l = alice_outcome
+    k, l, names = _outcome_names(k, l)
 
     resource = maxent_from_isometry(Isometry.identity(d))
     joint = np.kron(phi, resource).reshape(d, d, d)
-    chi = weyl_basis_state(k, l, d).reshape(d, d)
-    branch = np.einsum("ab,abc->c", chi.conj(), joint)
-    probability = float(np.vdot(branch, branch).real)
-    bob_state = branch / np.sqrt(probability)
+    chi = weyl_basis_state(k, l, d).reshape(-1, d, d)
+    branch = np.einsum("nab,abc->nc", chi.conj(), joint)
+    probability = np.einsum("nc,nc->n", branch.conj(), branch).real
+    bob = branch / np.sqrt(probability)[:, None]
 
-    correction = Isometry(
-        weyl_operator(k, l, d).conj(), d, label=f"W[{k},{(d - l) % d}]"
-    )
-    residual = _phase_distance(bob_state, correction.map @ phi)
-    if residual > 1e-9:
-        raise ProtocolCheckError(
-            f"outcome ({k},{l}): composition law violated by {residual:.3e}"
-        )
-    return bob_state, correction, probability
+    correction = weyl_operator(k, l, d).conj()
+    _require_unitary(correction, names)
+    _require_close(_phase_distance(bob, correction @ phi), names, "composition law")
+    recovered = np.einsum("nji,nj->ni", correction.conj(), bob)
+    fidelity = np.abs(recovered @ phi.conj())
+    labels = tuple(f"W[{a},{(d - b) % d}]" for a, b in zip(k.tolist(), l.tolist()))
+    return OutcomeStack(d, np.stack([k, l], axis=-1), probability, bob, correction,
+                        fidelity, labels)
+
+
+def teleport(
+    phi: np.ndarray, alice_outcome: tuple[int, int]
+) -> tuple[np.ndarray, Isometry, float]:
+    """Teleportation for one outcome: ``teleport_stack`` on a batch of one.
+
+    Returns Bob's state, the correction and the branch probability.
+    """
+    k, l = alice_outcome
+    (out,) = teleport_stack(phi, [k], [l]).outcomes()
+    return out.post_state, out.correction, out.probability
 
 
 def teleport_outcomes(phi: np.ndarray) -> list[BellMeasurementOutcome]:
     """Exhaustive teleportation trace over all d^2 measurement outcomes."""
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    d = phi.size
-    outcomes = []
-    for k in range(d):
-        for l in range(d):
-            bob_state, correction, probability = teleport(phi, (k, l))
-            recovered = correction.map.conj().T @ bob_state
-            fidelity = float(abs(np.vdot(phi, recovered)))
-            outcomes.append(
-                BellMeasurementOutcome((k, l), probability, bob_state, correction, fidelity)
-            )
-    return outcomes
+    phi = np.asarray(phi).reshape(-1)
+    return teleport_stack(phi, *weyl_indices(phi.size)).outcomes()
 
 
-def _swap_branch(
-    alice_outcome: tuple[int, int], i12: Isometry, i34: Isometry
-) -> tuple[np.ndarray, Isometry, float, float]:
+def swap_stack(k, l, i12: Isometry, i34: Isometry) -> OutcomeStack:
+    """Entanglement swapping: Bell measurement on (2, 3) of
+    maxent(I12) (x) maxent(I34), for each outcome (k[n], l[n]).
+
+    For outcome (k, l) (probability 1/d^2) the untouched pair (1, 4) collapses
+    to the maximally entangled state whose isometry is the composition
+    I_14 = I_34 . conj(W_kl) . I_12.  Each branch is checked in turn: the
+    pair's Schmidt coefficients are flat, the extracted isometry is unitary,
+    it equals that product entrywise up to global phase, and the product is
+    unitary.  The fidelity is the overlap of the pair with maxent(I_14).
+    """
     if i12.d != i34.d:
         raise ValueError(f"resource dimension mismatch: {i12.d} vs {i34.d}")
     d = i12.d
-    k, l = alice_outcome
+    k, l, names = _outcome_names(k, l)
 
     joint = np.kron(maxent_from_isometry(i12), maxent_from_isometry(i34)).reshape(d, d, d, d)
-    chi = weyl_basis_state(k, l, d).reshape(d, d)
-    branch = np.einsum("bc,abce->ae", chi.conj(), joint).reshape(-1)
-    probability = float(np.vdot(branch, branch).real)
-    pair14 = branch / np.sqrt(probability)
+    chi = weyl_basis_state(k, l, d).reshape(-1, d, d)
+    branch = np.einsum("nbc,abce->nae", chi.conj(), joint).reshape(-1, d * d)
+    probability = np.einsum("ni,ni->n", branch.conj(), branch).real
+    pair14 = branch / np.sqrt(probability)[:, None]
 
-    extracted = isometry_of_maxent(pair14, d)
+    extracted = _isometry_maps(pair14, d, 1e-8, names)
+    _require_unitary(extracted, names)
     predicted = i34.map @ weyl_operator(k, l, d).conj() @ i12.map
-    residual = _phase_distance(extracted.map.reshape(-1), predicted.reshape(-1))
-    if residual > 1e-9:
-        raise ProtocolCheckError(
-            f"outcome ({k},{l}): isometry composition violated by {residual:.3e}"
-        )
-    fidelity = float(abs(np.vdot(maxent_from_isometry(Isometry(predicted, d)), pair14)))
-    return pair14, extracted, probability, fidelity
+    residual = _phase_distance(extracted.reshape(-1, d * d), predicted.reshape(-1, d * d))
+    _require_close(residual, names, "isometry composition")
+    _require_unitary(predicted, names)
+    fidelity = np.abs(np.einsum("ni,ni->n", _maxent_vectors(predicted).conj(), pair14))
+    labels = tuple(f"composed@{a},{b}" for a, b in zip(k.tolist(), l.tolist()))
+    return OutcomeStack(d, np.stack([k, l], axis=-1), probability, pair14, extracted,
+                        fidelity, labels)
 
 
 def swap(
     alice_outcome: tuple[int, int], i12: Isometry, i34: Isometry
 ) -> tuple[np.ndarray, Isometry]:
-    """Entanglement swapping: Bell measurement on (2, 3) of maxent(I12)(x)maxent(I34).
+    """Entanglement swapping for one outcome: ``swap_stack`` on a batch of one.
 
-    For outcome (k, l) (probability 1/d^2) the untouched pair (1, 4) collapses
-    to the maximally entangled state whose isometry is the composition
-    I_14 = I_34 . conj(W_kl) . I_12.  The isometry extracted from the simulated
-    pair state is compared entrywise (up to global phase) against that product
-    and returned.
+    Returns the (1, 4) pair state and the isometry extracted from it.
     """
-    pair14, extracted, _, _ = _swap_branch(alice_outcome, i12, i34)
-    return pair14, extracted
+    k, l = alice_outcome
+    (out,) = swap_stack([k], [l], i12, i34).outcomes()
+    return out.post_state, out.correction
 
 
 def swap_outcomes(i12: Isometry, i34: Isometry) -> list[BellMeasurementOutcome]:
     """Exhaustive swapping trace over all d^2 Bell outcomes on the (2, 3) pair."""
-    d = i12.d
-    outcomes = []
-    for k in range(d):
-        for l in range(d):
-            pair14, extracted, probability, fidelity = _swap_branch((k, l), i12, i34)
-            outcomes.append(
-                BellMeasurementOutcome((k, l), probability, pair14, extracted, fidelity)
-            )
-    return outcomes
+    return swap_stack(*weyl_indices(i12.d), i12, i34).outcomes()

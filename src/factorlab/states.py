@@ -223,30 +223,41 @@ def rho_theta(theta: float, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(rho_theta_matrices(theta), (2, 2), tol=tol)
 
 
-def weyl_basis_state(k: int, l: int, d: int) -> np.ndarray:
+def weyl_basis_state(k, l, d: int) -> np.ndarray:
     """Maximally entangled basis vector built from shift k and phase l.
 
     chi_kl = (1/sqrt(d)) sum_j exp(2 pi i j l / d) |j> (x) |(j+k) mod d>.
     The d*d vectors for 0 <= k, l < d form an orthonormal basis.  As a d x d
     coefficient array chi_kl is W_kl^T / sqrt(d), W_kl the ``weyl_operator``.
+    Integer arrays k, l (broadcast together) give a (..., d*d) stack.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    return weyl_operator(k, l, d).T.reshape(-1) / np.sqrt(d)
+    w = weyl_operator(k, l, d)
+    return np.swapaxes(w, -1, -2).reshape(w.shape[:-2] + (d * d,)) / np.sqrt(d)
 
 
-def weyl_operator(k: int, l: int, d: int) -> np.ndarray:
+def weyl_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, l) of all d^2 Weyl operators as two integer arrays, k-major."""
+    return np.divmod(np.arange(d * d), d)
+
+
+def weyl_operator(k, l, d: int) -> np.ndarray:
     """Shift-and-phase unitary W_kl = sum_j exp(2 pi i j l / d) |(j+k) mod d><j|.
 
     Satisfies chi_kl = (1 (x) W_kl) chi_00, so the Weyl basis vectors and
-    these operators are two faces of the same family.
+    these operators are two faces of the same family.  Integer arrays k, l
+    (broadcast together) give a (..., d, d) stack; an index out of range is
+    reported for the first pair that has one.
     """
-    if not (0 <= k < d and 0 <= l < d):
-        raise ValueError(f"indices (k, l) = ({k}, {l}) out of range for d = {d}")
-    w = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        w[(j + k) % d, j] = np.exp(2j * np.pi * j * l / d)
-    return w
+    k, l = np.broadcast_arrays(k, l)
+    bad = ~((0 <= k) & (k < d) & (0 <= l) & (l < d))
+    fail_first(np.ravel(bad), lambda i: ValueError(
+        f"indices (k, l) = ({np.ravel(k)[i]}, {np.ravel(l)[i]}) out of range for d = {d}"))
+    j = np.arange(d)
+    row = (j + k[..., None]) % d
+    phase = np.exp(1j * ((2 * np.pi * j * l[..., None]) / d))
+    return np.where(j[:, None] == row[..., None, :], phase[..., None, :], 0)
 
 
 def unit_interval(x, name: str) -> np.ndarray:

@@ -32,6 +32,7 @@ from .states import (
     projectors,
     unit_interval,
     weyl_basis_state,
+    weyl_indices,
 )
 
 UNITARY_TOL = 1e-10
@@ -236,9 +237,7 @@ def weylize(rho: DensityMatrix) -> FactorizationSwitch:
     d1, d2 = rho.split
     if d1 != d2:
         raise DimensionMismatchError(f"equal factor dimensions required, got {rho.split}")
-    targets = np.column_stack(
-        [weyl_basis_state(a // d1, a % d1, d1) for a in range(d1 * d1)]
-    )
+    targets = weyl_basis_state(*weyl_indices(d1), d1).T
     return FactorizationSwitch(targets @ rho.spectrum.vectors.conj().T, rho.split, "weylize")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -127,6 +128,15 @@ class TestClassify:
         monkeypatch.delenv("FACTORLAB_TOL")
         code_flag, _, _ = run(capsys, "--tol", "1e-5", "classify", "file", str(path))
         assert code_flag == 0
+
+
+    @pytest.mark.parametrize("source", [("tracial", "1"), ("weyl", "0", "0", "1")])
+    def test_one_dimensional_state_is_kz_member(self, capsys, source):
+        code, out, err = run(capsys, "classify", *source)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["split"] == [1, 1]
+        assert report["kz_ball_member"] is True
 
 
 class TestSweep:
@@ -263,17 +273,38 @@ class TestProtocolCommand:
         assert code == 2
 
     def test_failed_assertion_exits_3_with_label(self, capsys, monkeypatch):
-        from factorlab.protocols import BellMeasurementOutcome, Isometry
+        from factorlab.protocols import OutcomeStack
 
-        def broken_outcomes(phi):
-            return [
-                BellMeasurementOutcome((0, 1), 0.3, phi, Isometry.identity(2), 1.0)
-            ]
+        def broken_stack(phi, k, l):
+            return OutcomeStack(
+                2, np.array([[0, 1]]), np.array([0.3]), phi[None], np.eye(2)[None],
+                np.array([1.0]), ("W[0,1]",),
+            )
 
-        monkeypatch.setattr("factorlab.cli.teleport_outcomes", broken_outcomes)
+        monkeypatch.setattr("factorlab.cli.teleport_stack", broken_stack)
         code, _, err = run(capsys, "protocol", "teleport", "--d", "2")
         assert code == 3
         assert "[0, 1]" in err
+
+    def test_failed_fidelity_names_first_failing_outcome(self, capsys, monkeypatch):
+        from factorlab.protocols import swap_stack
+
+        def low_fidelity(k, l, i12, i34):
+            stack = swap_stack(k, l, i12, i34)
+            fidelities = stack.fidelities.copy()
+            fidelities[[5, 7]] = 0.5
+            return dataclasses.replace(stack, fidelities=fidelities)
+
+        monkeypatch.setattr("factorlab.cli.swap_stack", low_fidelity)
+        code, out, err = run(capsys, "protocol", "swap", "--d", "3")
+        assert (code, out) == (3, "")
+        assert err == "protocol assertion failed: outcome [1, 2]: fidelity 0.5 != 1\n"
+
+    def test_non_unitary_resource_is_validation_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_haar_unitary", lambda rng, d: np.ones((d, d)))
+        code, out, err = run(capsys, "protocol", "swap", "--d", "2")
+        assert (code, out) == (1, "")
+        assert err == "validation error: isometry matrix must be unitary\n"
 
 
 class TestTransformCommand:
@@ -393,14 +424,14 @@ class TestInputBoundary:
          f"parameter 'dim' must lie in [1, {MAX_DIMENSION}], got {MAX_DIMENSION + 1}"),
         (("classify", "weyl", "0", "0", str(MAX_QUDIT + 1)), "weyl_basis_state",
          f"parameter 'd' must lie in [1, {MAX_QUDIT}], got {MAX_QUDIT + 1}"),
-        (("protocol", "swap", "--d", str(MAX_QUDIT + 1)), "swap_outcomes",
+        (("protocol", "swap", "--d", str(MAX_QUDIT + 1)), "swap_stack",
          f"protocol --d must lie in [2, {MAX_QUDIT}], got {MAX_QUDIT + 1}"),
     ])
     def test_dimension_cap(self, capsys, monkeypatch, argv, builder, message):
         def must_not_build(*args, **kwargs):
             raise AssertionError(f"{builder} called above the cap")
 
-        target = cli if builder == "swap_outcomes" else fl.states
+        target = cli if builder == "swap_stack" else fl.states
         monkeypatch.setattr(target, builder, must_not_build)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factorlab import (
@@ -27,6 +27,7 @@ from factorlab import (
     vn_entropy,
     werner,
 )
+from factorlab.measures import kz_ball_members
 from factorlab.transforms import FactorizationSwitch
 from conftest import (
     haar_unitary,
@@ -141,6 +142,17 @@ class TestConcurrence:
         with pytest.raises(Exception):
             concurrence(random_density(rng, (2, 3)))
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_ppt_exactly_when_concurrence_is_zero(self, seed):
+        # Peres-Horodecki at 2x2, away from the PPT boundary: C is exactly 0
+        # on PPT states and positive on NPT states.
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, (2, 2), rank=int(rng.integers(1, 5)))
+        verdict = ppt_check(rho)
+        assume(abs(verdict.min_pt_eigenvalue) >= 1e-6)
+        assert (verdict.classification == "PPT") == (concurrence(rho) == 0.0)
+
 
 class TestHsGeometry:
     def test_distance_to_self(self):
@@ -161,6 +173,11 @@ class TestHsGeometry:
 
 
 class TestKzBall:
+    def test_one_dimensional_state_is_the_centre(self):
+        # the bound 1/(D - 1) diverges at D = 1, whose only state is 1/D
+        assert kz_ball_member(tracial(1))
+        assert kz_ball_members(np.ones((3, 1, 1))).tolist() == [True] * 3
+
     def test_reference_memberships(self):
         assert kz_ball_member(tracial(4))
         assert kz_ball_member(werner(1 / 3))  # boundary

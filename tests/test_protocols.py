@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from factorlab import (
     Isometry,
+    ProtocolCheckError,
     bell_vector,
     isometry_of_maxent,
     maxent_from_isometry,
@@ -16,7 +17,14 @@ from factorlab import (
     weyl_basis_state,
     weyl_operator,
 )
+from factorlab import protocols
+from factorlab.protocols import swap_stack, teleport_stack
+from factorlab.states import weyl_indices
 from conftest import haar_unitary, haar_vector
+
+# The stacked kernels sum in another order than the per-branch loop, so rows
+# are compared to it within a few dozen ulps of float64.
+STACK_TOL = 64 * np.finfo(float).eps
 
 
 def assert_equal_up_to_phase(u, v, tol=1e-9):
@@ -180,3 +188,199 @@ class TestSwap:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             swap((0, 0), Isometry.identity(2), Isometry.identity(3))
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the per-branch loop the stacked kernels replaced.  Each
+# branch rebuilds the joint vector, the Weyl operator and its Isometry objects.
+
+def reference_weyl_operator(k, l, d):
+    w = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        w[(j + k) % d, j] = np.exp(2j * np.pi * j * l / d)
+    return w
+
+
+def reference_teleport_branch(phi, k, l):
+    """(probability, Bob's state, correction, fidelity) of outcome (k, l)."""
+    d = phi.size
+    joint = np.kron(phi, maxent_from_isometry(Isometry.identity(d))).reshape(d, d, d)
+    chi = weyl_basis_state(k, l, d).reshape(d, d)
+    branch = np.einsum("ab,abc->c", chi.conj(), joint)
+    probability = float(np.vdot(branch, branch).real)
+    bob = branch / np.sqrt(probability)
+    correction = Isometry(reference_weyl_operator(k, l, d).conj(), d)
+    assert protocols._phase_distance(bob, correction.map @ phi) <= 1e-9
+    fidelity = float(abs(np.vdot(phi, correction.map.conj().T @ bob)))
+    return probability, bob, correction.map, fidelity
+
+
+def reference_swap_branch(k, l, i12, i34):
+    """(probability, pair (1, 4), extracted isometry, fidelity) of outcome (k, l)."""
+    d = i12.d
+    joint = np.kron(maxent_from_isometry(i12), maxent_from_isometry(i34)).reshape(d, d, d, d)
+    chi = weyl_basis_state(k, l, d).reshape(d, d)
+    branch = np.einsum("bc,abce->ae", chi.conj(), joint).reshape(-1)
+    probability = float(np.vdot(branch, branch).real)
+    pair = branch / np.sqrt(probability)
+    extracted = isometry_of_maxent(pair, d)
+    predicted = Isometry(i34.map @ reference_weyl_operator(k, l, d).conj() @ i12.map, d)
+    assert protocols._phase_distance(extracted.map.reshape(-1), predicted.map.reshape(-1)) <= 1e-9
+    fidelity = float(abs(np.vdot(maxent_from_isometry(predicted), pair)))
+    return probability, pair, extracted.map, fidelity
+
+
+def assert_stack_matches(stack, reference):
+    """Every row of ``stack`` against ``reference(k, l)``, k-major order."""
+    d = stack.d
+    assert stack.indices.tolist() == [[k, l] for k in range(d) for l in range(d)]
+    for n, (k, l) in enumerate(stack.indices.tolist()):
+        probability, state, matrix, fidelity = reference(k, l)
+        assert abs(stack.probabilities[n] - probability) <= STACK_TOL
+        np.testing.assert_allclose(stack.post_states[n], state, rtol=0, atol=STACK_TOL)
+        np.testing.assert_allclose(stack.maps[n], matrix, rtol=0, atol=STACK_TOL)
+        assert abs(stack.fidelities[n] - fidelity) <= STACK_TOL
+
+
+def reference_phase_distance(u, v):
+    """The single-row phase distance the stacked one replaced."""
+    idx = int(np.argmax(np.abs(v)))
+    if abs(v[idx]) == 0.0 or abs(u[idx]) == 0.0:
+        return float(np.max(np.abs(u - v)))
+    phase = u[idx] / v[idx]
+    phase /= abs(phase)
+    return float(np.max(np.abs(u - phase * v)))
+
+
+class TestPhaseDistance:
+    def test_rows_follow_the_single_row_rules(self, rng):
+        v = haar_unitary(rng, 4)
+        u = np.exp(0.4j) * v
+        u[1, 2] += 1e-3                  # a deviation survives the phase removal
+        v[2] = 0.0                       # zero reference row: plain distance
+        u[3, np.argmax(np.abs(v[3]))] = 0.0  # zero at the pivot: plain distance
+        got = protocols._phase_distance(u, v)
+        want = [reference_phase_distance(a, b) for a, b in zip(u, v)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert got[0] <= 1e-15 and got[1] > 5e-4 and got[2] == np.max(np.abs(u[2]))
+
+    def test_tied_magnitudes_share_the_first_pivot(self):
+        v = np.array([[1.0, 1.0j, -1.0]]) / np.sqrt(3)
+        u = np.exp(-1.1j) * v
+        assert protocols._phase_distance(u, v)[0] <= 1e-15
+
+
+class TestStackedKernels:
+    def test_weyl_operator_stack_equals_scalar_loop(self):
+        for d in range(1, 13):
+            k, l = weyl_indices(d)
+            stack = weyl_operator(k, l, d)
+            assert stack.shape == (d * d, d, d)
+            for n in range(d * d):
+                ref = reference_weyl_operator(int(k[n]), int(l[n]), d)
+                assert (stack[n] == ref).all()
+                assert (weyl_operator(int(k[n]), int(l[n]), d) == ref).all()
+            vectors = weyl_basis_state(k, l, d)
+            assert (vectors == stack.transpose(0, 2, 1).reshape(d * d, -1) / np.sqrt(d)).all()
+
+    def test_weyl_operator_names_first_index_out_of_range(self):
+        with pytest.raises(ValueError, match=r"\(k, l\) = \(1, 3\) out of range for d = 3"):
+            weyl_operator([0, 1, 2], [1, 3, 4], 3)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_teleport_stack_matches_per_branch_oracle(self, rng, d):
+        phi = haar_vector(rng, d)
+        stack = teleport_stack(phi, *weyl_indices(d))
+        assert_stack_matches(stack, lambda k, l: reference_teleport_branch(phi, k, l))
+        assert stack.labels == tuple(f"W[{k},{(d - l) % d}]" for k in range(d) for l in range(d))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_swap_stack_matches_per_branch_oracle(self, rng, d):
+        i12 = Isometry(haar_unitary(rng, d), d)
+        i34 = Isometry(haar_unitary(rng, d), d)
+        stack = swap_stack(*weyl_indices(d), i12, i34)
+        assert_stack_matches(stack, lambda k, l: reference_swap_branch(k, l, i12, i34))
+        assert stack.labels == tuple(f"composed@{k},{l}" for k in range(d) for l in range(d))
+
+    def test_single_outcome_is_a_batch_of_one(self, rng):
+        d = 4
+        phi = haar_vector(rng, d)
+        i12 = Isometry(haar_unitary(rng, d), d)
+        i34 = Isometry(haar_unitary(rng, d), d)
+        teleported = teleport_outcomes(phi)
+        swapped = swap_outcomes(i12, i34)
+        for n, (k, l) in enumerate(zip(*weyl_indices(d))):
+            bob, correction, probability = teleport(phi, (k, l))
+            assert np.array_equal(bob, teleported[n].post_state)
+            assert probability == teleported[n].probability
+            assert np.array_equal(correction.map, teleported[n].correction.map)
+            assert correction.label == teleported[n].correction.label
+            pair, composed = swap((k, l), i12, i34)
+            assert np.array_equal(pair, swapped[n].post_state)
+            assert np.array_equal(composed.map, swapped[n].correction.map)
+
+
+# ---------------------------------------------------------------------------
+# Mutation tests: a wrong branch must fail its check and name its outcome.
+
+def corrupt_outcome(monkeypatch, name, target, change):
+    """Replace ``protocols.<name>`` by a version whose row for outcome
+    ``target`` is passed through ``change``."""
+    original = getattr(protocols, name)
+
+    def corrupted(k, l, d):
+        out = np.array(original(k, l, d))
+        hit = (np.ravel(k) == target[0]) & (np.ravel(l) == target[1])
+        out[hit] = change(out[hit], d)
+        return out
+
+    monkeypatch.setattr(protocols, name, corrupted)
+
+
+def phase_on_later_rows(chi, d):
+    """Multiply the j >= 1 terms of chi_kl by one phase: still a maximally
+    entangled unit vector, but no longer chi_kl up to a global phase."""
+    return chi * np.where(np.arange(d * d) >= d, np.exp(0.7j), 1.0)
+
+
+class TestPerOutcomeChecks:
+    @pytest.mark.parametrize("target", [(0, 0), (1, 2), (2, 1)])
+    def test_teleport_corrupted_weyl_phase_names_outcome(self, rng, monkeypatch, target):
+        phi = haar_vector(rng, 3)
+        corrupt_outcome(monkeypatch, "weyl_basis_state", target, phase_on_later_rows)
+        with pytest.raises(ProtocolCheckError,
+                           match=rf"^outcome \({target[0]},{target[1]}\): composition law violated"):
+            teleport_outcomes(phi)
+
+    @pytest.mark.parametrize("target", [(0, 1), (2, 2)])
+    def test_swap_corrupted_weyl_phase_names_outcome(self, rng, monkeypatch, target):
+        i12 = Isometry(haar_unitary(rng, 3), 3)
+        i34 = Isometry(haar_unitary(rng, 3), 3)
+        corrupt_outcome(monkeypatch, "weyl_basis_state", target, phase_on_later_rows)
+        with pytest.raises(ProtocolCheckError,
+                           match=rf"^outcome \({target[0]},{target[1]}\): isometry composition violated"):
+            swap_outcomes(i12, i34)
+
+    def test_swap_partially_entangled_branch_names_outcome(self, monkeypatch):
+        ident = Isometry.identity(3)
+        corrupt_outcome(monkeypatch, "weyl_basis_state", (1, 1),
+                        lambda chi, d: chi * np.where(np.arange(d * d) < d, 1.5, 1.0))
+        with pytest.raises(ValueError,
+                           match=r"^outcome \(1,1\): input vector is not maximally entangled"):
+            swap_outcomes(ident, ident)
+
+    def test_non_unitary_correction_names_outcome(self, rng, monkeypatch):
+        corrupt_outcome(monkeypatch, "weyl_operator", (2, 0), lambda w, d: 1.01 * w)
+        with pytest.raises(ValueError, match=r"^outcome \(2,0\): isometry matrix must be unitary"):
+            teleport_outcomes(haar_vector(rng, 3))
+
+    def test_non_unitary_prediction_names_outcome(self, monkeypatch):
+        # the extracted isometry is unitary, so a scaled prediction fails the
+        # composition check, which runs before the prediction's own unitarity
+        corrupt_outcome(monkeypatch, "weyl_operator", (2, 0), lambda w, d: 1.01 * w)
+        with pytest.raises(ProtocolCheckError, match=r"^outcome \(2,0\): isometry composition violated"):
+            swap_outcomes(Isometry.identity(3), Isometry.identity(3))
+
+    def test_non_unitary_resource_keeps_its_message(self):
+        with pytest.raises(ValueError, match=r"^isometry matrix must be unitary$"):
+            swap_outcomes(Isometry(np.ones((2, 2)), 2), Isometry.identity(2))

@@ -315,6 +315,15 @@ class TestVerstraeteWolf:
             _, hi = verstraete_wolf_bounds(c)
             assert np.sqrt(2) * c - 1e-6 <= b <= hi + 1e-6
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_upper_bound_property(self, seed):
+        # Verstraete-Wolf, PRL 89, 170401 (2002): bmax <= sqrt(1 + C^2) on
+        # every two-qubit state, with equality on pure states.
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, (2, 2), rank=int(rng.integers(1, 5)))
+        assert horodecki_bmax(rho) <= np.sqrt(1.0 + concurrence(rho) ** 2) + 1e-12
+
 
 class TestGisinThresholds:
     def brute_force_unfiltered(self, theta):
