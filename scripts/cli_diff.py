@@ -6,21 +6,30 @@ Usage:
 
 OLD_SRC and NEW_SRC are directories holding the ``factorlab`` package (the
 ``src/`` of two checkouts, e.g. a ``git archive`` of the parent commit).  The
-fixed command list is ``protocol {teleport,swap} --d 2..8 --seed s`` for
-s < N (default 150, so 2100 commands) plus ``classify weyl k l d`` for every
-0 <= k, l < d <= 8; ``--commands FILE`` replaces it with one command per line
-(``factorlab`` arguments, shell quoting).  Each tree runs every command through
-``factorlab.cli.main`` in one child interpreter; an uncaught exception is
-recorded in place of the exit code.  The script prints the number
-of commands and of differences in exit code or stdout, and for the first
-difference the command and the first differing byte; it exits 1 when there is
-a difference.  Standard library only.
+default command list covers every subcommand: three failing commands (an
+unwritable ``--out``, a negative ``protocol --seed``, a repeated ``sweep
+--outputs`` name); ``classify`` of every state family at several parameters,
+in JSON and CSV (``file`` reads ``tests/golden/state.json``); ``transform``
+with every switch on four states, in JSON and CSV; ``sweep`` of every family
+with its default and with every measure, in CSV and JSON;
+``protocol {teleport,swap} --d 2..8 --seed s`` for s < N (default 150, so
+2100 commands); and ``classify weyl k l d`` for every 0 <= k, l < d <= 8.
+``--commands FILE`` replaces the list with one command per line
+(``factorlab`` arguments, shell quoting).  Each tree runs every command
+through ``factorlab.cli.main`` in one child interpreter, so the list also
+checks that one process can serve every subcommand in turn; an uncaught
+exception (or an argparse exit) is recorded in place of the exit code.  The
+script prints the number of commands and of differences in exit code or
+stdout, for the first difference the command and the first differing byte,
+and then every other differing command; it exits 1 when there is a
+difference.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import shlex
 import subprocess
 import sys
@@ -37,6 +46,8 @@ for argv in json.load(sys.stdin):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
         except Exception as exc:
             code = type(exc).__name__
     results.append([code, out.getvalue()])
@@ -44,8 +55,66 @@ json.dump(results, sys.stdout)
 """
 
 
+STATE_FILE = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden" / "state.json"
+
+# Commands that fail at the input boundary; the --out path lies below a file,
+# so it can never be written.
+FAILING = [
+    ["classify", "werner", "0.5", "--out", str(STATE_FILE / "x.json")],
+    ["protocol", "teleport", "--seed", "-1"],
+    ["sweep", "werner", "--start", "0", "--stop", "1", "--num", "3", "--outputs", "C,C"],
+]
+
+CLASSIFY_SOURCES = [
+    *(["werner", a] for a in ("0", "0.2", "0.3333333333", "0.5", "0.7071067812", "1")),
+    *(["gisin", lam, theta] for lam in ("0", "0.35", "0.8", "1")
+      for theta in ("0.1", "0.35", "0.7853981634")),
+    *(["bell", kind] for kind in ("psi+", "psi-", "phi+", "phi-")),
+    *(["ghz-traced", theta] for theta in ("0", "0.3", "0.7853981634", "1.2")),
+    ["narnhofer"],
+    *(["tracial", dim] for dim in ("1", "4", "9", "16", "25", "36", "49", "64")),
+    *(["rho-theta", theta] for theta in ("0", "0.06421052631578948", "0.6", "1.5707963")),
+    ["weyl", "1", "2", "3"],
+    ["file", str(STATE_FILE)],
+]
+
+SWITCHES = [
+    ["identity"], ["u-switch"], ["u-theta", "--theta", "0.6"],
+    ["u-tilde-theta", "--theta", "0.6"], ["u1-ghz"], ["u2-ghz"], ["narnhofer"],
+]
+TRANSFORM_SOURCES = [["werner", "0.8"], ["rho-theta", "0.6"], ["ghz-traced", "0.3"],
+                     ["gisin", "0.8", "0.35"]]
+
+# family -> (grid arguments, every measure)
+SWEEPS = {
+    "rho_theta": (["--start", "0", "--stop", "1.5707963"], "C,C_after_u_switch,bmax,purity"),
+    "werner": (["--start", "0", "--stop", "1"], "ppt,bmax,C,purity,kz_member"),
+    "gisin": (["--theta", "0.35", "--start", "0", "--stop", "1"], "C,bmax,purity,ppt"),
+    "gisin_compare": (
+        ["--theta", "0.35", "--start", "0", "--stop", "1"],
+        "C_gisin,C_filtered,C_unitary,B_gisin,B_filtered,B_unitary,"
+        "purity_gisin,purity_filtered,purity_unitary",
+    ),
+    "ghz_traced": (["--start", "0", "--stop", "1.5707963"],
+                   "C_u1,C_u2,C_best,C_after_u_switch,mixedness"),
+}
+
+
 def default_commands(seeds: int) -> list[list[str]]:
-    commands = [
+    formats = (("--format", "json"), ("--format", "csv"))
+    commands = list(FAILING)
+    commands += [["classify", *source, *fmt] for source in CLASSIFY_SOURCES for fmt in formats]
+    commands += [
+        ["transform", *switch, *source, *fmt]
+        for switch in SWITCHES for source in TRANSFORM_SOURCES for fmt in formats
+    ]
+    commands += [
+        ["sweep", family, *grid, "--num", "101", *outputs, *fmt]
+        for family, (grid, every) in SWEEPS.items()
+        for outputs in ((), ("--outputs", every))
+        for fmt in formats
+    ]
+    commands += [
         ["protocol", kind, "--d", str(d), "--seed", str(seed)]
         for seed in range(seeds)
         for d in range(2, 9)
@@ -101,6 +170,8 @@ def main() -> int:
     print(f"first: factorlab {shlex.join(commands[i])}")
     print(f"  exit code {code_a} vs {code_b}")
     print(f"  stdout byte {at}: {a[at:at + 40]!r} vs {b[at:at + 40]!r}")
+    for i in differing[1:]:
+        print(f"also: factorlab {shlex.join(commands[i])} (exit code {old[i][0]} vs {new[i][0]})")
     return 1
 
 

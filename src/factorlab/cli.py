@@ -14,6 +14,7 @@ error, 3 failed protocol assertion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -324,6 +325,9 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], lis
             f"unknown measure(s) {unknown} for family {spec.family!r}; "
             f"valid: {', '.join(sorted(names))}"
         )
+    repeated = sorted({name for name in outputs if outputs.count(name) > 1})
+    if repeated:
+        raise CliParseError(f"repeated measure(s) {repeated} for family {spec.family!r}")
     grid = np.linspace(spec.start, spec.stop, spec.num)
     try:
         values = evaluate(grid, spec.theta, tol)
@@ -356,6 +360,8 @@ def run_protocol(kind: str, d: int, seed: int) -> dict:
     any probability/fidelity/composition failure."""
     if not 2 <= d <= MAX_QUDIT:
         raise CliParseError(f"protocol --d must lie in [2, {MAX_QUDIT}], got {d}")
+    if seed < 0:
+        raise CliParseError(f"protocol --seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     if kind == "teleport":
         stack = teleport_stack(_haar_vector(rng, d), *states.weyl_indices(d))
@@ -437,8 +443,11 @@ def render_report(payload: dict, fmt: str) -> str:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliParseError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -446,6 +455,10 @@ def _emit(text: str, out_path: str | None):
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+# Built at the first call and shared by every later ``main`` call in the
+# process: the parser holds only the option grammar, while the tolerance, the
+# streams and ``sys.argv`` are read afresh on each call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factorlab",

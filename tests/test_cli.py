@@ -200,6 +200,19 @@ class TestSweep:
         )
         assert code2 == 2 and "unheard_of" in err2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeated_measure_is_parse_error(self, capsys, fmt):
+        code, out, err = run(
+            capsys,
+            "sweep", "werner",
+            "--start", "0", "--stop", "1", "--num", "2",
+            "--outputs", "C,ppt,C", "--format", fmt,
+        )
+        assert (code, out) == (2, "")
+        assert err == "parse error: repeated measure(s) ['C'] for family 'werner'\n"
+        with pytest.raises(CliParseError, match="repeated"):
+            run_sweep(SweepSpec(family="werner", start=0.0, stop=1.0, num=2, outputs=["C", "C"]))
+
     def test_requires_theta_for_gisin(self, capsys):
         code, _, err = run(
             capsys, "sweep", "gisin", "--start", "0", "--stop", "1", "--num", "3"
@@ -271,6 +284,11 @@ class TestProtocolCommand:
     def test_bad_dimension(self, capsys):
         code, _, err = run(capsys, "protocol", "teleport", "--d", "1")
         assert code == 2
+
+    def test_negative_seed_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "protocol", "teleport", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "parse error: protocol --seed must be a non-negative integer, got -1\n"
 
     def test_failed_assertion_exits_3_with_label(self, capsys, monkeypatch):
         from factorlab.protocols import OutcomeStack
@@ -399,6 +417,14 @@ class TestInputBoundary:
         assert code == 2 and out == ""
         assert "FACTORLAB_TOL" in err
 
+    def test_unwritable_out_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "classify", "werner", "0.5", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: cannot write {path}: ")
+        assert err.count("\n") == 1
+        assert not path.parent.exists()
+
     def test_zero_tol_is_accepted(self, capsys):
         code, _, _ = run(capsys, "--tol", "0", "classify", "tracial", "4")
         assert code == 0
@@ -461,3 +487,54 @@ class TestInputBoundary:
                            "--start", "0.25", "--stop", "0.75", "--num", "3")
         assert code == 1
         assert err.rstrip().endswith("at lambda = 0.25")
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; nothing a call reads from
+    its environment may carry over to the next call."""
+
+    @staticmethod
+    def exit_text(capsys, parse, argv):
+        """(exit code, stdout, stderr) of an argparse exit from parse(argv)."""
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        captured = capsys.readouterr()
+        return info.value.code, captured.out, captured.err
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_tol_env_read_on_every_call(self, capsys, tmp_path, monkeypatch, rng):
+        data = fl.state_to_dict(random_density(rng, (2, 2)))
+        data["re"][0][0] += 2e-7  # breaks unit trace at the default tolerance
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.setenv("FACTORLAB_TOL", "1e-5")
+        assert run(capsys, "classify", "file", str(path))[0] == 0
+        monkeypatch.setenv("FACTORLAB_TOL", "1e-9")
+        assert run(capsys, "classify", "file", str(path))[0] == 1
+        monkeypatch.setenv("FACTORLAB_TOL", "nan")
+        assert run(capsys, "classify", "file", str(path))[0] == 2
+        monkeypatch.delenv("FACTORLAB_TOL")
+        assert run(capsys, "--tol", "1e-5", "classify", "file", str(path))[0] == 0
+        assert run(capsys, "classify", "file", str(path))[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["classify", "--help"],
+        ["transform", "--help"],
+        ["sweep", "--help"],
+        ["protocol", "--help"],
+        [],
+        ["classify"],
+        ["sweep", "werner", "--start", "0"],
+        ["protocol", "bounce"],
+        ["--tol", "x", "classify", "werner", "0.5"],
+    ], ids=lambda argv: " ".join(argv) or "no-args")
+    def test_help_and_usage_match_fresh_parser(self, capsys, argv):
+        fresh = cli._build_parser.__wrapped__()
+        want = self.exit_text(capsys, fresh.parse_args, argv)
+        assert want[0] in (0, 2) and (want[1] or want[2]).startswith("usage: factorlab")
+        assert run(capsys, "classify", "werner", "0.5")[0] == 0
+        for _ in range(2):
+            assert self.exit_text(capsys, main, argv) == want

@@ -1,19 +1,23 @@
 """scripts/cli_diff.py: same tree gives no difference, a changed output byte is
-found and located."""
+found and located, and the default list reaches every subcommand, family,
+switch and measure."""
 
 import pathlib
+import runpy
 import shutil
 import subprocess
 import sys
+
+from factorlab import cli, transforms
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "cli_diff.py"
 SRC = ROOT / "src"
 
 
-def cli_diff(old, new, commands_file):
+def cli_diff(old, new, *options):
     return subprocess.run(
-        [sys.executable, str(SCRIPT), str(old), str(new), "--commands", str(commands_file)],
+        [sys.executable, str(SCRIPT), str(old), str(new), *map(str, options)],
         capture_output=True, text=True, timeout=120,
     )
 
@@ -21,7 +25,7 @@ def cli_diff(old, new, commands_file):
 def test_reports_first_differing_byte(tmp_path):
     commands = tmp_path / "commands.txt"
     commands.write_text("protocol teleport --d 2 --seed 3\nclassify weyl 0 1 2\n")
-    same = cli_diff(SRC, SRC, commands)
+    same = cli_diff(SRC, SRC, "--commands", commands)
     assert (same.returncode, same.stdout) == (0, "2 commands, 0 differences\n")
 
     changed = tmp_path / "src"
@@ -29,7 +33,7 @@ def test_reports_first_differing_byte(tmp_path):
     cli = changed / "factorlab" / "cli.py"
     text = cli.read_text()
     cli.write_text(text.replace('"outcomes": rows}', '"outcomes": rows[::-1]}'))
-    differ = cli_diff(SRC, changed, commands)
+    differ = cli_diff(SRC, changed, "--commands", commands)
     assert differ.returncode == 1
     lines = differ.stdout.splitlines()
     assert lines[:3] == [
@@ -38,3 +42,27 @@ def test_reports_first_differing_byte(tmp_path):
         "  exit code 0 vs 0",
     ]
     assert lines[3].startswith("  stdout byte 96: b'0,\\n        0\\n")
+
+
+def test_default_list_covers_every_subcommand():
+    script = runpy.run_path(str(SCRIPT))
+    commands = script["default_commands"](1)
+    assert commands[:3] == script["FAILING"]
+    commands = commands[3:]
+    classified = {argv[1] for argv in commands if argv[0] == "classify"}
+    assert classified == set(cli._STATE_FAMILIES) | {"file"}
+    switches = {argv[1] for argv in commands if argv[0] == "transform"}
+    assert switches == set(transforms.SWITCH_BUILDERS)
+    measured = {}
+    for argv in commands:
+        if argv[0] == "sweep" and "--outputs" in argv:
+            measured.setdefault(argv[1], set()).update(argv[argv.index("--outputs") + 1].split(","))
+    assert measured == {family: set(entry[3]) for family, entry in cli._SWEEP_FAMILIES.items()}
+    protocols = {(argv[1], argv[3]) for argv in commands if argv[0] == "protocol"}
+    assert protocols == {(kind, str(d)) for kind in ("teleport", "swap") for d in range(2, 9)}
+
+
+def test_default_list_runs_in_one_process():
+    same = cli_diff(SRC, SRC, "--seeds", 1)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout.endswith(" commands, 0 differences\n")

@@ -7,12 +7,14 @@ file it writes are compared byte for byte with
 ``tests/golden/cli/<example>/``.  ``scripts/reproduce_figures.py`` runs the
 same way and is compared with ``tests/golden/figures/``.  The protocol traces
 ``protocol {teleport,swap} --d 2..8 --seed 5`` are compared with
-``tests/golden/protocol/<kind>_d<d>_seed5/stdout``.  A difference is a finding
-to explain, not a fixture to regenerate.
+``tests/golden/protocol/<kind>_d<d>_seed5/stdout``.  All of these run once
+more in one process, between failing calls, since ``main`` reuses its parser.
+A difference is a finding to explain, not a fixture to regenerate.
 """
 
 import contextlib
 import io
+import itertools
 import pathlib
 import re
 import runpy
@@ -77,6 +79,27 @@ def run_protocol_trace(kind: str, d: int) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+# Calls that fail, one per kind of exit: (argv, exit code, start of the output).
+FAILING_CALLS = [
+    (["protocol", "teleport", "--seed", "-1"], 2, "parse error: "),
+    (["classify", "tracial", "-4"], 1, "validation error: "),
+    (["--help"], 0, "usage: factorlab"),
+]
+
+
+def run_failing_call(argv: list[str], code: int, start: str):
+    """Run a call that must fail (or print help and exit 0) with its message."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = main(list(argv))
+        except SystemExit as exc:
+            got = exc.code
+    assert got == code, f"factorlab {' '.join(argv)} exited {got}"
+    text, silent = (out, err) if code == 0 else (err, out)
+    assert text.getvalue().startswith(start) and silent.getvalue() == ""
+
+
 def run_figures(workdir: pathlib.Path, monkeypatch) -> dict[str, bytes]:
     """Run scripts/reproduce_figures.py in workdir with its default grid."""
     monkeypatch.chdir(workdir)
@@ -121,3 +144,19 @@ def test_reproduce_figures_bytes(tmp_path, monkeypatch):
 def test_protocol_trace_bytes(kind, d):
     want = GOLDEN / "protocol" / f"{kind}_d{d}_seed{PROTOCOL_SEED}" / "stdout"
     assert run_protocol_trace(kind, d) == want.read_bytes()
+
+
+def test_golden_bytes_survive_reuse_in_one_process(tmp_path, monkeypatch):
+    """Every README example and protocol trace, run in one process with a
+    failing call after each, still reproduces its golden bytes."""
+    failing = itertools.cycle(FAILING_CALLS)
+    for n, argv in enumerate(readme_examples()):
+        workdir = tmp_path / f"example{n}"
+        workdir.mkdir()
+        assert_same_bytes(run_example(argv, workdir, monkeypatch), GOLDEN / "cli" / example_name(argv))
+        run_failing_call(*next(failing))
+    for kind in ("teleport", "swap"):
+        for d in range(2, 9):
+            want = GOLDEN / "protocol" / f"{kind}_d{d}_seed{PROTOCOL_SEED}" / "stdout"
+            assert run_protocol_trace(kind, d) == want.read_bytes()
+            run_failing_call(*next(failing))
