@@ -20,14 +20,15 @@ through ``factorlab.cli.main`` in one child interpreter, so the list also
 checks that one process can serve every subcommand in turn; an uncaught
 exception (or an argparse exit) is recorded in place of the exit code.  The
 script prints the number of commands and of differences in exit code or
-stdout, for the first difference the command and the first differing byte,
-and then every other differing command; it exits 1 when there is a
-difference.  Standard library only.
+stdout, then each differing command with its two exit codes and the stdout
+lines that differ (``-N:`` the old tree's line N, ``+N:`` the new tree's);
+it exits 1 when there is a difference.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import pathlib
 import shlex
@@ -137,12 +138,16 @@ def run_tree(src: str, commands: list[list[str]]) -> list[list]:
     return json.loads(proc.stdout)
 
 
-def first_difference(a: bytes, b: bytes) -> int:
-    """Offset of the first differing byte (the shorter length if one is a prefix)."""
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i
-    return min(len(a), len(b))
+def changed_lines(old: str, new: str) -> list[str]:
+    """The lines of two outputs that differ, old ones as ``-N: line`` and new
+    ones as ``+N: line`` (N counted from 1), in the order they occur."""
+    a, b = old.splitlines(), new.splitlines()
+    out = []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            out += [f"-{i + 1}: {a[i]}" for i in range(i1, i2)]
+            out += [f"+{j + 1}: {b[j]}" for j in range(j1, j2)]
+    return out
 
 
 def main() -> int:
@@ -161,18 +166,12 @@ def main() -> int:
     new = run_tree(args.new_src, commands)
     differing = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
     print(f"{len(commands)} commands, {len(differing)} differences")
-    if not differing:
-        return 0
-    i = differing[0]
-    (code_a, out_a), (code_b, out_b) = old[i], new[i]
-    a, b = out_a.encode("utf-8"), out_b.encode("utf-8")
-    at = first_difference(a, b)
-    print(f"first: factorlab {shlex.join(commands[i])}")
-    print(f"  exit code {code_a} vs {code_b}")
-    print(f"  stdout byte {at}: {a[at:at + 40]!r} vs {b[at:at + 40]!r}")
-    for i in differing[1:]:
-        print(f"also: factorlab {shlex.join(commands[i])} (exit code {old[i][0]} vs {new[i][0]})")
-    return 1
+    for i in differing:
+        (code_a, out_a), (code_b, out_b) = old[i], new[i]
+        print(f"factorlab {shlex.join(commands[i])} (exit code {code_a} vs {code_b})")
+        for line in changed_lines(out_a, out_b):
+            print(f"  {line}")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -130,6 +130,10 @@ def load_state_file(path: str, tol: float) -> DensityMatrix:
     except json.JSONDecodeError as exc:
         raise CliParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
     try:
+        d1, d2 = states.state_split(data)
+        if d1 > 0 and d2 > 0 and d1 * d2 > MAX_DIMENSION:
+            raise CliParseError(
+                f"{path}: split {[d1, d2]} gives dimension {d1 * d2}, above the cap {MAX_DIMENSION}")
         return states.state_from_dict(data, tol=tol)
     except (KeyError, TypeError) as exc:
         raise CliParseError(f"{path}: missing or malformed field {exc}") from None

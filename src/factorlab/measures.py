@@ -43,16 +43,15 @@ def mixedness(rho: DensityMatrix) -> float:
 
 
 def vn_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy -Tr rho ln rho in nats, with 0 ln 0 = 0.
+    """Von Neumann entropy -Tr rho ln rho in nats, read from ``rho.spectrum``.
 
-    Takes its own ``eigvalsh`` rather than ``rho.spectrum``: a pure state's
-    entropy is rounding noise whose printed digits depend on the LAPACK routine
-    (values from ``eigh`` print differently for about half of random pure
-    states), so sharing the spectrum would change the output bytes.
+    Eigenvalues at or below D * 1e-14 (D the dimension) are rounding noise of
+    the eigensolve and count as zero (0 ln 0 = 0); a state with at most one
+    eigenvalue above that cutoff is rank-1, and its entropy is exactly +0.0.
     """
-    w = np.linalg.eigvalsh(rho.matrix)
-    w = w[w > 1e-15]
-    return float(-np.sum(w * np.log(w)))
+    p = rho.spectrum.values
+    p = p[p > rho.dim * 1e-14]
+    return float(np.sum(-p * np.log(p))) if p.size > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -197,12 +196,8 @@ def maxent_weight(rho: DensityMatrix, tol: float = 1e-6) -> float | None:
     d1, d2 = rho.split
     if d1 != d2:
         return None
-    eigensystem = rho.spectrum
-    top = eigensystem.vectors[:, 0]
+    top = rho.spectrum.vectors[:, 0]
     sd = schmidt_decompose(top / np.linalg.norm(top), rho.split)
-    target = 1.0 / np.sqrt(d1)
-    coeffs = np.zeros(d1)
-    coeffs[: sd.coefficients.size] = sd.coefficients
-    if np.max(np.abs(coeffs - target)) > tol:
+    if np.max(np.abs(sd.coefficients - 1.0 / np.sqrt(d1))) > tol:
         return None
-    return float(eigensystem.values[0])
+    return float(rho.spectrum.values[0])

@@ -7,8 +7,7 @@ mixtures, the Werner/Gisin families) are written in this ordering.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .linalg import (
     DimensionMismatchError,
     Spectrum,
     fail_first,
-    herm_eigensystem,
     hermitian_deviation,
     partial_trace,
 )
@@ -40,28 +38,25 @@ class StateValidationError(ValueError):
         super().__init__(f"{invariant}: {message}")
 
 
-def validate_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check every matrix of a complex (..., D, D) stack is a density matrix;
-    returns the stack unchanged.
-
-    Each matrix must have finite entries, be Hermitian (max |m - m^dagger|
-    <= tol), have unit trace within tol and eigenvalues >= -tol, checked in
-    that order.  The first offending matrix raises StateValidationError, whose
-    ``index`` is its position in the flattened stack.  A non-finite entry
-    makes the Hermitian deviation NaN or infinite, so one comparison screens
-    for both.
-    """
-    flat = m.reshape((-1,) + m.shape[-2:])
+def _checked(flat: np.ndarray, tol: float, solve):
+    """Check each matrix of an (N, D, D) stack is a density matrix: finite
+    entries, Hermitian (max |m - m^dagger| <= tol), unit trace within tol and
+    eigenvalues >= -tol, in that order.  ``solve`` is the caller's own
+    eigensolve, run on the matrices before the first that fails one of the
+    first three checks; its first item holds their ascending eigenvalues, and
+    its result is returned.  The first offending matrix raises
+    StateValidationError, whose ``index`` is its position in the stack.  A
+    non-finite entry makes the Hermitian deviation NaN or infinite, so one
+    comparison screens for both."""
     with np.errstate(invalid="ignore"):
         dev = hermitian_deviation(flat)
     tr = flat.trace(axis1=-2, axis2=-1)
     ok = np.maximum(dev, np.abs(tr - 1.0)) <= tol
     stop = len(flat) if ok.all() else int(np.argmin(ok))
-    if stop:
-        lo = np.linalg.eigvalsh(flat[:stop]).min(axis=-1)
-        if (lo < -tol).any():
-            fail_first(lo < -tol, lambda k: StateValidationError(
-                "positive", f"eigenvalue {lo[k]:.3e} below -{tol:.1e}", float(lo[k])))
+    solved = solve(flat[:stop])
+    lo = solved[0].min(axis=-1)
+    fail_first(lo < -tol, lambda k: StateValidationError(
+        "positive", f"eigenvalue {lo[k]:.3e} below -{tol:.1e}", float(lo[k])))
 
     def error(k: int) -> StateValidationError:
         bad = ~np.isfinite(flat[k])
@@ -74,8 +69,14 @@ def validate_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         trace = complex(tr[k])
         return StateValidationError("trace", f"trace {trace} differs from 1", abs(trace - 1.0))
 
-    if stop < len(flat):
-        fail_first(~ok, error)
+    fail_first(~ok, error)
+    return solved
+
+
+def validate_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``_checked`` on the flattened (..., D, D) stack, with ``eigvalsh`` (a sweep
+    never needs eigenvectors); returns the stack unchanged."""
+    _checked(m.reshape((-1,) + m.shape[-2:]), tol, lambda s: (np.linalg.eigvalsh(s), None))
     return m
 
 
@@ -83,14 +84,15 @@ def validate_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 class DensityMatrix:
     """Quantum state over a declared bipartite dimension split (d1, d2).
 
-    Validation (``validate_stack`` on a stack of one) enforces finite entries,
-    Hermiticity, unit trace, and positive semidefiniteness (eigenvalues >= -tol)
-    at construction time.
+    Construction runs the checks of ``validate_stack`` with one ``eigh``, whose
+    result, eigenvalues descending, is the read-only ``spectrum`` that every
+    spectral measure and switch reads.
     """
 
     matrix: np.ndarray
     split: tuple[int, int]
     tol: InitVar[float] = DEFAULT_TOL
+    spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, tol: float):
         m = np.array(self.matrix, dtype=complex)
@@ -101,23 +103,17 @@ class DensityMatrix:
             raise StateValidationError(
                 "split", f"split {self.split} does not factor dimension {m.shape[0]}"
             )
-        validate_stack(m, tol)
-        m.setflags(write=False)
+        w, v = _checked(m[None], tol, np.linalg.eigh)
+        spectrum = Spectrum(values=w[0, ::-1].copy(), vectors=v[0, :, ::-1].copy())
+        for a in (m, spectrum.values, spectrum.vectors):
+            a.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "split", (d1, d2))
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def spectrum(self) -> Spectrum:
-        """``herm_eigensystem`` of the matrix, computed on first use and shared
-        by every reader of the state's eigenvectors; both arrays are read-only."""
-        eigensystem = herm_eigensystem(self.matrix)
-        eigensystem.values.setflags(write=False)
-        eigensystem.vectors.setflags(write=False)
-        return eigensystem
 
 
 @dataclass(frozen=True)
@@ -388,19 +384,27 @@ def state_to_dict(rho: DensityMatrix) -> dict:
     }
 
 
-def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Parse the JSON state format.
-
-    A missing field raises KeyError and a split that is not a list of two
-    integers raises TypeError (both malformed input); ValueError and
-    StateValidationError report a well-formed state that is not valid.
-    """
+def state_split(data: dict) -> tuple[int, int]:
+    """The JSON state's split: KeyError if missing, TypeError unless two integers."""
     split = data["split"]
     if not (isinstance(split, (list, tuple)) and len(split) == 2
             and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in split)):
         raise TypeError(f"split must be a list of two integers, got {split!r}")
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
+    return split[0], split[1]
+
+
+def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
+    """Parse the JSON state format.
+
+    Malformed input raises KeyError or TypeError (see ``state_split``; also
+    ``re`` or ``im`` not a rectangular array of numbers); ValueError and
+    StateValidationError report a well-formed state that is not valid.
+    """
+    split = state_split(data)
+    try:
+        re, im = (np.asarray(data[key], dtype=float) for key in ("re", "im"))
+    except ValueError as exc:
+        raise TypeError(f"re/im must be rectangular arrays of numbers ({exc})") from None
     if re.shape != im.shape:
         raise ValueError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
     return DensityMatrix(re + 1j * im, split, tol=tol)

@@ -80,6 +80,48 @@ class TestClassify:
         assert code == 2
         assert "line" in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("re", [[0.25, 0, 0, 0], [0, 0.25, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]),
+        ("re", "abc"),
+    ])
+    def test_malformed_matrix_is_parse_error(self, capsys, tmp_path, field, value):
+        data = {"split": [2, 2], "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+        data[field] = value
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "classify", "file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: {path}: missing or malformed field re/im must be "
+                              "rectangular arrays of numbers (")
+
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_file_split_respects_dimension_cap(self, capsys, monkeypatch, tmp_path, d):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(fl.state_to_dict(fl.tracial(d * d))))
+        if d * d <= MAX_DIMENSION:
+            assert run(capsys, "classify", "file", str(path))[0] == 0
+            return
+
+        def must_not_convert(*args, **kwargs):
+            raise AssertionError("state_from_dict called above the cap")
+
+        monkeypatch.setattr(cli.states, "state_from_dict", must_not_convert)
+        assert run(capsys, "classify", "file", str(path)) == (
+            2, "", f"parse error: {path}: split [9, 9] gives dimension 81, above the cap 64\n")
+
+    def test_file_state_checked_at_the_given_tol(self, capsys, tmp_path):
+        # Hermitian to 1e-7 only: accepted at --tol 1e-6, and every spectral
+        # measure then works on the state as accepted.
+        im = np.zeros((4, 4))
+        im[0, 1] = 1e-7
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"split": [2, 2], "re": (np.eye(4) / 4).tolist(), "im": im.tolist()}))
+        code, out, err = run(capsys, "--tol", "1e-6", "classify", "file", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["entropy"] == pytest.approx(np.log(4), abs=1e-12)
+        assert run(capsys, "classify", "file", str(path)) == (
+            1, "", "validation error: hermitian: deviation 1.000e-07 exceeds 1.0e-09\n")
+
     def test_invalid_density_is_validation_error(self, capsys, tmp_path):
         data = {
             "split": [2, 2],

@@ -1,6 +1,6 @@
-"""scripts/cli_diff.py: same tree gives no difference, a changed output byte is
-found and located, and the default list reaches every subcommand, family,
-switch and measure."""
+"""scripts/cli_diff.py: same tree gives no difference, every changed output
+line is shown with its line number, and the default list reaches every
+subcommand, family, switch and measure."""
 
 import pathlib
 import runpy
@@ -22,26 +22,38 @@ def cli_diff(old, new, *options):
     )
 
 
-def test_reports_first_differing_byte(tmp_path):
+def test_reports_every_changed_line(tmp_path):
     commands = tmp_path / "commands.txt"
-    commands.write_text("protocol teleport --d 2 --seed 3\nclassify weyl 0 1 2\n")
+    commands.write_text("protocol teleport --d 2 --seed 3\nclassify werner 0.5\nclassify narnhofer\n")
     same = cli_diff(SRC, SRC, "--commands", commands)
-    assert (same.returncode, same.stdout) == (0, "2 commands, 0 differences\n")
+    assert (same.returncode, same.stdout) == (0, "3 commands, 0 differences\n")
 
     changed = tmp_path / "src"
     shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     cli = changed / "factorlab" / "cli.py"
     text = cli.read_text()
-    cli.write_text(text.replace('"outcomes": rows}', '"outcomes": rows[::-1]}'))
+    text = text.replace('"outcomes": rows}', '"outcomes": rows[::-1]}')
+    text = text.replace('"mixedness": measures.mixedness(rho),', '"mixedness": 0.25,')
+    cli.write_text(text)
     differ = cli_diff(SRC, changed, "--commands", commands)
     assert differ.returncode == 1
     lines = differ.stdout.splitlines()
-    assert lines[:3] == [
-        "2 commands, 1 differences",
-        "first: factorlab protocol teleport --d 2 --seed 3",
-        "  exit code 0 vs 0",
+    assert lines[0] == "3 commands, 3 differences"
+    # the reversed outcome list: every changed line, old then new, numbered
+    werner = lines.index("factorlab classify werner 0.5 (exit code 0 vs 0)")
+    teleport = lines[1:werner]
+    assert teleport[0] == "factorlab protocol teleport --d 2 --seed 3 (exit code 0 vs 0)"
+    assert all(line.startswith(("  -", "  +")) for line in teleport[1:])
+    assert {line[2] for line in teleport[1:]} == {"-", "+"}
+    # one changed line per classify, shown in both trees
+    assert lines[werner:] == [
+        "factorlab classify werner 0.5 (exit code 0 vs 0)",
+        '  -7:   "mixedness": 0.5625,',
+        '  +7:   "mixedness": 0.25,',
+        "factorlab classify narnhofer (exit code 0 vs 0)",
+        '  -7:   "mixedness": 0.5,',
+        '  +7:   "mixedness": 0.25,',
     ]
-    assert lines[3].startswith("  stdout byte 96: b'0,\\n        0\\n")
 
 
 def test_default_list_covers_every_subcommand():

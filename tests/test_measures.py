@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +32,7 @@ from factorlab import (
 from factorlab.measures import kz_ball_members
 from factorlab.transforms import FactorizationSwitch
 from conftest import (
+    ginibre_density,
     haar_unitary,
     haar_vector,
     pure_concurrence,
@@ -70,6 +73,38 @@ class TestEntropy:
         expected = -s2 * np.log(s2) - c2 * np.log(c2)
         red = DensityMatrix(np.diag([s2, c2]).astype(complex), (1, 2))
         assert vn_entropy(red) == pytest.approx(expected, abs=1e-12)
+
+
+# (d1, d2) with d1 * d2 <= 64, the dimensions the CLI accepts.
+splits = st.integers(1, 64).flatmap(
+    lambda dim: st.sampled_from([(a, dim // a) for a in range(1, dim + 1) if dim % a == 0]))
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestEntropyProperties:
+    @given(split=splits, seed=seeds)
+    @settings(max_examples=200, deadline=None)
+    def test_pure_state_is_exactly_positive_zero(self, split, seed):
+        v = haar_vector(np.random.default_rng(seed), split[0] * split[1])
+        entropy = vn_entropy(DensityMatrix(np.outer(v, v.conj()), split))
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+
+    @given(dim=st.integers(1, 64))
+    @settings(max_examples=64, deadline=None)
+    def test_tracial_is_log_dimension(self, dim):
+        entropy = vn_entropy(tracial(dim, split=(1, dim)))
+        assert abs(entropy - math.log(dim)) <= 1e-12 and math.copysign(1.0, entropy) == 1.0
+
+    @given(split=splits, seed=seeds, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_state_matches_independent_eigenvalues(self, split, seed, data):
+        dim = split[0] * split[1]
+        assume(dim > 1)
+        rank = data.draw(st.integers(2, dim))
+        m = ginibre_density(np.random.default_rng(seed), dim, rank)
+        p = np.linalg.eigvalsh(m)
+        p = p[p > 0]
+        assert abs(vn_entropy(DensityMatrix(m, split)) + np.sum(p * np.log(p))) <= 1e-12
 
 
 class TestPpt:
