@@ -446,6 +446,36 @@ class TestInputBoundary:
         assert code == 2
         assert "split" in err
 
+    @pytest.mark.parametrize("source,message", [
+        (("no-such-family", "1"), "unknown state family 'no-such-family'; valid: bell, "
+         "ghz-traced, gisin, narnhofer, rho-theta, tracial, werner, weyl, file"),
+        # wrong parameter count, for every family
+        (("werner",), "family 'werner' takes 1 parameter(s) ('alpha',), got 0"),
+        (("gisin", "0.5"), "family 'gisin' takes 2 parameter(s) ('lambda', 'theta'), got 1"),
+        (("bell", "psi+", "phi+"), "family 'bell' takes 1 parameter(s) ('kind',), got 2"),
+        (("ghz-traced",), "family 'ghz-traced' takes 1 parameter(s) ('theta',), got 0"),
+        (("narnhofer", "1"), "family 'narnhofer' takes 0 parameter(s) (), got 1"),
+        (("tracial", "4", "4"), "family 'tracial' takes 1 parameter(s) ('dim',), got 2"),
+        (("weyl", "0", "0"), "family 'weyl' takes 3 parameter(s) ('k', 'l', 'd'), got 2"),
+        (("rho-theta",), "family 'rho-theta' takes 1 parameter(s) ('theta',), got 0"),
+        # a non-number for every float parameter, the first bad one reported
+        (("werner", "x"), "parameter 'alpha' must be a number, got 'x'"),
+        (("gisin", "x", "0.3"), "parameter 'lambda' must be a number, got 'x'"),
+        (("gisin", "0.5", "y"), "parameter 'theta' must be a number, got 'y'"),
+        (("gisin", "x", "y"), "parameter 'lambda' must be a number, got 'x'"),
+        (("ghz-traced", "x"), "parameter 'theta' must be a number, got 'x'"),
+        (("rho-theta", "x"), "parameter 'theta' must be a number, got 'x'"),
+        # a non-integer for every integer parameter, in order k, l, d
+        (("tracial", "2.5"), "parameter 'dim' must be an integer, got '2.5'"),
+        (("weyl", "x", "y", "z"), "parameter 'k' must be an integer, got 'x'"),
+        (("weyl", "0", "y", "z"), "parameter 'l' must be an integer, got 'y'"),
+        (("weyl", "0", "0", "z"), "parameter 'd' must be an integer, got 'z'"),
+        (("weyl", "x", "0", str(MAX_QUDIT + 1)), "parameter 'k' must be an integer, got 'x'"),
+        (("bell", "psi0"), "unknown Bell kind 'psi0'"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
+    def test_state_source_parse_errors(self, capsys, source, message):
+        assert run(capsys, "classify", *source) == (2, "", f"parse error: {message}\n")
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
     def test_bad_tol_flag_is_parse_error(self, capsys, tol):
         code, out, err = run(capsys, f"--tol={tol}", "classify", "werner", "0.5")
