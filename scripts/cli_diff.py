@@ -6,9 +6,11 @@ Usage:
 
 OLD_SRC and NEW_SRC are directories holding the ``factorlab`` package (the
 ``src/`` of two checkouts, e.g. a ``git archive`` of the parent commit).  The
-default command list covers every subcommand: three failing commands (an
+default command list covers every subcommand: failing commands (an
 unwritable ``--out``, a negative ``protocol --seed``, a repeated ``sweep
---outputs`` name); ``classify`` of every state family at several parameters,
+--outputs`` name, one malformed parameter list per state family, state files
+whose split is not two positive integers, a non-finite ``sweep --theta``);
+``classify`` of every state family at several parameters,
 in JSON and CSV (``file`` reads ``tests/golden/state.json``); ``transform``
 with every switch on four states, in JSON and CSV; ``sweep`` of every family
 with its default and with every measure, in CSV and JSON;
@@ -19,10 +21,11 @@ with its default and with every measure, in CSV and JSON;
 through ``factorlab.cli.main`` in one child interpreter, so the list also
 checks that one process can serve every subcommand in turn; an uncaught
 exception (or an argparse exit) is recorded in place of the exit code.  The
-script prints the number of commands and of differences in exit code or
-stdout, then each differing command with its two exit codes and the stdout
-lines that differ (``-N:`` the old tree's line N, ``+N:`` the new tree's);
-it exits 1 when there is a difference.  Standard library only.
+script prints the number of commands and of differences in exit code, stdout
+or stderr, then each differing command with its two exit codes and the lines
+that differ (``-N:`` the old tree's stdout line N, ``+N:`` the new tree's;
+``stderr -N:`` and ``stderr +N:`` the same for stderr); it exits 1 when there
+is a difference.  Standard library only.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import shlex
 import subprocess
 import sys
 
-# Runs in the child: argv from stdin (JSON), [exit code, stdout] per command
+# Runs in the child: argv from stdin (JSON), [exit code, stdout, stderr] per command
 # out; an uncaught exception stands in for the exit code by its type name.
 WORKER = """
 import contextlib, io, json, sys
@@ -51,12 +54,13 @@ for argv in json.load(sys.stdin):
             code = f"SystemExit({exc.code})"
         except Exception as exc:
             code = type(exc).__name__
-    results.append([code, out.getvalue()])
+    results.append([code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
 
 
-STATE_FILE = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden" / "state.json"
+TESTS = pathlib.Path(__file__).resolve().parents[1] / "tests"
+STATE_FILE = TESTS / "golden" / "state.json"
 
 # Commands that fail at the input boundary; the --out path lies below a file,
 # so it can never be written.
@@ -64,6 +68,14 @@ FAILING = [
     ["classify", "werner", "0.5", "--out", str(STATE_FILE / "x.json")],
     ["protocol", "teleport", "--seed", "-1"],
     ["sweep", "werner", "--start", "0", "--stop", "1", "--num", "3", "--outputs", "C,C"],
+    *(["classify", *source] for source in (
+        ["werner", "x"], ["gisin", "0.5", "y"], ["bell", "psi0"], ["ghz-traced"],
+        ["narnhofer", "1"], ["tracial", "2.5"], ["weyl", "0", "y", "z"], ["rho-theta", "0.1", "0.2"],
+    )),
+    *(["classify", "file", str(TESTS / "data" / name)]
+      for name in ("split_negative.json", "split_zero.json")),
+    *(["sweep", family, "--theta", "nan", "--start", "0", "--stop", "1", "--num", "3"]
+      for family in ("gisin", "werner")),
 ]
 
 CLASSIFY_SOURCES = [
@@ -167,10 +179,12 @@ def main() -> int:
     differing = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
     print(f"{len(commands)} commands, {len(differing)} differences")
     for i in differing:
-        (code_a, out_a), (code_b, out_b) = old[i], new[i]
+        (code_a, out_a, err_a), (code_b, out_b, err_b) = old[i], new[i]
         print(f"factorlab {shlex.join(commands[i])} (exit code {code_a} vs {code_b})")
         for line in changed_lines(out_a, out_b):
             print(f"  {line}")
+        for line in changed_lines(err_a, err_b):
+            print(f"  stderr {line}")
     return 1 if differing else 0
 
 

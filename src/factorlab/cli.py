@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,17 +36,6 @@ class CliParseError(Exception):
 
 # ---------------------------------------------------------------------------
 # state sources
-
-_STATE_FAMILIES = {
-    "werner": ("alpha",),
-    "gisin": ("lambda", "theta"),
-    "bell": ("kind",),
-    "ghz-traced": ("theta",),
-    "narnhofer": (),
-    "tracial": ("dim",),
-    "weyl": ("k", "l", "d"),
-    "rho-theta": ("theta",),
-}
 
 # The README scopes factorlab to "dimensions up to a few dozen": no command
 # builds an array larger than a 64 x 64 density matrix.  ``tracial dim`` builds
@@ -69,11 +59,39 @@ def _parse_int(token: str, name: str) -> int:
         raise CliParseError(f"parameter {name!r} must be an integer, got {token!r}") from None
 
 
-def _capped(value: int, name: str, cap: int) -> int:
-    """value unless it is above cap; a value below 1 is left to the builder."""
-    if value > cap:
-        raise CliParseError(f"parameter {name!r} must lie in [1, {cap}], got {value}")
-    return value
+def _capped(cap: int):
+    """Integer parser rejecting values above cap; a value below 1 is left to the builder."""
+    def parse(token: str, name: str) -> int:
+        value = _parse_int(token, name)
+        if value > cap:
+            raise CliParseError(f"parameter {name!r} must lie in [1, {cap}], got {value}")
+        return value
+    return parse
+
+
+def _bell_kind(token: str, _: str) -> str:
+    if token not in ("psi+", "psi-", "phi+", "phi-"):
+        raise CliParseError(f"unknown Bell kind {token!r}")
+    return token
+
+
+def _weyl(k: int, l: int, d: int, tol: float) -> DensityMatrix:
+    v = states.weyl_basis_state(k, l, d)
+    return DensityMatrix(np.outer(v, v.conj()), (d, d), tol=tol)
+
+
+# family -> ((parameter, parser), ...) in CLI order, and the builder, called
+# with the parsed values and tol.
+_STATE_FAMILIES = {
+    "werner": ((("alpha", _parse_float),), states.werner),
+    "gisin": ((("lambda", _parse_float), ("theta", _parse_float)), states.gisin),
+    "bell": ((("kind", _bell_kind),), states.bell_state),
+    "ghz-traced": ((("theta", _parse_float),), states.ghz_traced),
+    "narnhofer": ((), states.narnhofer),
+    "tracial": ((("dim", _capped(MAX_DIMENSION)),), states.tracial),
+    "weyl": ((("k", _parse_int), ("l", _parse_int), ("d", _capped(MAX_QUDIT))), _weyl),
+    "rho-theta": ((("theta", _parse_float),), states.rho_theta),
+}
 
 
 def build_state(tokens: list[str], tol: float) -> DensityMatrix:
@@ -91,34 +109,13 @@ def build_state(tokens: list[str], tol: float) -> DensityMatrix:
         raise CliParseError(
             f"unknown state family {head!r}; valid: {', '.join(sorted(_STATE_FAMILIES))}, file"
         )
-    expected = _STATE_FAMILIES[head]
+    expected, builder = _STATE_FAMILIES[head]
     if len(params) != len(expected):
+        names = tuple(name for name, _ in expected)
         raise CliParseError(
-            f"family {head!r} takes {len(expected)} parameter(s) {expected}, got {len(params)}"
+            f"family {head!r} takes {len(expected)} parameter(s) {names}, got {len(params)}"
         )
-    if head == "werner":
-        return states.werner(_parse_float(params[0], "alpha"), tol=tol)
-    if head == "gisin":
-        return states.gisin(
-            _parse_float(params[0], "lambda"), _parse_float(params[1], "theta"), tol=tol
-        )
-    if head == "bell":
-        if params[0] not in ("psi+", "psi-", "phi+", "phi-"):
-            raise CliParseError(f"unknown Bell kind {params[0]!r}")
-        return states.bell_state(params[0], tol=tol)
-    if head == "ghz-traced":
-        return states.ghz_traced(_parse_float(params[0], "theta"), tol=tol)
-    if head == "narnhofer":
-        return states.narnhofer(tol=tol)
-    if head == "tracial":
-        return states.tracial(_capped(_parse_int(params[0], "dim"), "dim", MAX_DIMENSION), tol=tol)
-    if head == "weyl":
-        k = _parse_int(params[0], "k")
-        l = _parse_int(params[1], "l")
-        d = _capped(_parse_int(params[2], "d"), "d", MAX_QUDIT)
-        v = states.weyl_basis_state(k, l, d)
-        return DensityMatrix(np.outer(v, v.conj()), (d, d), tol=tol)
-    return states.rho_theta(_parse_float(params[0], "theta"), tol=tol)
+    return builder(*(parse(token, name) for token, (name, parse) in zip(params, expected)), tol=tol)
 
 
 def load_state_file(path: str, tol: float) -> DensityMatrix:
@@ -131,7 +128,7 @@ def load_state_file(path: str, tol: float) -> DensityMatrix:
         raise CliParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
     try:
         d1, d2 = states.state_split(data)
-        if d1 > 0 and d2 > 0 and d1 * d2 > MAX_DIMENSION:
+        if d1 * d2 > MAX_DIMENSION:
             raise CliParseError(
                 f"{path}: split {[d1, d2]} gives dimension {d1 * d2}, above the cap {MAX_DIMENSION}")
         return states.state_from_dict(data, tol=tol)
@@ -203,106 +200,78 @@ class SweepSpec:
             raise CliParseError(f"grid may hold at most {MAX_SWEEP_POINTS} points, got {self.num}")
         if not (np.isfinite(self.start) and np.isfinite(self.stop)):
             raise CliParseError(f"grid bounds must be finite, got {self.start} to {self.stop}")
+        if self.theta is not None and not np.isfinite(self.theta):
+            raise CliParseError(f"--theta must be finite, got {self.theta}")
         if self.stop < self.start:
             raise CliParseError("grid stop must not be below start")
 
 
-# Each evaluator takes the whole grid (and the fixed theta) and returns one
-# array per measure, built from the stacked kernels; the switches are built
-# once per sweep, so each unitarity check runs once.
-
-def _sweep_rho_theta(theta: np.ndarray, _: float | None, tol: float) -> dict:
-    rho = states.validate_stack(states.rho_theta_matrices(theta), tol)
-    switched = states.validate_stack(transforms.conjugated(rho, transforms.u_switch()), tol)
-    return {
-        "C": measures.concurrences(rho, tol=tol),
-        "C_after_u_switch": measures.concurrences(switched, tol=tol),
-        "bmax": witness_bell.bmax_values(rho),
-        "purity": measures.purities(rho),
-    }
+# measure -> stacked kernel: (matrix stack, tol) -> one value per grid point
+_SWEEP_MEASURES = {
+    "C": lambda m, tol: measures.concurrences(m, tol=tol),
+    "bmax": lambda m, tol: witness_bell.bmax_values(m),
+    "purity": lambda m, tol: measures.purities(m),
+    "mixedness": lambda m, tol: 1.0 - measures.purities(m),
+    "ppt": lambda m, tol: measures.pt_min_eigenvalues(m, (2, 2)),
+    "kz_member": lambda m, tol: measures.kz_ball_members(m, tol=tol).astype(float),
+}
 
 
-def _sweep_werner(alpha: np.ndarray, _: float | None, tol: float) -> dict:
-    rho = states.validate_stack(states.werner_matrices(alpha), tol)
-    return {
-        "ppt": measures.pt_min_eigenvalues(rho, (2, 2)),
-        "bmax": witness_bell.bmax_values(rho),
-        "C": measures.concurrences(rho, tol=tol),
-        "purity": measures.purities(rho),
-        "kz_member": measures.kz_ball_members(rho, tol=tol).astype(float),
-    }
+def _switched(source: str, switch):
+    """Stack builder: the stack ``source`` conjugated by ``switch()``."""
+    return lambda x, theta, built: transforms.conjugated(built[source], switch())
 
 
-def _sweep_gisin(lam: np.ndarray, theta: float | None, tol: float) -> dict:
-    rho = states.validate_stack(states.gisin_matrices(lam, theta), tol)
-    return {
-        "C": measures.concurrences(rho, tol=tol),
-        "bmax": witness_bell.bmax_values(rho),
-        "purity": measures.purities(rho),
-        "ppt": measures.pt_min_eigenvalues(rho, (2, 2)),
-    }
-
-
-def _sweep_gisin_compare(lam: np.ndarray, theta: float | None, tol: float) -> dict:
-    plain = states.validate_stack(states.gisin_matrices(lam, theta), tol)
-    filtered = states.validate_stack(
-        transforms.filtered(plain, transforms.gisin_filter(theta)), tol
-    )
-    unitary = states.validate_stack(transforms.gisin_unitary_matrices(lam, theta), tol)
-    return {
-        "C_gisin": measures.concurrences(plain, tol=tol),
-        "C_filtered": measures.concurrences(filtered, tol=tol),
-        "C_unitary": measures.concurrences(unitary, tol=tol),
-        "B_gisin": witness_bell.bmax_values(plain),
-        "B_filtered": witness_bell.bmax_values(filtered),
-        "B_unitary": witness_bell.bmax_values(unitary),
-        "purity_gisin": measures.purities(plain),
-        "purity_filtered": measures.purities(filtered),
-        "purity_unitary": measures.purities(unitary),
-    }
-
-
-def _sweep_ghz_traced(theta: np.ndarray, _: float | None, tol: float) -> dict:
-    rho = states.validate_stack(states.ghz_traced_matrices(theta), tol)
-    c_u1, c_u2, c_switch = (
-        measures.concurrences(states.validate_stack(transforms.conjugated(rho, switch), tol), tol=tol)
-        for switch in (transforms.u1_ghz(), transforms.u2_ghz(), transforms.u_switch())
-    )
-    return {
-        "C_u1": c_u1,
-        "C_u2": c_u2,
-        "C_best": np.where(c_u2 > c_u1, c_u2, c_u1),
-        "C_after_u_switch": c_switch,
-        "mixedness": 1.0 - measures.purities(rho),
-    }
-
-
-# family -> (grid parameter, needs --theta, evaluator, measures, default outputs)
+# A sweep family.  ``stacks`` are (name, builder) in build order; a builder
+# takes the grid, --theta and the stacks built so far, and each stack is
+# validated before the next is built, so the switches are built once per sweep.
+# ``columns`` maps each column to (measure, stack, ...); a column over two
+# stacks takes the larger value at each point.
+_SweepFamily = namedtuple("_SweepFamily", "param needs_theta stacks columns default_outputs")
 _SWEEP_FAMILIES = {
-    "rho_theta": (
-        "theta", False, _sweep_rho_theta,
-        ("C", "C_after_u_switch", "bmax", "purity"),
+    "rho_theta": _SweepFamily(
+        "theta", False,
+        (("rho", lambda x, theta, built: states.rho_theta_matrices(x)),
+         ("switched", _switched("rho", transforms.u_switch))),
+        {"C": ("C", "rho"), "C_after_u_switch": ("C", "switched"),
+         "bmax": ("bmax", "rho"), "purity": ("purity", "rho")},
         ("C", "C_after_u_switch"),
     ),
-    "werner": (
-        "alpha", False, _sweep_werner,
-        ("ppt", "bmax", "C", "purity", "kz_member"),
+    "werner": _SweepFamily(
+        "alpha", False,
+        (("rho", lambda x, theta, built: states.werner_matrices(x)),),
+        {"ppt": ("ppt", "rho"), "bmax": ("bmax", "rho"), "C": ("C", "rho"),
+         "purity": ("purity", "rho"), "kz_member": ("kz_member", "rho")},
         ("ppt", "bmax"),
     ),
-    "gisin": (
-        "lambda", True, _sweep_gisin,
-        ("C", "bmax", "purity", "ppt"),
+    "gisin": _SweepFamily(
+        "lambda", True,
+        (("rho", lambda x, theta, built: states.gisin_matrices(x, theta)),),
+        {"C": ("C", "rho"), "bmax": ("bmax", "rho"), "purity": ("purity", "rho"),
+         "ppt": ("ppt", "rho")},
         ("C", "bmax"),
     ),
-    "gisin_compare": (
-        "lambda", True, _sweep_gisin_compare,
-        ("C_gisin", "C_filtered", "C_unitary", "B_gisin", "B_filtered", "B_unitary",
-         "purity_gisin", "purity_filtered", "purity_unitary"),
+    "gisin_compare": _SweepFamily(
+        "lambda", True,
+        (("gisin", lambda x, theta, built: states.gisin_matrices(x, theta)),
+         ("filtered", lambda x, theta, built: transforms.filtered(
+             built["gisin"], transforms.gisin_filter(theta))),
+         ("unitary", lambda x, theta, built: transforms.gisin_unitary_matrices(x, theta))),
+        {"C_gisin": ("C", "gisin"), "C_filtered": ("C", "filtered"),
+         "C_unitary": ("C", "unitary"), "B_gisin": ("bmax", "gisin"),
+         "B_filtered": ("bmax", "filtered"), "B_unitary": ("bmax", "unitary"),
+         "purity_gisin": ("purity", "gisin"), "purity_filtered": ("purity", "filtered"),
+         "purity_unitary": ("purity", "unitary")},
         ("C_gisin", "C_filtered", "C_unitary"),
     ),
-    "ghz_traced": (
-        "theta", False, _sweep_ghz_traced,
-        ("C_u1", "C_u2", "C_best", "C_after_u_switch", "mixedness"),
+    "ghz_traced": _SweepFamily(
+        "theta", False,
+        (("rho", lambda x, theta, built: states.ghz_traced_matrices(x)),
+         ("u1", _switched("rho", transforms.u1_ghz)),
+         ("u2", _switched("rho", transforms.u2_ghz)),
+         ("switched", _switched("rho", transforms.u_switch))),
+        {"C_u1": ("C", "u1"), "C_u2": ("C", "u2"), "C_best": ("C", "u1", "u2"),
+         "C_after_u_switch": ("C", "switched"), "mixedness": ("mixedness", "rho")},
         ("C_best", "C_after_u_switch", "mixedness"),
     ),
 }
@@ -319,28 +288,36 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], lis
         raise CliParseError(
             f"unknown sweep family {spec.family!r}; valid: {', '.join(sorted(_SWEEP_FAMILIES))}"
         )
-    param, needs_theta, evaluate, names, default_outputs = _SWEEP_FAMILIES[spec.family]
-    if needs_theta and spec.theta is None:
+    family = _SWEEP_FAMILIES[spec.family]
+    if family.needs_theta and spec.theta is None:
         raise CliParseError(f"sweep family {spec.family!r} requires --theta")
-    outputs = list(spec.outputs or default_outputs)
-    unknown = [name for name in outputs if name not in names]
+    outputs = list(spec.outputs or family.default_outputs)
+    unknown = [name for name in outputs if name not in family.columns]
     if unknown:
         raise CliParseError(
             f"unknown measure(s) {unknown} for family {spec.family!r}; "
-            f"valid: {', '.join(sorted(names))}"
+            f"valid: {', '.join(sorted(family.columns))}"
         )
     repeated = sorted({name for name in outputs if outputs.count(name) > 1})
     if repeated:
         raise CliParseError(f"repeated measure(s) {repeated} for family {spec.family!r}")
     grid = np.linspace(spec.start, spec.stop, spec.num)
     try:
-        values = evaluate(grid, spec.theta, tol)
+        built: dict = {}
+        for name, build in family.stacks:
+            built[name] = states.validate_stack(build(grid, spec.theta, built), tol)
+        evaluate = functools.cache(lambda measure, stack: _SWEEP_MEASURES[measure](built[stack], tol))
+        values = {
+            column: functools.reduce(lambda a, b: np.where(b > a, b, a),
+                                     (evaluate(measure, stack) for stack in stacks))
+            for column, (measure, *stacks) in family.columns.items()
+        }
     except (ValueError, AssertionError) as exc:
         index = getattr(exc, "index", None)
         if index is not None:
-            exc.args = (f"{exc} at {param} = {float(grid[index])!r}",)
+            exc.args = (f"{exc} at {family.param} = {float(grid[index])!r}",)
         raise
-    columns = [param] + outputs
+    columns = [family.param] + outputs
     table = zip(grid.tolist(), *(values[name].tolist() for name in outputs))
     return columns, [dict(zip(columns, row)) for row in table]
 
@@ -420,7 +397,7 @@ def _fmt_cell(v) -> str:
 
 def render_table(columns: list[str], rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([_jsonable(r) for r in rows], indent=2) + "\n"
+        return json.dumps(_jsonable(rows), indent=2) + "\n"
     lines = [",".join(columns)]
     lines += [",".join(_fmt_cell(row[c]) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
@@ -555,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
             text = render_table(columns, rows, args.format)
         else:
             trace = run_protocol(args.kind, args.d, args.seed)
-            text = json.dumps(_jsonable(trace), indent=2) + "\n"
+            text = render_report(trace, "json")
         _emit(text, args.out)
         return 0
     except CliParseError as exc:

@@ -385,11 +385,11 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 
 
 def state_split(data: dict) -> tuple[int, int]:
-    """The JSON state's split: KeyError if missing, TypeError unless two integers."""
+    """The JSON state's split: KeyError if missing, TypeError unless two positive integers."""
     split = data["split"]
-    if not (isinstance(split, (list, tuple)) and len(split) == 2
-            and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in split)):
-        raise TypeError(f"split must be a list of two integers, got {split!r}")
+    if not (isinstance(split, (list, tuple)) and len(split) == 2 and all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x > 0 for x in split)):
+        raise TypeError(f"split must be a list of two positive integers, got {split!r}")
     return split[0], split[1]
 
 

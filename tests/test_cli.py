@@ -423,6 +423,36 @@ class TestReportHelpers:
         assert fl.purity(rho) == pytest.approx(1.0, abs=1e-12)
 
 
+# (classify source, parse error): every state family's malformed parameters
+STATE_SOURCE_ERRORS = [
+    (("no-such-family", "1"), "unknown state family 'no-such-family'; valid: bell, "
+     "ghz-traced, gisin, narnhofer, rho-theta, tracial, werner, weyl, file"),
+    # wrong parameter count, for every family
+    (("werner",), "family 'werner' takes 1 parameter(s) ('alpha',), got 0"),
+    (("gisin", "0.5"), "family 'gisin' takes 2 parameter(s) ('lambda', 'theta'), got 1"),
+    (("bell", "psi+", "phi+"), "family 'bell' takes 1 parameter(s) ('kind',), got 2"),
+    (("ghz-traced",), "family 'ghz-traced' takes 1 parameter(s) ('theta',), got 0"),
+    (("narnhofer", "1"), "family 'narnhofer' takes 0 parameter(s) (), got 1"),
+    (("tracial", "4", "4"), "family 'tracial' takes 1 parameter(s) ('dim',), got 2"),
+    (("weyl", "0", "0"), "family 'weyl' takes 3 parameter(s) ('k', 'l', 'd'), got 2"),
+    (("rho-theta",), "family 'rho-theta' takes 1 parameter(s) ('theta',), got 0"),
+    # a non-number for every float parameter, the first bad one reported
+    (("werner", "x"), "parameter 'alpha' must be a number, got 'x'"),
+    (("gisin", "x", "0.3"), "parameter 'lambda' must be a number, got 'x'"),
+    (("gisin", "0.5", "y"), "parameter 'theta' must be a number, got 'y'"),
+    (("gisin", "x", "y"), "parameter 'lambda' must be a number, got 'x'"),
+    (("ghz-traced", "x"), "parameter 'theta' must be a number, got 'x'"),
+    (("rho-theta", "x"), "parameter 'theta' must be a number, got 'x'"),
+    # a non-integer for every integer parameter, in order k, l, d
+    (("tracial", "2.5"), "parameter 'dim' must be an integer, got '2.5'"),
+    (("weyl", "x", "y", "z"), "parameter 'k' must be an integer, got 'x'"),
+    (("weyl", "0", "y", "z"), "parameter 'l' must be an integer, got 'y'"),
+    (("weyl", "0", "0", "z"), "parameter 'd' must be an integer, got 'z'"),
+    (("weyl", "x", "0", str(MAX_QUDIT + 1)), "parameter 'k' must be an integer, got 'x'"),
+    (("bell", "psi0"), "unknown Bell kind 'psi0'"),
+]
+
+
 class TestInputBoundary:
     @staticmethod
     def state_file(tmp_path, entry):
@@ -446,33 +476,8 @@ class TestInputBoundary:
         assert code == 2
         assert "split" in err
 
-    @pytest.mark.parametrize("source,message", [
-        (("no-such-family", "1"), "unknown state family 'no-such-family'; valid: bell, "
-         "ghz-traced, gisin, narnhofer, rho-theta, tracial, werner, weyl, file"),
-        # wrong parameter count, for every family
-        (("werner",), "family 'werner' takes 1 parameter(s) ('alpha',), got 0"),
-        (("gisin", "0.5"), "family 'gisin' takes 2 parameter(s) ('lambda', 'theta'), got 1"),
-        (("bell", "psi+", "phi+"), "family 'bell' takes 1 parameter(s) ('kind',), got 2"),
-        (("ghz-traced",), "family 'ghz-traced' takes 1 parameter(s) ('theta',), got 0"),
-        (("narnhofer", "1"), "family 'narnhofer' takes 0 parameter(s) (), got 1"),
-        (("tracial", "4", "4"), "family 'tracial' takes 1 parameter(s) ('dim',), got 2"),
-        (("weyl", "0", "0"), "family 'weyl' takes 3 parameter(s) ('k', 'l', 'd'), got 2"),
-        (("rho-theta",), "family 'rho-theta' takes 1 parameter(s) ('theta',), got 0"),
-        # a non-number for every float parameter, the first bad one reported
-        (("werner", "x"), "parameter 'alpha' must be a number, got 'x'"),
-        (("gisin", "x", "0.3"), "parameter 'lambda' must be a number, got 'x'"),
-        (("gisin", "0.5", "y"), "parameter 'theta' must be a number, got 'y'"),
-        (("gisin", "x", "y"), "parameter 'lambda' must be a number, got 'x'"),
-        (("ghz-traced", "x"), "parameter 'theta' must be a number, got 'x'"),
-        (("rho-theta", "x"), "parameter 'theta' must be a number, got 'x'"),
-        # a non-integer for every integer parameter, in order k, l, d
-        (("tracial", "2.5"), "parameter 'dim' must be an integer, got '2.5'"),
-        (("weyl", "x", "y", "z"), "parameter 'k' must be an integer, got 'x'"),
-        (("weyl", "0", "y", "z"), "parameter 'l' must be an integer, got 'y'"),
-        (("weyl", "0", "0", "z"), "parameter 'd' must be an integer, got 'z'"),
-        (("weyl", "x", "0", str(MAX_QUDIT + 1)), "parameter 'k' must be an integer, got 'x'"),
-        (("bell", "psi0"), "unknown Bell kind 'psi0'"),
-    ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
+    @pytest.mark.parametrize("source,message", STATE_SOURCE_ERRORS,
+                             ids=[" ".join(source) for source, _ in STATE_SOURCE_ERRORS])
     def test_state_source_parse_errors(self, capsys, source, message):
         assert run(capsys, "classify", *source) == (2, "", f"parse error: {message}\n")
 
@@ -548,17 +553,38 @@ class TestInputBoundary:
             warnings.simplefilter("error")
             assert run(capsys, *argv) == (code, "", message + "\n")
 
-    def test_sweep_nan_theta_is_validation_error(self, capsys):
-        code, out, err = run(capsys, "sweep", "gisin_compare", "--theta", "nan",
+    @pytest.mark.parametrize("family", ["rho_theta", "werner", "gisin", "gisin_compare", "ghz_traced"])
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_sweep_non_finite_theta_is_parse_error(self, capsys, family, theta):
+        code, out, err = run(capsys, "sweep", family, f"--theta={theta}",
                              "--start", "0", "--stop", "1", "--num", "5")
-        assert code == 1 and out == ""
-        assert err == "validation error: finite: entry (0, 1) is (nan+nanj) at lambda = 0.0\n"
+        assert (code, out) == (2, "")
+        assert err == f"parse error: --theta must be finite, got {float(theta)}\n"
+        with pytest.raises(CliParseError, match="--theta"):
+            SweepSpec(family, 0.0, 1.0, 5, theta=float(theta))
 
-    def test_sweep_failure_names_grid_value(self, capsys):
-        code, _, err = run(capsys, "sweep", "gisin", "--theta", "nan",
-                           "--start", "0.25", "--stop", "0.75", "--num", "3")
-        assert code == 1
-        assert err.rstrip().endswith("at lambda = 0.25")
+    def test_sweep_failure_names_grid_value(self, capsys, monkeypatch):
+        werner_matrices = fl.states.werner_matrices
+
+        def broken(alpha):  # the states at alpha = 0.5 and 0.75 are not positive
+            m = werner_matrices(alpha)
+            m[1:3] = np.diag([0.5, 0.5, 0.5, -0.5])
+            return m
+
+        monkeypatch.setattr(fl.states, "werner_matrices", broken)
+        code, out, err = run(capsys, "sweep", "werner", "--start", "0.25", "--stop", "0.75",
+                             "--num", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("validation error: positive")
+        assert err.endswith(" at alpha = 0.5\n")
+
+    @pytest.mark.parametrize("split", [[-10, -10], [0, 4]])
+    def test_non_positive_split_is_parse_error(self, capsys, tmp_path, split):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"split": split, "re": [[1]], "im": [[0]]}))
+        assert run(capsys, "classify", "file", str(path)) == (2, "", (
+            f"parse error: {path}: missing or malformed field "
+            f"split must be a list of two positive integers, got {split}\n"))
 
 
 class TestParserReuse:

@@ -56,11 +56,31 @@ def test_reports_every_changed_line(tmp_path):
     ]
 
 
+def test_reports_changed_stderr(tmp_path):
+    commands = tmp_path / "commands.txt"
+    commands.write_text("classify bell psi0\nclassify bell psi+\n")
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    cli = changed / "factorlab" / "cli.py"
+    cli.write_text(cli.read_text().replace("unknown Bell kind", "no Bell kind"))
+    differ = cli_diff(SRC, changed, "--commands", commands)
+    assert differ.returncode == 1
+    assert differ.stdout.splitlines() == [
+        "2 commands, 1 differences",
+        "factorlab classify bell psi0 (exit code 2 vs 2)",
+        "  stderr -1: parse error: unknown Bell kind 'psi0'",
+        "  stderr +1: parse error: no Bell kind 'psi0'",
+    ]
+
+
 def test_default_list_covers_every_subcommand():
     script = runpy.run_path(str(SCRIPT))
     commands = script["default_commands"](1)
-    assert commands[:3] == script["FAILING"]
-    commands = commands[3:]
+    failing = script["FAILING"]
+    assert commands[:len(failing)] == failing
+    malformed = {argv[1] for argv in failing if argv[0] == "classify"}
+    assert malformed == set(cli._STATE_FAMILIES) | {"file"}
+    commands = commands[len(failing):]
     classified = {argv[1] for argv in commands if argv[0] == "classify"}
     assert classified == set(cli._STATE_FAMILIES) | {"file"}
     switches = {argv[1] for argv in commands if argv[0] == "transform"}
@@ -69,7 +89,7 @@ def test_default_list_covers_every_subcommand():
     for argv in commands:
         if argv[0] == "sweep" and "--outputs" in argv:
             measured.setdefault(argv[1], set()).update(argv[argv.index("--outputs") + 1].split(","))
-    assert measured == {family: set(entry[3]) for family, entry in cli._SWEEP_FAMILIES.items()}
+    assert measured == {family: set(entry.columns) for family, entry in cli._SWEEP_FAMILIES.items()}
     protocols = {(argv[1], argv[3]) for argv in commands if argv[0] == "protocol"}
     assert protocols == {(kind, str(d)) for kind in ("teleport", "swap") for d in range(2, 9)}
 
