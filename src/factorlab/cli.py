@@ -306,6 +306,7 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], lis
         built: dict = {}
         for name, build in family.stacks:
             built[name] = states.validate_stack(build(grid, spec.theta, built), tol)
+        # cached, so a column over two stacks reuses their single-stack values
         evaluate = functools.cache(lambda measure, stack: _SWEEP_MEASURES[measure](built[stack], tol))
         values = {
             column: functools.reduce(lambda a, b: np.where(b > a, b, a),
