@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+UNITARY_TOL = 1e-10  # max |U U^dagger - 1| of a switch or an isometry
 
 
 class DimensionMismatchError(ValueError):

@@ -26,10 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import fail_first, is_unitary, unitary_deviation
-from .states import weyl_basis_state, weyl_indices, weyl_operator
-
-ISOMETRY_TOL = 1e-10
+from .linalg import UNITARY_TOL, fail_first, is_unitary, unitary_deviation
+from .states import maxent_vectors, weyl_basis_state, weyl_indices, weyl_operator
 
 
 class ProtocolCheckError(AssertionError):
@@ -48,7 +46,7 @@ class Isometry:
         m = np.asarray(self.map, dtype=complex)
         if m.shape != (self.d, self.d):
             raise ValueError(f"isometry matrix shape {m.shape} does not match d = {self.d}")
-        if not is_unitary(m, ISOMETRY_TOL):
+        if not is_unitary(m, UNITARY_TOL):
             raise ValueError("isometry matrix must be unitary")
         m.setflags(write=False)
         object.__setattr__(self, "map", m)
@@ -108,19 +106,13 @@ class OutcomeStack:
         ]
 
 
-def _maxent_vectors(maps: np.ndarray) -> np.ndarray:
-    """maxent_from_isometry of each matrix of a (..., d, d) stack."""
-    d = maps.shape[-1]
-    return np.swapaxes(maps, -1, -2).reshape(maps.shape[:-2] + (d * d,)) / np.sqrt(d)
-
-
 def maxent_from_isometry(iso: Isometry) -> np.ndarray:
     """Maximally entangled vector (1/sqrt(d)) sum_i |i> (x) |iso i>."""
-    return _maxent_vectors(iso.map)
+    return maxent_vectors(iso.map)
 
 
 def _isometry_maps(v: np.ndarray, d: int, tol: float, names) -> np.ndarray:
-    """Inverse of ``_maxent_vectors`` on a (..., d*d) stack, after checking
+    """Inverse of ``states.maxent_vectors`` on a (..., d*d) stack, after checking
     that each vector's Schmidt coefficients are flat within tol; ``names[n]``
     prefixes the message for vector n."""
     coeff = v.reshape(v.shape[:-1] + (d, d))
@@ -167,7 +159,7 @@ def _outcome_names(k, l) -> tuple[np.ndarray, np.ndarray, list[str]]:
 
 
 def _require_unitary(maps: np.ndarray, names: list[str]) -> None:
-    fail_first(unitary_deviation(maps) > ISOMETRY_TOL,
+    fail_first(unitary_deviation(maps) > UNITARY_TOL,
                lambda n: ValueError(f"{names[n]}isometry matrix must be unitary"))
 
 
@@ -258,7 +250,7 @@ def swap_stack(k, l, i12: Isometry, i34: Isometry) -> OutcomeStack:
     residual = _phase_distance(extracted.reshape(-1, d * d), predicted.reshape(-1, d * d))
     _require_close(residual, names, "isometry composition")
     _require_unitary(predicted, names)
-    fidelity = np.abs(np.einsum("ni,ni->n", _maxent_vectors(predicted).conj(), pair14))
+    fidelity = np.abs(np.einsum("ni,ni->n", maxent_vectors(predicted).conj(), pair14))
     labels = tuple(f"composed@{a},{b}" for a, b in zip(k.tolist(), l.tolist()))
     return OutcomeStack(d, np.stack([k, l], axis=-1), probability, pair14, extracted,
                         fidelity, labels)

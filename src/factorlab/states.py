@@ -229,8 +229,28 @@ def weyl_basis_state(k, l, d: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("d must be positive")
-    w = weyl_operator(k, l, d)
-    return np.swapaxes(w, -1, -2).reshape(w.shape[:-2] + (d * d,)) / np.sqrt(d)
+    return maxent_vectors(weyl_operator(k, l, d))
+
+
+def maxent_vectors(maps: np.ndarray) -> np.ndarray:
+    """Maximally entangled vector (1/sqrt(d)) sum_i |i> (x) |M i> of each
+    matrix M of a (..., d, d) stack, as a (..., d*d) stack."""
+    d = maps.shape[-1]
+    return np.swapaxes(maps, -1, -2).reshape(maps.shape[:-2] + (d * d,)) / np.sqrt(d)
+
+
+def maxent_projector(projector: np.ndarray, d: int, tol: float = 1e-8) -> np.ndarray:
+    """``projector`` as a complex array, once checked to be a rank-1 projector onto
+    a maximally entangled vector: P^2 = P, Tr P = 1 and Tr_2 P = 1/d within tol."""
+    p = np.asarray(projector, dtype=complex)
+    if p.shape != (d * d, d * d):
+        raise DimensionMismatchError(f"projector shape {p.shape} does not match d = {d}")
+    if np.max(np.abs(p @ p - p)) > tol or abs(np.trace(p) - 1.0) > tol:
+        raise ValueError("projector must be rank-1 (P^2 = P, Tr P = 1)")
+    red = partial_trace(p, (d, d), keep="first")
+    if np.max(np.abs(red - np.eye(d) / d)) > tol:
+        raise ValueError("projector must target a maximally entangled vector")
+    return p
 
 
 def weyl_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -283,21 +303,14 @@ def werner_generalized(
 ) -> DensityMatrix:
     """d x d analogue alpha * P + (1 - alpha)/d^2 * identity.
 
-    ``projector`` must be a rank-1 projector onto a maximally entangled vector;
-    it defaults to the (0, 0) Weyl basis projector.
+    ``projector`` must pass ``maxent_projector``; it defaults to the (0, 0)
+    Weyl basis projector.
     """
     unit_interval(alpha, "alpha")
     if projector is None:
         chi = weyl_basis_state(0, 0, d)
         projector = np.outer(chi, chi.conj())
-    p = np.asarray(projector, dtype=complex)
-    if p.shape != (d * d, d * d):
-        raise DimensionMismatchError(f"projector shape {p.shape} does not match d = {d}")
-    if np.max(np.abs(p @ p - p)) > 1e-8 or abs(np.trace(p) - 1.0) > 1e-8:
-        raise ValueError("projector must be rank-1 (P^2 = P, Tr P = 1)")
-    red = partial_trace(p, (d, d), keep="first")
-    if np.max(np.abs(red - np.eye(d) / d)) > 1e-8:
-        raise ValueError("projector must target a maximally entangled vector")
+    p = maxent_projector(projector, d)
     m = alpha * p + (1.0 - alpha) / (d * d) * np.eye(d * d)
     return DensityMatrix(m, (d, d), tol=tol)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    UNITARY_TOL,
     DimensionMismatchError,
     extend_to_unitary,
     fail_first,
@@ -28,14 +29,13 @@ from .states import (
     DensityMatrix,
     bell_vector,
     gisin_matrices,
+    maxent_vectors,
     mix_with_diagonal,
     projectors,
     unit_interval,
     weyl_basis_state,
     weyl_indices,
 )
-
-UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -175,17 +175,16 @@ def narnhofer_unitary() -> FactorizationSwitch:
 
 
 def _schmidt_product_frame(psi: np.ndarray, split: tuple[int, int]):
-    """Schmidt data plus the unitary rotating the Schmidt product frame onto
-    the computational one."""
+    """The unitary rotating the Schmidt product frame onto the computational
+    one, and the image of psi under it: the Schmidt coefficients at |kk>."""
     sd = schmidt_decompose(psi, split)
     d1, d2 = split
     left = extend_to_unitary(sd.left_basis) if sd.left_basis.shape[1] < d1 else sd.left_basis
     right = extend_to_unitary(sd.right_basis) if sd.right_basis.shape[1] < d2 else sd.right_basis
     frame = np.kron(left, right)
     diag = np.zeros(d1 * d2, dtype=complex)
-    for k, c in enumerate(sd.coefficients):
-        diag[k * d2 + k] = c
-    return sd, frame.conj().T, diag
+    diag[np.arange(sd.coefficients.size) * (d2 + 1)] = sd.coefficients
+    return frame.conj().T, diag
 
 
 def pure_to_product(psi: np.ndarray, split: tuple[int, int]) -> FactorizationSwitch:
@@ -195,7 +194,7 @@ def pure_to_product(psi: np.ndarray, split: tuple[int, int]) -> FactorizationSwi
     computational products and the resulting diagonal vector is mapped to the
     |0>(x)|0> anchor, so U psi = |00...> up to a global phase.
     """
-    _, to_computational, diag = _schmidt_product_frame(psi, split)
+    to_computational, diag = _schmidt_product_frame(psi, split)
     anchor = extend_to_unitary(diag).conj().T  # sends diag -> e0 = |0>(x)|0>
     return FactorizationSwitch(anchor @ to_computational, split, "pure-to-product")
 
@@ -209,10 +208,8 @@ def pure_to_maxent(psi: np.ndarray, split: tuple[int, int]) -> FactorizationSwit
     d1, d2 = split
     if d1 != d2:
         raise DimensionMismatchError(f"equal factor dimensions required, got {split}")
-    _, to_computational, diag = _schmidt_product_frame(psi, split)
-    flat = np.zeros(d1 * d2, dtype=complex)
-    for k in range(d1):
-        flat[k * d2 + k] = 1.0 / np.sqrt(d1)
+    to_computational, diag = _schmidt_product_frame(psi, split)
+    flat = maxent_vectors(np.eye(d1, dtype=complex))
     u = extend_to_unitary(flat) @ extend_to_unitary(diag).conj().T
     return FactorizationSwitch(u @ to_computational, split, "pure-to-maxent")
 
@@ -277,19 +274,11 @@ def constrained_entangle(rho: DensityMatrix) -> FactorizationSwitch | NotApplica
         return NotApplicable(float(eigensystem.values[0]), bound)
 
     i00, i01, i10, i11 = 0, 1, d, d + 1
-    bell_plus = np.zeros(dim, dtype=complex)
-    bell_plus[[i00, i11]] = 1.0 / np.sqrt(2.0)
-    bell_minus = np.zeros(dim, dtype=complex)
-    bell_minus[i00], bell_minus[i11] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
-
-    targets = np.zeros((dim, dim), dtype=complex)
-    targets[:, 0] = bell_plus
-    targets[:, dim - 3] = _basis_vector(dim, i01)
-    targets[:, dim - 2] = bell_minus
-    targets[:, dim - 1] = _basis_vector(dim, i10)
     spare = [k for k in range(dim) if k not in (i00, i01, i10, i11)]
-    for pos, idx in zip(range(1, dim - 3), spare):
-        targets[:, pos] = _basis_vector(dim, idx)
+    targets = np.eye(dim, dtype=complex)[:, [i00, *spare, i01, i00, i10]]
+    # columns 0 and D-2 become (|00> + |11>)/sqrt(2) and (|00> - |11>)/sqrt(2)
+    targets[i11, [0, dim - 2]] = 1.0, -1.0
+    targets[:, [0, dim - 2]] /= np.sqrt(2.0)
 
     switch = FactorizationSwitch(
         targets @ eigensystem.vectors.conj().T, rho.split, "constrained-entangle"
@@ -299,12 +288,6 @@ def constrained_entangle(rho: DensityMatrix) -> FactorizationSwitch | NotApplica
         if not ppt_check(conjugate(rho, switch)).entangled:
             raise AssertionError("constrained construction failed to produce an NPT state")
     return switch
-
-
-def _basis_vector(dim: int, idx: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[idx] = 1.0
-    return v
 
 
 def ghz_split_unitary(omega: np.ndarray, d: int) -> FactorizationSwitch:
@@ -328,9 +311,7 @@ def ghz_split_unitary(omega: np.ndarray, d: int) -> FactorizationSwitch:
     sources = extend_to_unitary(sd.left_basis[:, :rank])
     target_order = [i * d for i in range(d)]  # |i>_1 (x) |0>_2
     target_order += [k for k in range(d * d) if k not in target_order]
-    targets = np.zeros((d * d, d * d), dtype=complex)
-    for pos, idx in enumerate(target_order):
-        targets[:, pos] = _basis_vector(d * d, idx)
+    targets = np.eye(d * d, dtype=complex)[:, target_order]
     return FactorizationSwitch(targets @ sources.conj().T, (d, d), "ghz-split")
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import DEFAULT_TOL, DimensionMismatchError, hs_inner, hs_norm, is_hermitian
-from .states import PAULI, DensityMatrix, bloch_coefficients, to_bloch
+from .states import PAULI, DensityMatrix, bloch_coefficients, maxent_projector, to_bloch
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,9 @@ def witness_projector(projector: np.ndarray, d: int, tol: float = DEFAULT_TOL) -
 
     On product states phi (x) psi the expectation is 1 - |<phi*|psi>|^2 >= 0,
     vanishing exactly at psi = phi*; on beta P + (1 - beta) sigma with sigma
-    orthogonal to P it gives 1 - beta d.
+    orthogonal to P it gives 1 - beta d.  P must pass ``maxent_projector``.
     """
-    p = np.asarray(projector, dtype=complex)
-    if p.shape != (d * d, d * d):
-        raise DimensionMismatchError(f"projector shape {p.shape} does not match d = {d}")
-    if np.max(np.abs(p @ p - p)) > max(tol, 1e-8):
-        raise ValueError("P is not a projector (P^2 != P)")
-    if abs(np.trace(p).real - 1.0) > max(tol, 1e-8):
-        raise ValueError("P must be rank-1 (Tr P = 1)")
+    p = maxent_projector(projector, d, max(tol, 1e-8))
     return Witness(np.eye(d * d) - d * p, (d, d))
 
 

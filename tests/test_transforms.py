@@ -13,6 +13,7 @@ from factorlab import (
     concurrence,
     conjugate,
     constrained_entangle,
+    extend_to_unitary,
     geometric_mean_predicts_npt,
     ghz_split_unitary,
     ghz_traced,
@@ -484,6 +485,28 @@ class TestConstrainedEntangle:
             assert geometric_mean_predicts_npt(spectrum)
             assert ppt_check(moved).classification == "NPT"
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+    def test_eigenvectors_land_on_documented_targets(self, rng, d):
+        # Oracle: the target columns written out one at a time, in the order
+        # the docstring gives; the switch must equal targets . V^dagger exactly.
+        dim = d * d
+        spectrum = _spectrum_above_bound(rng, dim, 3.0 / dim)
+        u = haar_unitary(rng, dim)
+        rho = DensityMatrix(u @ np.diag(spectrum) @ u.conj().T, (d, d))
+        i00, i01, i10, i11 = 0, 1, d, d + 1
+        reference = np.zeros((dim, dim), dtype=complex)
+        reference[[i00, i11], 0] = 1.0 / np.sqrt(2.0)
+        spare = [k for k in range(dim) if k not in (i00, i01, i10, i11)]
+        for pos, idx in enumerate(spare, start=1):
+            reference[idx, pos] = 1.0
+        reference[i01, dim - 3] = 1.0
+        reference[i00, dim - 2], reference[i11, dim - 2] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
+        reference[i10, dim - 1] = 1.0
+        switch = constrained_entangle(rho)
+        assert not isinstance(switch, NotApplicable)
+        np.testing.assert_array_equal(
+            switch.unitary, reference @ rho.spectrum.vectors.conj().T)
+
     def test_geometric_predictor_matches_block_determinant(self, rng):
         for _ in range(200):
             p = np.sort(rng.dirichlet(np.ones(4)))[::-1]
@@ -529,6 +552,21 @@ class TestGhzSplitUnitary:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             ghz_split_unitary(np.ones(8), 2)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_schmidt_vectors_land_on_documented_targets(self, rng, d):
+        # Oracle: Schmidt vector i goes to |i>_1 (x) |0>_2 (column i), the
+        # completing vectors to the remaining basis vectors in ascending order.
+        omega = haar_vector(rng, d**3)
+        sd = schmidt_decompose(omega, (d * d, d))
+        sources = extend_to_unitary(sd.left_basis[:, : sd.coefficients.size])
+        order = [i * d for i in range(d)]
+        order += [k for k in range(d * d) if k not in order]
+        reference = np.zeros((d * d, d * d), dtype=complex)
+        for pos, idx in enumerate(order):
+            reference[idx, pos] = 1.0
+        np.testing.assert_array_equal(
+            ghz_split_unitary(omega, d).unitary, reference @ sources.conj().T)
 
 
 def _assert_split_structure(moved, d, theta=None):

@@ -84,6 +84,15 @@ class TestWitnessProjector:
         with pytest.raises(ValueError):
             witness_projector(np.eye(4) / 2, 2)
 
+    @pytest.mark.parametrize("v", [
+        np.array([1.0, 0.0, 0.0, 0.0]),
+        np.array([np.cos(0.3), 0.0, 0.0, np.sin(0.3)]),
+    ], ids=["product", "partially-entangled"])
+    def test_rejects_projector_onto_non_maxent_vector(self, v):
+        # 1 - 2 |00><00| has expectation -1 on the product |00>: not a witness
+        with pytest.raises(ValueError, match="maximally entangled vector"):
+            witness_projector(np.outer(v, v.conj()), 2)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_nonnegative_on_random_product_states(self, rng, d):
         for _ in range(30):
