@@ -13,7 +13,9 @@ whose split is not two positive integers, a non-finite ``sweep --theta``);
 ``classify`` of every state family at several parameters,
 in JSON and CSV (``file`` reads ``tests/golden/state.json``); ``transform``
 with every switch on four states, in JSON and CSV; ``sweep`` of every family
-with its default and with every measure, in CSV and JSON;
+with its default and with every measure, in CSV and JSON, plus a
+``gisin_compare`` grid at the ``--num`` cap (10000 points, CSV and JSON) and a
+one-point ``werner`` grid;
 ``protocol {teleport,swap} --d 2..8 --seed s`` for s < N (default 150, so
 2100 commands); and ``classify weyl k l d`` for every 0 <= k, l < d <= 8.
 ``--commands FILE`` replaces the list with one command per line
@@ -127,6 +129,12 @@ def default_commands(seeds: int) -> list[list[str]]:
         for outputs in ((), ("--outputs", every))
         for fmt in formats
     ]
+    # both ends of table size: a grid at the cap, cli.MAX_SWEEP_POINTS, and one point
+    commands += [
+        ["sweep", "gisin_compare", *SWEEPS["gisin_compare"][0], "--num", "10000", *fmt]
+        for fmt in formats
+    ]
+    commands.append(["sweep", "werner", "--start", "0.5", "--stop", "0.5", "--num", "1"])
     commands += [
         ["protocol", kind, "--d", str(d), "--seed", str(seed)]
         for seed in range(seeds)

@@ -369,23 +369,59 @@ def run_protocol(kind: str, d: int, seed: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # rendering
+#
+# One pass over the payload.  Each float is formatted once, to 12 significant
+# digits.  CSV prints that string; JSON prints what ``float.__repr__`` prints
+# for the float it denotes (json's NaN and Infinity for the non-finite ones),
+# in 2-space-indented text laid out as ``json.dumps(..., indent=2)`` lays it
+# out, with non-ASCII characters escaped.
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+_json_str = json.encoder.encode_basestring_ascii
 
 
-def _jsonable(obj):
+def _json_float(x) -> str:
+    s = f"{x:.12g}"
+    if "e" in s:
+        # %.12g switches to an exponent at 1e12, float.__repr__ at 1e16, and a
+        # subnormal's shortest repr can have fewer digits
+        return float.__repr__(float(s))
+    if "." in s:
+        return s
+    return _NON_FINITE.get(s) or s + ".0"
+
+
+def _json(obj, pad: str = "", keys: dict | None = None) -> str:
+    """JSON text of obj, starting on a line indented by pad.  ``keys`` holds the
+    text of each key at this depth; the dicts of one list share it, so the rows
+    of a table build one key template per column."""
+    if isinstance(obj, float):
+        return _json_float(obj)
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        keys = {} if keys is None else keys
+        items = ",\n".join((keys.get(k) or keys.setdefault(k, f"{inner}{_json_str(k)}: "))
+                           + _json(v, inner) for k, v in obj.items())
+        return f"{{\n{items}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        if not obj:
+            return "[]"
+        inner, rows = pad + "  ", {}
+        items = f",\n{inner}".join([_json(v, inner, rows) for v in obj])
+        return f"[\n{inner}{items}\n{pad}]"
+    if isinstance(obj, str):
+        return _json_str(obj)
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _round12(float(obj))
-    return obj
+        return str(int(obj))
+    if isinstance(obj, np.floating):
+        return _json_float(float(obj))
+    if obj is None:
+        return "null"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _fmt_cell(v) -> str:
@@ -398,28 +434,33 @@ def _fmt_cell(v) -> str:
 
 def render_table(columns: list[str], rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_jsonable(rows), indent=2) + "\n"
+        return _json(rows) + "\n"
     lines = [",".join(columns)]
     lines += [",".join(_fmt_cell(row[c]) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _flatten(prefix: str, obj, out: list[tuple[str, object]]):
+def _flatten(prefix: str, obj, out: list[tuple[str, str]]):
+    """Append (dotted key, cell) for each leaf of obj.  A list of scalars is
+    one cell, its entries joined by spaces; a list holding containers (a
+    matrix's rows) is flattened as a dict keyed by index."""
+    if isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in obj):
+        obj = dict(enumerate(obj))
     if isinstance(obj, dict):
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
     elif isinstance(obj, (list, tuple)):
         out.append((prefix, " ".join(_fmt_cell(v) for v in obj)))
     else:
-        out.append((prefix, obj))
+        out.append((prefix, _fmt_cell(obj)))
 
 
 def render_report(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_jsonable(payload), indent=2) + "\n"
-    flat: list[tuple[str, object]] = []
+        return _json(payload) + "\n"
+    flat: list[tuple[str, str]] = []
     _flatten("", payload, flat)
-    lines = ["key,value"] + [f"{k},{_fmt_cell(v)}" for k, v in flat]
+    lines = ["key,value"] + [f"{k},{v}" for k, v in flat]
     return "\n".join(lines) + "\n"
 
 

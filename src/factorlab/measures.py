@@ -24,7 +24,12 @@ from .linalg import (
 )
 from .states import PAULI, DensityMatrix
 
-_YY = np.kron(PAULI[1], PAULI[1])
+# s_y(x)s_y is a signed permutation: row a holds its one nonzero entry,
+# _YY_SIGN[a] = +-1, in column _YY_PERM[a].
+_YY = np.kron(PAULI[1], PAULI[1]).real
+_YY_PERM = np.abs(_YY).argmax(axis=1)
+_YY_SIGN = _YY[np.arange(4), _YY_PERM]
+_FLIP_SIGN = np.outer(_YY_SIGN, _YY_SIGN)
 
 
 def purities(m: np.ndarray) -> np.ndarray:
@@ -83,6 +88,14 @@ def ppt_check(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> PptVerdict:
     return PptVerdict("NPT" if lo < -tol else "PPT", lo)
 
 
+def _spin_flip(m: np.ndarray) -> np.ndarray:
+    """(s_y(x)s_y) m* (s_y(x)s_y) of a 4x4 matrix or of each matrix of a stack,
+    as a gather: entry (a, b) is sign(a) sign(b) m*[perm(a), perm(b)].  Adding
+    +0.0 turns an exact -0.0 into the +0.0 the dense product gives, so the
+    result equals that product bit for bit."""
+    return m.conj()[..., _YY_PERM[:, None], _YY_PERM[None, :]] * _FLIP_SIGN + 0.0
+
+
 def concurrences(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Two-qubit concurrence of a 4x4 matrix or of each matrix of a stack; see
     ``concurrence``.
@@ -93,9 +106,8 @@ def concurrences(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     signed zeros, which the 1e-14 clamp sets to +0.  The clamp to [0, 1]
     picks exactly what ``min(1, max(0, c))`` picks, zeros included.
     """
-    flipped = _YY @ m.conj() @ _YY
     s = psd_sqrt(m, tol=tol)
-    core = s @ flipped @ s
+    core = s @ _spin_flip(m) @ s
     core = (core + np.swapaxes(core.conj(), -1, -2)) / 2.0
     require_hermitian(core, tol, "concurrence")
     w = np.linalg.eigh(core)[0][..., ::-1].copy()

@@ -29,6 +29,22 @@ I2 = np.eye(2, dtype=complex)
 PAULI_PRODUCTS = np.array([np.kron(a, b) for a in (I2, *PAULI) for b in (I2, *PAULI)])
 
 
+def _pauli_gather() -> tuple[np.ndarray, np.ndarray]:
+    """Where Re Tr(m P) reads m, for each P of PAULI_PRODUCTS.
+
+    Column a of P holds one nonzero entry v = P[b, a] in {1, -1, i, -i}, so
+    Tr(m P) = sum_a v m[a, b], and Re(v m[a, b]) is +-Re m[a, b] (v = +-1) or
+    -+Im m[a, b] (v = +-i).  Returns the (16, 4) positions of those parts in m
+    viewed as 32 reals, row-major, and their (16, 4) signs.
+    """
+    b = np.abs(PAULI_PRODUCTS).argmax(axis=1)
+    v = np.take_along_axis(PAULI_PRODUCTS, b[:, None, :], axis=1)[:, 0, :]
+    return 8 * np.arange(4) + 2 * b + (v.imag != 0), v.real - v.imag
+
+
+_PAULI_INDEX, _PAULI_SIGN = _pauli_gather()
+
+
 class StateValidationError(ValueError):
     """A candidate density matrix violates one of its defining invariants."""
 
@@ -149,10 +165,15 @@ def from_bloch(b: BlochForm, tol: float = DEFAULT_TOL) -> DensityMatrix:
 def bloch_coefficients(m: np.ndarray) -> np.ndarray:
     """c[..., i, j] = Re Tr(m s_i(x)s_j) with s_0 = 1, for a 4x4 matrix or a stack.
 
-    One stacked product against PAULI_PRODUCTS, then the trace of each: the
-    same products and sums as taking each trace on its own.
+    Each trace is a signed gather of four real or imaginary parts of m (see
+    ``_pauli_gather``), summed as (t0 + t1) + (t2 + t3), the order of the
+    trace of the dense product m s_i(x)s_j; adding +0.0 turns an exact -0.0
+    into the +0.0 that product gives.  The result equals the dense traces bit
+    for bit.
     """
-    c = np.trace(m[..., None, :, :] @ PAULI_PRODUCTS, axis1=-2, axis2=-1).real
+    flat = np.ascontiguousarray(m, dtype=complex).view(float).reshape(m.shape[:-2] + (32,))
+    t = flat[..., _PAULI_INDEX] * _PAULI_SIGN
+    c = (t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3]) + 0.0
     return c.reshape(m.shape[:-2] + (4, 4))
 
 

@@ -90,6 +90,9 @@ def test_default_list_covers_every_subcommand():
         if argv[0] == "sweep" and "--outputs" in argv:
             measured.setdefault(argv[1], set()).update(argv[argv.index("--outputs") + 1].split(","))
     assert measured == {family: set(entry.columns) for family, entry in cli._SWEEP_FAMILIES.items()}
+    sizes = {(int(argv[argv.index("--num") + 1]), argv[-1] if "--format" in argv else "csv")
+             for argv in commands if argv[0] == "sweep"}
+    assert {(cli.MAX_SWEEP_POINTS, "csv"), (cli.MAX_SWEEP_POINTS, "json"), (1, "csv")} <= sizes
     protocols = {(argv[1], argv[3]) for argv in commands if argv[0] == "protocol"}
     assert protocols == {(kind, str(d)) for kind in ("teleport", "swap") for d in range(2, 9)}
 

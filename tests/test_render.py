@@ -1,0 +1,195 @@
+"""The CLI renderer against an oracle, and CSV reports against their JSON.
+
+The oracle is the two-pass renderer the CLI once used: round every float to
+12 significant digits while walking the payload, then ``json.dumps(indent=2)``.
+``render_report`` and ``render_table`` must reproduce its bytes on any nested
+payload.  A CSV report is a two-column ``key,value`` file whose every number
+is the JSON report's number.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from factorlab import cli, transforms
+from factorlab.cli import main, render_report, render_table
+
+
+def _oracle_jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _oracle_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_oracle_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{float(obj):.12g}")
+    return obj
+
+
+def oracle_json(obj) -> str:
+    return json.dumps(_oracle_jsonable(obj), indent=2) + "\n"
+
+
+def _oracle_cell(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.12g}"
+    return str(v)
+
+
+def oracle_csv_table(columns, rows) -> str:
+    lines = [",".join(columns)]
+    lines += [",".join(_oracle_cell(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+# Floats where 12-digit rounding and float.__repr__ part ways: signed zero,
+# the 1e12 to 1e16 band where %.12g already writes an exponent and repr does
+# not, subnormals (whose shortest repr can be shorter than 12 digits), the
+# small-exponent threshold and the non-finite values.
+EDGE_FLOATS = [
+    0.0, -0.0, 1.0, -1.0, 0.1, 1e-5, 1e-4, 9.99999999999e-5, 1.5e-5, 123456789012.0,
+    999999999999.4, 999999999999.6, 1e12, 1.5e12, 1e13, 1e15, 9999999999999998.0, 1e16,
+    1.2345678901234e16, 1e17, -1e17, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1.7976931348623157e308, math.nan, math.inf, -math.inf,
+]
+
+floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(1e12, 1e17) | st.floats(-1e17, -1e12),
+    st.floats(-1e-300, 1e-300),
+)
+leaves = st.one_of(
+    floats,
+    floats.map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.text(),
+    st.sampled_from(["état", "ψ⁻", "日本", " ", '"quoted"\\', "\x00\x1f"]),
+)
+keys = st.text(max_size=6)
+trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@st.composite
+def tables(draw):
+    """(columns, rows): a list of flat dicts sharing one column order."""
+    columns = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
+    rows = draw(st.lists(st.lists(leaves, min_size=len(columns), max_size=len(columns)),
+                         max_size=6))
+    return columns, [dict(zip(columns, row)) for row in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(keys, trees, max_size=5))
+def test_report_json_equals_oracle(payload):
+    assert render_report(payload, "json") == oracle_json(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(keys, st.lists(st.dictionaries(keys, leaves, max_size=4), max_size=4)))
+def test_report_json_lists_of_dicts_equal_oracle(payload):
+    """Lists of flat dicts whose keys differ from item to item."""
+    assert render_report(payload, "json") == oracle_json(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_table_equals_oracle(table):
+    columns, rows = table
+    assert render_table(columns, rows, "json") == oracle_json(rows)
+    assert render_table(columns, rows, "csv") == oracle_csv_table(columns, rows)
+
+
+@pytest.mark.parametrize("x", EDGE_FLOATS)
+def test_edge_floats_equal_oracle(x):
+    payload = {"x": x, "np": np.float64(x), "list": [x, -x]}
+    assert render_report(payload, "json") == oracle_json(payload)
+    assert render_table(["x"], [{"x": x}], "json") == oracle_json([{"x": x}])
+
+
+def test_empty_containers_equal_oracle():
+    payload = {"a": [], "b": {}, "c": [[], {}, ()], "d": [{}]}
+    assert render_report(payload, "json") == oracle_json(payload)
+    assert render_report({}, "json") == oracle_json({})
+    assert render_table(["x"], [], "json") == oracle_json([])
+
+
+# ---------------------------------------------------------------------------
+# CSV reports against their JSON
+
+CLASSIFY_SOURCES = {
+    "werner": ["werner", "0.8"],
+    "gisin": ["gisin", "0.8", "0.35"],
+    "bell": ["bell", "psi-"],
+    "ghz-traced": ["ghz-traced", "0.3"],
+    "narnhofer": ["narnhofer"],
+    "tracial": ["tracial", "9"],
+    "weyl": ["weyl", "1", "2", "3"],
+    "rho-theta": ["rho-theta", "0.6"],
+}
+SWITCH_ARGS = {"u-theta": ["--theta", "0.6"], "u-tilde-theta": ["--theta", "0.6"]}
+REPORTS = (
+    [["classify", *source] for source in CLASSIFY_SOURCES.values()]
+    + [["transform", name, *SWITCH_ARGS.get(name, []), source, "0.8"]
+       for name in transforms.SWITCH_BUILDERS for source in ("werner", "rho-theta")]
+)
+
+
+def test_reports_cover_every_family_and_switch():
+    assert set(CLASSIFY_SOURCES) == set(cli._STATE_FAMILIES)
+    assert {argv[1] for argv in REPORTS if argv[0] == "transform"} == set(transforms.SWITCH_BUILDERS)
+
+
+def _lookup(report, key: str):
+    for part in key.split("."):
+        report = report[int(part)] if isinstance(report, list) else report[part]
+    return report
+
+
+def _same(token: str, value) -> bool:
+    if isinstance(value, bool):
+        return token == ("true" if value else "false")
+    if value is None:
+        return token == "None"
+    if isinstance(value, str):
+        return token == value
+    return float(token) == value
+
+
+@pytest.mark.parametrize("argv", REPORTS, ids=" ".join)
+def test_csv_report_is_two_columns_of_json_values(argv, capsys):
+    assert main([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main([*argv, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "key,value"
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert len(fields) == 2, line
+        key, text = fields
+        value = _lookup(report, key)
+        values = value if isinstance(value, list) else [value]
+        tokens = text.split(" ") if values else [text]
+        assert len(tokens) == len(values) or (not values and text == ""), line
+        assert all(_same(t, v) for t, v in zip(tokens, values)), line
