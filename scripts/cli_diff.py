@@ -9,13 +9,15 @@ OLD_SRC and NEW_SRC are directories holding the ``factorlab`` package (the
 default command list covers every subcommand: failing commands (an
 unwritable ``--out``, a negative ``protocol --seed``, a repeated ``sweep
 --outputs`` name, one malformed parameter list per state family, state files
-whose split is not two positive integers, a non-finite ``sweep --theta``);
+whose split is not two positive integers, a non-finite ``sweep --theta``, a
+``tracial`` dimension that is not a perfect square);
 ``classify`` of every state family at several parameters,
 in JSON and CSV (``file`` reads ``tests/golden/state.json``); ``transform``
 with every switch on four states, in JSON and CSV; ``sweep`` of every family
 with its default and with every measure, in CSV and JSON, plus a
 ``gisin_compare`` grid at the ``--num`` cap (10000 points, CSV and JSON) and a
-one-point ``werner`` grid;
+one-point ``werner`` grid; ``classify`` of six states and ``sweep`` of every
+family with every measure at ``--tol 0`` and ``--tol 1e-16``;
 ``protocol {teleport,swap} --d 2..8 --seed s`` for s < N (default 150, so
 2100 commands); and ``classify weyl k l d`` for every 0 <= k, l < d <= 8.
 ``--commands FILE`` replaces the list with one command per line
@@ -74,6 +76,7 @@ FAILING = [
         ["werner", "x"], ["gisin", "0.5", "y"], ["bell", "psi0"], ["ghz-traced"],
         ["narnhofer", "1"], ["tracial", "2.5"], ["weyl", "0", "y", "z"], ["rho-theta", "0.1", "0.2"],
     )),
+    ["classify", "tracial", "6"],
     *(["classify", "file", str(TESTS / "data" / name)]
       for name in ("split_negative.json", "split_zero.json")),
     *(["sweep", family, "--theta", "nan", "--start", "0", "--stop", "1", "--num", "3"]
@@ -114,6 +117,8 @@ SWEEPS = {
                    "C_u1,C_u2,C_best,C_after_u_switch,mixedness"),
 }
 
+TOL_EDGE = ("0", "1e-16")
+
 
 def default_commands(seeds: int) -> list[list[str]]:
     formats = (("--format", "json"), ("--format", "csv"))
@@ -135,6 +140,16 @@ def default_commands(seeds: int) -> list[list[str]]:
         for fmt in formats
     ]
     commands.append(["sweep", "werner", "--start", "0.5", "--stop", "0.5", "--num", "1"])
+    # the tolerance edge, where the checks of validation and of the measures
+    # run on eigenvalues at rounding scale
+    commands += [
+        ["--tol", tol, "classify", *source]
+        for tol in TOL_EDGE for source in [*TRANSFORM_SOURCES, ["bell", "psi-"], ["tracial", "4"]]
+    ]
+    commands += [
+        ["--tol", tol, "sweep", family, *grid, "--num", "101", "--outputs", every]
+        for tol in TOL_EDGE for family, (grid, every) in SWEEPS.items()
+    ]
     commands += [
         ["protocol", kind, "--d", str(d), "--seed", str(seed)]
         for seed in range(seeds)

@@ -69,6 +69,14 @@ def _capped(cap: int):
     return parse
 
 
+def _square_dim(token: str, name: str) -> int:
+    """``tracial``'s dim: with no split parameter, one in range must be a perfect square."""
+    value = _capped(MAX_DIMENSION)(token, name)
+    if value >= 1 and math.isqrt(value) ** 2 != value:
+        raise CliParseError(f"parameter {name!r} must be a perfect square, got {value}")
+    return value
+
+
 def _bell_kind(token: str, _: str) -> str:
     if token not in ("psi+", "psi-", "phi+", "phi-"):
         raise CliParseError(f"unknown Bell kind {token!r}")
@@ -88,7 +96,7 @@ _STATE_FAMILIES = {
     "bell": ((("kind", _bell_kind),), states.bell_state),
     "ghz-traced": ((("theta", _parse_float),), states.ghz_traced),
     "narnhofer": ((), states.narnhofer),
-    "tracial": ((("dim", _capped(MAX_DIMENSION)),), states.tracial),
+    "tracial": ((("dim", _square_dim),), states.tracial),
     "weyl": ((("k", _parse_int), ("l", _parse_int), ("d", _capped(MAX_QUDIT))), _weyl),
     "rho-theta": ((("theta", _parse_float),), states.rho_theta),
 }
@@ -206,25 +214,25 @@ class SweepSpec:
             raise CliParseError("grid stop must not be below start")
 
 
-# measure -> stacked kernel: (matrix stack, tol) -> one value per grid point
+# measure -> stacked kernel: (matrix stack, its spectrum, tol) -> one value per grid point
 _SWEEP_MEASURES = {
-    "C": lambda m, tol: measures.concurrences(m, tol=tol),
-    "bmax": lambda m, tol: witness_bell.bmax_values(m),
-    "purity": lambda m, tol: measures.purities(m),
-    "mixedness": lambda m, tol: 1.0 - measures.purities(m),
-    "ppt": lambda m, tol: measures.pt_min_eigenvalues(m, (2, 2)),
-    "kz_member": lambda m, tol: measures.kz_ball_members(m, tol=tol).astype(float),
+    "C": measures.concurrences,
+    "bmax": lambda m, spectrum, tol: witness_bell.bmax_values(m),
+    "purity": lambda m, spectrum, tol: measures.purities(m),
+    "mixedness": lambda m, spectrum, tol: 1.0 - measures.purities(m),
+    "ppt": lambda m, spectrum, tol: measures.pt_min_eigenvalues(m, (2, 2)),
+    "kz_member": lambda m, spectrum, tol: measures.kz_ball_members(m, tol=tol).astype(float),
 }
 
 
 def _switched(source: str, switch):
     """Stack builder: the stack ``source`` conjugated by ``switch()``."""
-    return lambda x, theta, built: transforms.conjugated(built[source], switch())
+    return lambda x, theta, built: transforms.conjugated(built[source][0], switch())
 
 
 # A sweep family.  ``stacks`` are (name, builder) in build order; a builder
-# takes the grid, --theta and the stacks built so far, and each stack is
-# validated before the next is built, so the switches are built once per sweep.
+# takes the grid, --theta and the (stack, spectrum) pairs built so far, and each
+# stack is validated before the next is built, so the switches are built once.
 # ``columns`` maps each column to (measure, stack, ...); a column over two
 # stacks takes the larger value at each point.
 _SweepFamily = namedtuple("_SweepFamily", "param needs_theta stacks columns default_outputs")
@@ -255,7 +263,7 @@ _SWEEP_FAMILIES = {
         "lambda", True,
         (("gisin", lambda x, theta, built: states.gisin_matrices(x, theta)),
          ("filtered", lambda x, theta, built: transforms.filtered(
-             built["gisin"], transforms.gisin_filter(theta))),
+             built["gisin"][0], transforms.gisin_filter(theta))),
          ("unitary", lambda x, theta, built: transforms.gisin_unitary_matrices(x, theta))),
         {"C_gisin": ("C", "gisin"), "C_filtered": ("C", "filtered"),
          "C_unitary": ("C", "unitary"), "B_gisin": ("bmax", "gisin"),
@@ -278,8 +286,8 @@ _SWEEP_FAMILIES = {
 
 
 def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], list[dict]]:
-    """Evaluate one sweep family over its grid as one stacked batch; returns
-    (column names, rows).
+    """Evaluate the printed columns of one sweep family over its grid as one
+    stacked batch; returns (column names, rows).
 
     Every check of the per-state functions runs on each grid point; a check
     that fails on a state names the first offending grid value.
@@ -305,21 +313,22 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], lis
     try:
         built: dict = {}
         for name, build in family.stacks:
-            built[name] = states.validate_stack(build(grid, spec.theta, built), tol)
+            stack = build(grid, spec.theta, built)
+            built[name] = stack, states.validate_stack(stack, tol)
         # cached, so a column over two stacks reuses their single-stack values
-        evaluate = functools.cache(lambda measure, stack: _SWEEP_MEASURES[measure](built[stack], tol))
-        values = {
-            column: functools.reduce(lambda a, b: np.where(b > a, b, a),
-                                     (evaluate(measure, stack) for stack in stacks))
-            for column, (measure, *stacks) in family.columns.items()
-        }
+        evaluate = functools.cache(lambda measure, stack: _SWEEP_MEASURES[measure](*built[stack], tol))
+        values = [
+            functools.reduce(lambda a, b: np.where(b > a, b, a),
+                             (evaluate(measure, stack) for stack in stacks))
+            for measure, *stacks in (family.columns[name] for name in outputs)
+        ]
     except (ValueError, AssertionError) as exc:
         index = getattr(exc, "index", None)
         if index is not None:
             exc.args = (f"{exc} at {family.param} = {float(grid[index])!r}",)
         raise
     columns = [family.param] + outputs
-    table = zip(grid.tolist(), *(values[name].tolist() for name in outputs))
+    table = zip(grid.tolist(), *(column.tolist() for column in values))
     return columns, [dict(zip(columns, row)) for row in table]
 
 

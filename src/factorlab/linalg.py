@@ -143,8 +143,8 @@ def partial_trace(
 class Spectrum:
     """Real eigenvalues sorted descending with matching orthonormal eigenvectors.
 
-    ``vectors[:, k]`` is the eigenvector for ``values[k]``.  Within a degenerate
-    cluster the eigenvector ordering is unspecified; callers must not rely on it.
+    ``vectors[..., :, k]`` is the eigenvector for ``values[..., k]``, of one matrix
+    or each of a stack.  Within a degenerate cluster their order is unspecified.
     """
 
     values: np.ndarray
@@ -166,7 +166,11 @@ def psd_sqrt(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     an (N, D, D) stack)."""
     m = _as_square(m, stack=True)
     require_hermitian(m, tol, "psd_sqrt")
-    w, v = np.linalg.eigh(m)
+    return eigh_sqrt(*np.linalg.eigh(m), tol)
+
+
+def eigh_sqrt(w: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
+    """``psd_sqrt`` of the matrix (or stack) whose ``eigh`` is (w, v), w ascending."""
     lo = np.ravel(w.min(axis=-1))
     fail_first(lo < -tol, lambda k: ValueError(
         f"psd_sqrt: negative eigenvalue {lo[k]:.3e} below -{tol:.1e}"))

@@ -1,10 +1,10 @@
 """Scalar diagnostics: purity, entropy, PPT classification, concurrence,
 Hilbert-Schmidt geometry, and absolute-separability tests.
 
-Purity, the partial-transpose minimum, concurrence and the purity-ball test
-each have one kernel that works on an (N, D, D) stack of validated matrices
-(``purities``, ``pt_min_eigenvalues``, ``concurrences``, ``kz_ball_members``);
-the DensityMatrix functions call it on their one matrix.
+Purity, the partial-transpose minimum, concurrence (given the ``spectrum`` that
+validation returns) and the purity-ball test each have one kernel that works on
+an (N, D, D) stack of validated matrices (``purities``, ``pt_min_eigenvalues``,
+``concurrences``, ``kz_ball_members``); DensityMatrix functions call it on one matrix.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
+    Spectrum,
+    eigh_sqrt,
     hs_norm,
     partial_transpose,
-    psd_sqrt,
     require_hermitian,
     schmidt_decompose,
 )
@@ -96,17 +97,19 @@ def _spin_flip(m: np.ndarray) -> np.ndarray:
     return m.conj()[..., _YY_PERM[:, None], _YY_PERM[None, :]] * _FLIP_SIGN + 0.0
 
 
-def concurrences(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def concurrences(m: np.ndarray, spectrum: Spectrum, tol: float) -> np.ndarray:
     """Two-qubit concurrence of a 4x4 matrix or of each matrix of a stack; see
     ``concurrence``.
 
-    The psd_sqrt and Hermiticity checks apply to each matrix.  The eigenvalues
+    sqrt(m), with psd_sqrt's checks, is built from ``spectrum`` read in LAPACK's
+    ascending order, so it is ``psd_sqrt(m)`` bit for bit.  The core's eigenvalues
     come from ``eigh`` (``eigvalsh`` takes another LAPACK path and can move a
     last digit), reversed to descending order; reversing can only swap tied
     signed zeros, which the 1e-14 clamp sets to +0.  The clamp to [0, 1]
     picks exactly what ``min(1, max(0, c))`` picks, zeros included.
     """
-    s = psd_sqrt(m, tol=tol)
+    require_hermitian(m, tol, "psd_sqrt")
+    s = eigh_sqrt(spectrum.values[..., ::-1], spectrum.vectors[..., ::-1], tol)
     core = s @ _spin_flip(m) @ s
     core = (core + np.swapaxes(core.conj(), -1, -2)) / 2.0
     require_hermitian(core, tol, "concurrence")
@@ -131,7 +134,7 @@ def concurrence(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
     """
     if rho.split != (2, 2):
         raise DimensionMismatchError(f"concurrence requires split (2, 2), got {rho.split}")
-    return float(concurrences(rho.matrix, tol=tol))
+    return float(concurrences(rho.matrix, rho.spectrum, tol))
 
 
 def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

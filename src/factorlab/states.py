@@ -54,23 +54,22 @@ class StateValidationError(ValueError):
         super().__init__(f"{invariant}: {message}")
 
 
-def _checked(flat: np.ndarray, tol: float, solve):
-    """Check each matrix of an (N, D, D) stack is a density matrix: finite
+def validate_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
+    """Check each matrix of a (..., D, D) stack is a density matrix: finite
     entries, Hermitian (max |m - m^dagger| <= tol), unit trace within tol and
-    eigenvalues >= -tol, in that order.  ``solve`` is the caller's own
-    eigensolve, run on the matrices before the first that fails one of the
-    first three checks; its first item holds their ascending eigenvalues, and
-    its result is returned.  The first offending matrix raises
-    StateValidationError, whose ``index`` is its position in the stack.  A
-    non-finite entry makes the Hermitian deviation NaN or infinite, so one
-    comparison screens for both."""
+    eigenvalues >= -tol, in that order; return the Spectrum of every matrix,
+    views of the one ``eigh`` that does the positivity check.  The first
+    offending matrix raises StateValidationError, whose ``index`` is its
+    position in the flattened stack.  A non-finite entry makes the Hermitian
+    deviation NaN or infinite, so one comparison screens for both."""
+    flat = m.reshape((-1,) + m.shape[-2:])
     with np.errstate(invalid="ignore"):
         dev = hermitian_deviation(flat)
     tr = flat.trace(axis1=-2, axis2=-1)
     ok = np.maximum(dev, np.abs(tr - 1.0)) <= tol
     stop = len(flat) if ok.all() else int(np.argmin(ok))
-    solved = solve(flat[:stop])
-    lo = solved[0].min(axis=-1)
+    w, v = np.linalg.eigh(flat[:stop])
+    lo = w.min(axis=-1)
     fail_first(lo < -tol, lambda k: StateValidationError(
         "positive", f"eigenvalue {lo[k]:.3e} below -{tol:.1e}", float(lo[k])))
 
@@ -86,23 +85,16 @@ def _checked(flat: np.ndarray, tol: float, solve):
         return StateValidationError("trace", f"trace {trace} differs from 1", abs(trace - 1.0))
 
     fail_first(~ok, error)
-    return solved
-
-
-def validate_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """``_checked`` on the flattened (..., D, D) stack, with ``eigvalsh`` (a sweep
-    never needs eigenvectors); returns the stack unchanged."""
-    _checked(m.reshape((-1,) + m.shape[-2:]), tol, lambda s: (np.linalg.eigvalsh(s), None))
-    return m
+    return Spectrum(values=w[..., ::-1].reshape(m.shape[:-1]), vectors=v[..., ::-1].reshape(m.shape))
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Quantum state over a declared bipartite dimension split (d1, d2).
 
-    Construction runs the checks of ``validate_stack`` with one ``eigh``, whose
-    result, eigenvalues descending, is the read-only ``spectrum`` that every
-    spectral measure and switch reads.
+    Construction runs ``validate_stack`` on the one matrix, whose ``eigh``,
+    eigenvalues descending, is the read-only ``spectrum`` that every spectral
+    measure and switch reads.
     """
 
     matrix: np.ndarray
@@ -119,8 +111,8 @@ class DensityMatrix:
             raise StateValidationError(
                 "split", f"split {self.split} does not factor dimension {m.shape[0]}"
             )
-        w, v = _checked(m[None], tol, np.linalg.eigh)
-        spectrum = Spectrum(values=w[0, ::-1].copy(), vectors=v[0, :, ::-1].copy())
+        solved = validate_stack(m, tol)
+        spectrum = Spectrum(values=solved.values.copy(), vectors=solved.vectors.copy())
         for a in (m, spectrum.values, spectrum.vectors):
             a.setflags(write=False)
         object.__setattr__(self, "matrix", m)

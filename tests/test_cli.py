@@ -529,6 +529,7 @@ class TestInputBoundary:
          f"parameter 'd' must lie in [1, {MAX_QUDIT}], got {MAX_QUDIT + 1}"),
         (("protocol", "swap", "--d", str(MAX_QUDIT + 1)), "swap_stack",
          f"protocol --d must lie in [2, {MAX_QUDIT}], got {MAX_QUDIT + 1}"),
+        (("classify", "tracial", "6"), "tracial", "parameter 'dim' must be a perfect square, got 6"),
     ])
     def test_dimension_cap(self, capsys, monkeypatch, argv, builder, message):
         def must_not_build(*args, **kwargs):
@@ -636,3 +637,34 @@ class TestParserReuse:
         assert run(capsys, "classify", "werner", "0.5")[0] == 0
         for _ in range(2):
             assert self.exit_text(capsys, main, argv) == want
+
+
+class TestSolveBudget:
+    """The numpy solver calls of whole commands: each state or stack is
+    decomposed once, by validation, and the concurrence reads that solve."""
+
+    @pytest.mark.parametrize("argv,budget", [
+        (("classify", "werner", "0.5"), {"eigh": 2, "eigvalsh": 2, "svd": 1}),
+        (("transform", "u-switch", "werner", "0.8"), {"eigh": 3, "eigvalsh": 2, "svd": 1}),
+        (("sweep", "ghz_traced", "--start", "0", "--stop", "1.5707963", "--num", "11",
+          "--outputs", "C_u1,C_u2,C_best,C_after_u_switch,mixedness"),
+         {"eigh": 7, "eigvalsh": 0, "svd": 0}),
+        (("sweep", "werner", "--start", "0", "--stop", "1", "--num", "11"),
+         {"eigh": 1, "eigvalsh": 2, "svd": 0}),
+    ], ids=["classify", "transform", "sweep-every-measure", "sweep-default-outputs"])
+    def test_solver_calls_per_command(self, capsys, monkeypatch, argv, budget):
+        calls = dict.fromkeys(budget, 0)
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def solve(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return solve
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        assert run(capsys, *argv)[0] == 0
+        assert calls == budget

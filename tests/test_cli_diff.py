@@ -1,6 +1,6 @@
 """scripts/cli_diff.py: same tree gives no difference, every changed output
 line is shown with its line number, and the default list reaches every
-subcommand, family, switch and measure."""
+subcommand, family, switch and measure, and the tolerance edge."""
 
 import pathlib
 import runpy
@@ -80,6 +80,7 @@ def test_default_list_covers_every_subcommand():
     assert commands[:len(failing)] == failing
     malformed = {argv[1] for argv in failing if argv[0] == "classify"}
     assert malformed == set(cli._STATE_FAMILIES) | {"file"}
+    assert ["classify", "tracial", "6"] in failing
     commands = commands[len(failing):]
     classified = {argv[1] for argv in commands if argv[0] == "classify"}
     assert classified == set(cli._STATE_FAMILIES) | {"file"}
@@ -93,6 +94,15 @@ def test_default_list_covers_every_subcommand():
     sizes = {(int(argv[argv.index("--num") + 1]), argv[-1] if "--format" in argv else "csv")
              for argv in commands if argv[0] == "sweep"}
     assert {(cli.MAX_SWEEP_POINTS, "csv"), (cli.MAX_SWEEP_POINTS, "json"), (1, "csv")} <= sizes
+    edges = {}
+    for argv in commands:
+        if argv[0] == "--tol":
+            edges.setdefault((argv[1], argv[2]), set()).add(argv[3])
+    for tol in ("0", "1e-16"):
+        assert edges.pop((tol, "classify")) == {
+            "werner", "rho-theta", "ghz-traced", "gisin", "bell", "tracial"}
+        assert edges.pop((tol, "sweep")) == set(cli._SWEEP_FAMILIES)
+    assert not edges
     protocols = {(argv[1], argv[3]) for argv in commands if argv[0] == "protocol"}
     assert protocols == {(kind, str(d)) for kind in ("teleport", "swap") for d in range(2, 9)}
 

@@ -1,10 +1,11 @@
-"""The gather kernels against the dense products they replace.
+"""The kernels against the dense or separate computations they replace.
 
 ``states.bloch_coefficients`` reads each Pauli trace as a signed sum of four
 entries of m, and ``measures._spin_flip`` reads (s_y(x)s_y) m* (s_y(x)s_y) as
-a signed permutation of m*.  Both must equal the dense forms written out below
-bit for bit, signed zeros included, on stacks of 1, 7 and 101 matrices of
-several kinds.
+a signed permutation of m*.  ``measures.concurrences`` builds sqrt(m) from the
+eigendecomposition that ``states.validate_stack`` returns, not from an
+``eigh`` of its own.  Each must equal the form written out below bit for bit,
+signed zeros included, on stacks of 1, 7 and 101 matrices of several kinds.
 """
 
 import numpy as np
@@ -12,9 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlab import from_bloch, to_bloch
-from factorlab.measures import _spin_flip
-from factorlab.states import PAULI, PAULI_PRODUCTS, DensityMatrix, bloch_coefficients
+from factorlab import from_bloch, psd_sqrt, to_bloch
+from factorlab.measures import _spin_flip, concurrences
+from factorlab.states import (
+    PAULI,
+    PAULI_PRODUCTS,
+    DensityMatrix,
+    bloch_coefficients,
+    validate_stack,
+)
 from conftest import ginibre_density, haar_vector
 
 YY = np.kron(PAULI[1], PAULI[1])
@@ -27,6 +34,19 @@ def dense_bloch_coefficients(m):
 
 def dense_spin_flip(m):
     return YY @ m.conj() @ YY
+
+
+def separate_concurrences(m, tol):
+    """The concurrence with a square root that decomposes m again (psd_sqrt)."""
+    s = psd_sqrt(m, tol=tol)
+    core = s @ dense_spin_flip(m) @ s
+    core = (core + np.swapaxes(core.conj(), -1, -2)) / 2.0
+    w = np.linalg.eigh(core)[0][..., ::-1].copy()
+    w[w < 1e-14] = 0.0
+    lam = np.sqrt(w)
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    c = np.where(c > 0.0, c, 0.0)
+    return np.where(c < 1.0, c, 1.0)
 
 
 def mixed(rng, n):
@@ -89,6 +109,21 @@ def test_spin_flip_equals_dense_product(kind, n):
             got, want = _spin_flip(stack), dense_spin_flip(stack)
             assert_bitwise_equal(got.real, want.real)
             assert_bitwise_equal(got.imag, want.imag)
+
+
+@pytest.mark.parametrize("n", [1, 7, 101])
+@pytest.mark.parametrize("kind", [mixed, pure, real_valued], ids=lambda k: k.__name__)
+def test_concurrence_reads_the_validated_decomposition(kind, n):
+    rng = np.random.default_rng(2000 + n)
+    for tol in (1e-9, 1e-12):
+        m = kind(rng, n)
+        for stack in (m, m[0]):
+            got = concurrences(stack, validate_stack(stack, tol), tol)
+            assert_bitwise_equal(got, separate_concurrences(stack, tol))
+        # a state's spectrum is a descending copy, reversed again to ascending
+        rho = DensityMatrix(m[-1], (2, 2), tol)
+        got = concurrences(rho.matrix, rho.spectrum, tol)
+        assert_bitwise_equal(got, separate_concurrences(m[-1], tol))
 
 
 @settings(max_examples=50, deadline=None)

@@ -30,7 +30,7 @@ from factorlab import (
     weyl_operator,
 )
 from factorlab.states import gisin_matrices, validate_stack, werner_matrices
-from conftest import random_density
+from conftest import ginibre_density, random_density
 
 angles = st.floats(0.0, np.pi / 2, allow_nan=False)
 
@@ -103,8 +103,25 @@ class TestDensityMatrixValidation:
             with pytest.raises(StateValidationError) as err:
                 validate_stack(np.array(stack))
             assert (err.value.index, err.value.invariant) == (index, invariant)
+        # the one eigh of the stack, eigenvalues descending, is what it returns
         stack = np.array([good, werner(0.5).matrix])
-        assert validate_stack(stack) is stack
+        spectrum = validate_stack(stack)
+        w, v = np.linalg.eigh(stack)
+        assert np.array_equal(spectrum.values, w[:, ::-1])
+        assert np.array_equal(spectrum.vectors, v[:, :, ::-1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.sampled_from([1, 2, 4]))
+    def test_state_spectrum_is_its_row_of_the_stack(self, seed, n, rank):
+        # One solver for both: a sweep and classify see the same eigenvalues of
+        # the same matrix, so they take the same positivity verdict.
+        rng = np.random.default_rng(seed)
+        m = np.array([ginibre_density(rng, 4, rank) for _ in range(n)])
+        spectrum = validate_stack(m)
+        for k in range(n):
+            rho = DensityMatrix(m[k], (2, 2))
+            assert np.array_equal(rho.spectrum.values, spectrum.values[k])
+            assert np.array_equal(rho.spectrum.vectors, spectrum.vectors[k])
 
     def test_stacked_range_checks_reject_nan(self):
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\], got nan"):
