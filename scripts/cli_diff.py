@@ -9,11 +9,13 @@ OLD_SRC and NEW_SRC are directories holding the ``factorlab`` package (the
 default command list covers every subcommand: failing commands (an
 unwritable ``--out``, a negative ``protocol --seed``, a repeated ``sweep
 --outputs`` name, one malformed parameter list per state family, state files
-whose split is not two positive integers, a non-finite ``sweep --theta``, a
-``tracial`` dimension that is not a perfect square);
-``classify`` of every state family at several parameters,
-in JSON and CSV (``file`` reads ``tests/golden/state.json``); ``transform``
-with every switch on four states, in JSON and CSV; ``sweep`` of every family
+whose split is not two positive integers, a missing and an unreadable state
+file, a non-finite ``sweep --theta``, a reversed ``sweep`` grid, a
+``tracial`` dimension that is not a perfect square); ``classify`` of every
+state family at several parameters, in JSON and CSV (``file`` reads
+``tests/golden/state.json``); ``transform`` with every switch on four
+states, in JSON and CSV, and the theta switches at the edges of their
+rotation (``ROTATION_EDGES``) on one state; ``sweep`` of every family
 with its default and with every measure, in CSV and JSON, plus a
 ``gisin_compare`` grid at the ``--num`` cap (10000 points, CSV and JSON) and a
 one-point ``werner`` grid; ``classify`` of six states and ``sweep`` of every
@@ -79,8 +81,11 @@ FAILING = [
     ["classify", "tracial", "6"],
     *(["classify", "file", str(TESTS / "data" / name)]
       for name in ("split_negative.json", "split_zero.json")),
+    ["classify", "file", "/no/such.json"],
+    ["classify", "file"],
     *(["sweep", family, "--theta", "nan", "--start", "0", "--stop", "1", "--num", "3"]
       for family in ("gisin", "werner")),
+    ["sweep", "werner", "--start", "1", "--stop", "0", "--num", "3"],
 ]
 
 CLASSIFY_SOURCES = [
@@ -102,6 +107,12 @@ SWITCHES = [
 ]
 TRANSFORM_SOURCES = [["werner", "0.8"], ["rho-theta", "0.6"], ["ghz-traced", "0.3"],
                      ["gisin", "0.8", "0.35"]]
+# the sigma_x (x) sigma_y rotation at its edges: signed zero angles, f- < 0 and
+# f- at rounding scale (theta = pi/4)
+ROTATION_EDGES = [
+    ["u-tilde-theta", "--theta", "0"], ["u-tilde-theta", "--theta", "-0.0"],
+    ["u-theta", "--theta", "2.5"], ["u-theta", "--theta", "0.7853981633974483"],
+]
 
 # family -> (grid arguments, every measure)
 SWEEPS = {
@@ -128,6 +139,8 @@ def default_commands(seeds: int) -> list[list[str]]:
         ["transform", *switch, *source, *fmt]
         for switch in SWITCHES for source in TRANSFORM_SOURCES for fmt in formats
     ]
+    commands += [["transform", *edge, "rho-theta", "0.6", *fmt]
+                 for edge in ROTATION_EDGES for fmt in formats]
     commands += [
         ["sweep", family, *grid, "--num", "101", *outputs, *fmt]
         for family, (grid, every) in SWEEPS.items()

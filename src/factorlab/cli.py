@@ -84,8 +84,7 @@ def _bell_kind(token: str, _: str) -> str:
 
 
 def _weyl(k: int, l: int, d: int, tol: float) -> DensityMatrix:
-    v = states.weyl_basis_state(k, l, d)
-    return DensityMatrix(np.outer(v, v.conj()), (d, d), tol=tol)
+    return DensityMatrix(states.projectors(states.weyl_basis_state(k, l, d)), (d, d), tol=tol)
 
 
 # family -> ((parameter, parser), ...) in CLI order, and the builder, called

@@ -139,7 +139,7 @@ def partial_trace(
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Real eigenvalues sorted descending with matching orthonormal eigenvectors.
 
@@ -154,11 +154,9 @@ class Spectrum:
 def herm_eigensystem(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     """Full eigensystem of a Hermitian matrix, eigenvalues descending."""
     m = _as_square(m)
-    if not is_hermitian(m, tol):
-        raise ValueError("herm_eigensystem requires a Hermitian matrix")
+    require_hermitian(m, tol, "herm_eigensystem")
     w, v = np.linalg.eigh(m)
-    order = np.argsort(w)[::-1]
-    return Spectrum(values=w[order].copy(), vectors=v[:, order].copy())
+    return Spectrum(values=w[::-1], vectors=v[:, ::-1])
 
 
 def psd_sqrt(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -178,7 +176,7 @@ def eigh_sqrt(w: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
     return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Bipartite decomposition v = sum_k c_k |left_k> (x) |right_k>.
 

@@ -21,9 +21,8 @@ from .linalg import (
     hs_norm,
     partial_transpose,
     require_hermitian,
-    schmidt_decompose,
 )
-from .states import PAULI, DensityMatrix
+from .states import PAULI, DensityMatrix, require_split, schmidt_flatness
 
 # s_y(x)s_y is a signed permutation: row a holds its one nonzero entry,
 # _YY_SIGN[a] = +-1, in column _YY_PERM[a].
@@ -132,8 +131,7 @@ def concurrence(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
     by 1, so anything at that scale is floating-point noise, and taking its
     square root would otherwise inflate it to ~1e-7.
     """
-    if rho.split != (2, 2):
-        raise DimensionMismatchError(f"concurrence requires split (2, 2), got {rho.split}")
+    require_split(rho, (2, 2), "concurrence")
     return float(concurrences(rho.matrix, rho.spectrum, tol))
 
 
@@ -211,8 +209,6 @@ def maxent_weight(rho: DensityMatrix, tol: float = 1e-6) -> float | None:
     d1, d2 = rho.split
     if d1 != d2:
         return None
-    top = rho.spectrum.vectors[:, 0]
-    sd = schmidt_decompose(top / np.linalg.norm(top), rho.split)
-    if np.max(np.abs(sd.coefficients - 1.0 / np.sqrt(d1))) > tol:
+    if schmidt_flatness(rho.spectrum.vectors[:, 0], d1) > tol:
         return None
     return float(rho.spectrum.values[0])

@@ -22,25 +22,26 @@ batch of one, ``teleport_outcomes``/``swap_outcomes`` a batch of all d^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import UNITARY_TOL, fail_first, is_unitary, unitary_deviation
-from .states import maxent_vectors, weyl_basis_state, weyl_indices, weyl_operator
+from .states import (MAXENT_TOL, maxent_vectors, schmidt_flatness, weyl_basis_state,
+                     weyl_indices, weyl_operator)
 
 
 class ProtocolCheckError(AssertionError):
     """A protocol invariant (recovery fidelity or composition law) failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Isometry:
     """Unitary identification between two d-dimensional factors."""
 
     map: np.ndarray
     d: int
-    label: str = field(default="", compare=False)
+    label: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.map, dtype=complex)
@@ -66,7 +67,7 @@ class Isometry:
         return Isometry(self.map @ inner.map, self.d, f"{self.label}.{inner.label}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BellMeasurementOutcome:
     """One branch of a generalized Bell measurement in the Weyl basis."""
 
@@ -77,7 +78,7 @@ class BellMeasurementOutcome:
     fidelity: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeStack:
     """Outcomes of one protocol run, evaluated together.
 
@@ -115,15 +116,13 @@ def _isometry_maps(v: np.ndarray, d: int, tol: float, names) -> np.ndarray:
     """Inverse of ``states.maxent_vectors`` on a (..., d*d) stack, after checking
     that each vector's Schmidt coefficients are flat within tol; ``names[n]``
     prefixes the message for vector n."""
-    coeff = v.reshape(v.shape[:-1] + (d, d))
-    singular = np.linalg.svd(coeff, compute_uv=False)
-    flat = np.abs(singular - 1.0 / np.sqrt(d)).max(axis=-1) <= tol
+    flat = schmidt_flatness(v, d) <= tol
     fail_first(np.ravel(~flat), lambda n: ValueError(
         f"{names[n]}input vector is not maximally entangled"))
-    return np.sqrt(d) * np.swapaxes(coeff, -1, -2)
+    return np.sqrt(d) * np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
 
 
-def isometry_of_maxent(v: np.ndarray, d: int, tol: float = 1e-8) -> Isometry:
+def isometry_of_maxent(v: np.ndarray, d: int, tol: float = MAXENT_TOL) -> Isometry:
     """Inverse of maxent_from_isometry (exact, no phase freedom).
 
     Raises ValueError when the input is not maximally entangled, i.e. when its
@@ -244,7 +243,7 @@ def swap_stack(k, l, i12: Isometry, i34: Isometry) -> OutcomeStack:
     probability = np.einsum("ni,ni->n", branch.conj(), branch).real
     pair14 = branch / np.sqrt(probability)[:, None]
 
-    extracted = _isometry_maps(pair14, d, 1e-8, names)
+    extracted = _isometry_maps(pair14, d, MAXENT_TOL, names)
     _require_unitary(extracted, names)
     predicted = i34.map @ weyl_operator(k, l, d).conj() @ i12.map
     residual = _phase_distance(extracted.reshape(-1, d * d), predicted.reshape(-1, d * d))

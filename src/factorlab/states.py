@@ -27,6 +27,7 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 I2 = np.eye(2, dtype=complex)
 # s_i (x) s_j for i, j in 0..3 with s_0 = 1, flattened as 4 i + j.
 PAULI_PRODUCTS = np.array([np.kron(a, b) for a in (I2, *PAULI) for b in (I2, *PAULI)])
+MAXENT_TOL = 1e-8  # how far a maximally entangled vector or projector may be from exact
 
 
 def _pauli_gather() -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +89,7 @@ def validate_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     return Spectrum(values=w[..., ::-1].reshape(m.shape[:-1]), vectors=v[..., ::-1].reshape(m.shape))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Quantum state over a declared bipartite dimension split (d1, d2).
 
@@ -100,7 +101,7 @@ class DensityMatrix:
     matrix: np.ndarray
     split: tuple[int, int]
     tol: InitVar[float] = DEFAULT_TOL
-    spectrum: Spectrum = field(init=False, repr=False, compare=False)
+    spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self, tol: float):
         m = np.array(self.matrix, dtype=complex)
@@ -124,7 +125,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochForm:
     """Two-qubit coefficients (r, u, t) of the Pauli product expansion.
 
@@ -169,10 +170,15 @@ def bloch_coefficients(m: np.ndarray) -> np.ndarray:
     return c.reshape(m.shape[:-2] + (4, 4))
 
 
+def require_split(rho: DensityMatrix, split: tuple[int, int], what: str) -> None:
+    """Raise DimensionMismatchError, naming ``what``, unless rho has this split."""
+    if rho.split != split:
+        raise DimensionMismatchError(f"{what} requires split {split}, got {rho.split}")
+
+
 def to_bloch(rho: DensityMatrix) -> BlochForm:
     """Recover (r, u, t) via r_i = Tr(rho s_i(x)1) and friends; split must be (2,2)."""
-    if rho.split != (2, 2):
-        raise DimensionMismatchError(f"Bloch form requires split (2, 2), got {rho.split}")
+    require_split(rho, (2, 2), "Bloch form")
     c = bloch_coefficients(rho.matrix)
     return BlochForm(r=c[1:, 0], u=c[0, 1:], t=c[1:, 1:])
 
@@ -252,7 +258,14 @@ def maxent_vectors(maps: np.ndarray) -> np.ndarray:
     return np.swapaxes(maps, -1, -2).reshape(maps.shape[:-2] + (d * d,)) / np.sqrt(d)
 
 
-def maxent_projector(projector: np.ndarray, d: int, tol: float = 1e-8) -> np.ndarray:
+def schmidt_flatness(v: np.ndarray, d: int) -> np.ndarray:
+    """max_k |s_k - 1/sqrt(d)| over the Schmidt coefficients s_k of a d*d vector, or of
+    each vector of a (..., d*d) stack (one SVD, no singular vectors); 0 if maximally entangled."""
+    s = np.linalg.svd(v.reshape(v.shape[:-1] + (d, d)), compute_uv=False)
+    return np.abs(s - 1.0 / np.sqrt(d)).max(axis=-1)
+
+
+def maxent_projector(projector: np.ndarray, d: int, tol: float = MAXENT_TOL) -> np.ndarray:
     """``projector`` as a complex array, once checked to be a rank-1 projector onto
     a maximally entangled vector: P^2 = P, Tr P = 1 and Tr_2 P = 1/d within tol."""
     p = np.asarray(projector, dtype=complex)
@@ -321,8 +334,7 @@ def werner_generalized(
     """
     unit_interval(alpha, "alpha")
     if projector is None:
-        chi = weyl_basis_state(0, 0, d)
-        projector = np.outer(chi, chi.conj())
+        projector = projectors(weyl_basis_state(0, 0, d))
     p = maxent_projector(projector, d)
     m = alpha * p + (1.0 - alpha) / (d * d) * np.eye(d * d)
     return DensityMatrix(m, (d, d), tol=tol)

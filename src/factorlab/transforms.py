@@ -32,13 +32,14 @@ from .states import (
     maxent_vectors,
     mix_with_diagonal,
     projectors,
+    require_split,
     unit_interval,
     weyl_basis_state,
     weyl_indices,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorizationSwitch:
     """Global unitary identified with a choice of algebra factorization."""
 
@@ -97,54 +98,39 @@ def identity_switch(dim: int = 4, split: tuple[int, int] = (2, 2)) -> Factorizat
     return FactorizationSwitch(np.eye(dim, dtype=complex), split, "identity")
 
 
+def _xy_rotation(c: float, s: float, description: str) -> FactorizationSwitch:
+    """Switch c 1(x)1 - s i s_x(x)s_y, c and s the cosine and sine of one angle.  i s_x(x)s_y
+    is the anti-diagonal (1, -1, 1, -1): -s, s, -s, s go there as given, signed zeros kept."""
+    u = np.array([[c, 0, 0, -s], [0, c, s, 0], [0, -s, c, 0], [s, 0, 0, c]], dtype=complex)
+    return FactorizationSwitch(u, (2, 2), description)
+
+
 def u_switch() -> FactorizationSwitch:
-    """Two-qubit switch (1/sqrt(2))(1(x)1 + i s_x(x)s_y).
+    """Two-qubit switch (1/sqrt(2))(1(x)1 + i s_x(x)s_y), the rotation at angle -pi/4.
 
     Maps the singlet projector onto the product state |01><01| and, applied to
     the observable algebra, swaps entanglement and separability verdicts.
     """
-    u = np.array(
-        [[1, 0, 0, 1], [0, 1, -1, 0], [0, 1, 1, 0], [-1, 0, 0, 1]], dtype=complex
-    ) / np.sqrt(2.0)
-    return FactorizationSwitch(u, (2, 2), "u-switch")
+    r = 1 / np.sqrt(2.0)
+    return _xy_rotation(r, -r, "u-switch")
 
 
 def u_theta(theta: float) -> FactorizationSwitch:
-    """Angle-adapted switch sending psi_theta to the Bell vector psi+ for every theta.
+    """Switch sending psi_theta to psi+ for every theta: the rotation at angle theta + pi/4.
 
     With f+- = cos(theta) +- sin(theta) the matrix is
     (1/sqrt(2))(f- 1(x)1 - i f+ s_x(x)s_y).
     """
-    fm = np.cos(theta) - np.sin(theta)
-    fp = np.cos(theta) + np.sin(theta)
-    u = np.array(
-        [
-            [fm, 0, 0, -fp],
-            [0, fm, fp, 0],
-            [0, -fp, fm, 0],
-            [fp, 0, 0, fm],
-        ],
-        dtype=complex,
-    ) / np.sqrt(2.0)
-    return FactorizationSwitch(u, (2, 2), "u-theta")
+    c, s, r = np.cos(theta), np.sin(theta), 1 / np.sqrt(2.0)
+    return _xy_rotation((c - s) * r, (c + s) * r, "u-theta")
 
 
 def u_tilde_theta(theta: float) -> FactorizationSwitch:
-    """Composition of u_switch with u_theta: sends psi_theta to the product |10>.
+    """u_switch composed with u_theta, the rotation at angle theta: sends psi_theta to |10>.
 
     Equals cos(theta) 1(x)1 - i sin(theta) s_x(x)s_y.
     """
-    c, s = np.cos(theta), np.sin(theta)
-    u = np.array(
-        [
-            [c, 0, 0, -s],
-            [0, c, s, 0],
-            [0, -s, c, 0],
-            [s, 0, 0, c],
-        ],
-        dtype=complex,
-    )
-    return FactorizationSwitch(u, (2, 2), "u-tilde-theta")
+    return _xy_rotation(np.cos(theta), np.sin(theta), "u-tilde-theta")
 
 
 def u1_ghz() -> FactorizationSwitch:
@@ -199,17 +185,23 @@ def pure_to_product(psi: np.ndarray, split: tuple[int, int]) -> FactorizationSwi
     return FactorizationSwitch(anchor @ to_computational, split, "pure-to-product")
 
 
+def _equal_factors(split: tuple[int, int]) -> int:
+    """d for a split (d, d); DimensionMismatchError for any other."""
+    d1, d2 = split
+    if d1 != d2:
+        raise DimensionMismatchError(f"equal factor dimensions required, got {split}")
+    return d1
+
+
 def pure_to_maxent(psi: np.ndarray, split: tuple[int, int]) -> FactorizationSwitch:
     """Switch under which the given pure vector becomes maximally entangled.
 
     Requires equal factor dimensions; the Schmidt coefficient vector is rotated
     onto the flat vector (1/sqrt(d)) sum_k |kk>.
     """
-    d1, d2 = split
-    if d1 != d2:
-        raise DimensionMismatchError(f"equal factor dimensions required, got {split}")
+    d = _equal_factors(split)
     to_computational, diag = _schmidt_product_frame(psi, split)
-    flat = maxent_vectors(np.eye(d1, dtype=complex))
+    flat = maxent_vectors(np.eye(d, dtype=complex))
     u = extend_to_unitary(flat) @ extend_to_unitary(diag).conj().T
     return FactorizationSwitch(u @ to_computational, split, "pure-to-maxent")
 
@@ -231,10 +223,8 @@ def weylize(rho: DensityMatrix) -> FactorizationSwitch:
     vector chi_(k // d, k mod d); the conjugated state is diagonal in that
     basis (a Bell-diagonal state for d = 2) but not automatically entangled.
     """
-    d1, d2 = rho.split
-    if d1 != d2:
-        raise DimensionMismatchError(f"equal factor dimensions required, got {rho.split}")
-    targets = weyl_basis_state(*weyl_indices(d1), d1).T
+    d = _equal_factors(rho.split)
+    targets = weyl_basis_state(*weyl_indices(d), d).T
     return FactorizationSwitch(targets @ rho.spectrum.vectors.conj().T, rho.split, "weylize")
 
 
@@ -261,10 +251,7 @@ def constrained_entangle(rho: DensityMatrix) -> FactorizationSwitch | NotApplica
     certifies this cheaply, with a full partial-transpose eigensolve as the
     fallback check.
     """
-    d1, d2 = rho.split
-    if d1 != d2:
-        raise DimensionMismatchError(f"equal factor dimensions required, got {rho.split}")
-    d = d1
+    d = _equal_factors(rho.split)
     dim = d * d
     if dim < 4:
         raise DimensionMismatchError("construction needs a total dimension of at least 4")
@@ -315,7 +302,7 @@ def ghz_split_unitary(omega: np.ndarray, d: int) -> FactorizationSwitch:
     return FactorizationSwitch(targets @ sources.conj().T, (d, d), "ghz-split")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalFilter:
     """Nonunitary local filter: diagonal contractions applied to each qubit."""
 
@@ -361,8 +348,7 @@ def apply_filter(rho: DensityMatrix, filt: LocalFilter, tol: float = DEFAULT_TOL
     N = lam sin(2 theta) + (1 - lam).  Unlike a factorization switch, the
     filter changes purity.
     """
-    if rho.dim != 4:
-        raise DimensionMismatchError(f"local filter expects a two-qubit state, got dim {rho.dim}")
+    require_split(rho, (2, 2), "local filter")
     return DensityMatrix(filtered(rho.matrix, filt), rho.split, tol=tol)
 
 

@@ -16,10 +16,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import DEFAULT_TOL, DimensionMismatchError, hs_inner, hs_norm, is_hermitian
-from .states import PAULI, DensityMatrix, bloch_coefficients, maxent_projector, to_bloch
+from .states import (MAXENT_TOL, PAULI, DensityMatrix, bloch_coefficients, maxent_projector,
+                     require_split, to_bloch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """Hermitian operator with Tr(rho A) >= 0 for every separable rho and
     Tr(rho A) < 0 for at least one entangled state."""
@@ -42,7 +43,7 @@ def witness_projector(projector: np.ndarray, d: int, tol: float = DEFAULT_TOL) -
     vanishing exactly at psi = phi*; on beta P + (1 - beta) sigma with sigma
     orthogonal to P it gives 1 - beta d.  P must pass ``maxent_projector``.
     """
-    p = maxent_projector(projector, d, max(tol, 1e-8))
+    p = maxent_projector(projector, d, max(tol, MAXENT_TOL))
     return Witness(np.eye(d * d) - d * p, (d, d))
 
 
@@ -73,7 +74,7 @@ def ewi_eval(rho: DensityMatrix, witness: Witness) -> float:
     return hs_inner(rho.matrix, witness.operator).real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChshSetting:
     """CHSH measurement directions: unit 3-vectors a, a' for one side and
     b, b' for the other."""
@@ -107,8 +108,7 @@ def chsh_operator(setting: ChshSetting) -> np.ndarray:
 
 
 def chsh_value(rho: DensityMatrix, setting: ChshSetting) -> float:
-    if rho.split != (2, 2):
-        raise DimensionMismatchError(f"CHSH requires split (2, 2), got {rho.split}")
+    require_split(rho, (2, 2), "CHSH")
     return float(np.trace(rho.matrix @ chsh_operator(setting)).real)
 
 
@@ -126,8 +126,7 @@ def bmax_values(m: np.ndarray) -> np.ndarray:
 def horodecki_bmax(rho: DensityMatrix) -> float:
     """Maximal CHSH value sqrt(t1^2 + t2^2) with t1^2 >= t2^2 the two largest
     eigenvalues of t^T t, t the Bloch correlation matrix.  Violation iff > 1."""
-    if rho.split != (2, 2):
-        raise DimensionMismatchError(f"Bloch form requires split (2, 2), got {rho.split}")
+    require_split(rho, (2, 2), "Bloch form")
     return float(bmax_values(rho.matrix))
 
 

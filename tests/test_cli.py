@@ -450,6 +450,10 @@ STATE_SOURCE_ERRORS = [
     (("weyl", "0", "0", "z"), "parameter 'd' must be an integer, got 'z'"),
     (("weyl", "x", "0", str(MAX_QUDIT + 1)), "parameter 'k' must be an integer, got 'x'"),
     (("bell", "psi0"), "unknown Bell kind 'psi0'"),
+    # a state file that is not named, or cannot be read
+    (("file",), "'file' requires a path argument"),
+    (("file", "/no/such.json"),
+     "cannot read /no/such.json: [Errno 2] No such file or directory: '/no/such.json'"),
 ]
 
 
@@ -548,6 +552,8 @@ class TestInputBoundary:
         (("classify", "rho-theta", "inf"), 1, "validation error: finite: entry (0, 1) is (nan+nanj)"),
         (("classify", "ghz-traced", "inf"), 1, "validation error: finite: entry (0, 0) is (nan+nanj)"),
         (("classify", "gisin", "0.5", "inf"), 1, "validation error: finite: entry (0, 1) is (nan+nanj)"),
+        (("sweep", "werner", "--start", "1", "--stop", "0", "--num", "3"), 2,
+         "parse error: grid stop must not be below start"),
     ])
     def test_bad_value_gives_one_error_line(self, capsys, argv, code, message):
         with warnings.catch_warnings():

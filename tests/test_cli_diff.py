@@ -81,11 +81,19 @@ def test_default_list_covers_every_subcommand():
     malformed = {argv[1] for argv in failing if argv[0] == "classify"}
     assert malformed == set(cli._STATE_FAMILIES) | {"file"}
     assert ["classify", "tracial", "6"] in failing
+    assert ["classify", "file", "/no/such.json"] in failing
+    assert ["classify", "file"] in failing
+    assert ["sweep", "werner", "--start", "1", "--stop", "0", "--num", "3"] in failing
     commands = commands[len(failing):]
     classified = {argv[1] for argv in commands if argv[0] == "classify"}
     assert classified == set(cli._STATE_FAMILIES) | {"file"}
     switches = {argv[1] for argv in commands if argv[0] == "transform"}
     assert switches == set(transforms.SWITCH_BUILDERS)
+    rotation_edges = {(argv[1], argv[3], argv[-1]) for argv in commands
+                      if argv[0] == "transform" and argv[2] == "--theta"}
+    for switch, theta in [("u-tilde-theta", "0"), ("u-tilde-theta", "-0.0"),
+                          ("u-theta", "2.5"), ("u-theta", "0.7853981633974483")]:
+        assert {(switch, theta, "json"), (switch, theta, "csv")} <= rotation_edges
     measured = {}
     for argv in commands:
         if argv[0] == "sweep" and "--outputs" in argv:

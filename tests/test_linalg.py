@@ -21,9 +21,10 @@ from factorlab import (
     psd_sqrt,
     psi_theta,
     schmidt_decompose,
+    tracial,
     werner,
 )
-from conftest import ginibre_density, haar_unitary, haar_vector
+from conftest import ginibre_density, haar_unitary, haar_vector, random_density
 
 
 def random_hermitian(rng, d):
@@ -172,6 +173,16 @@ class TestEigensystem:
     def test_descending_order(self, rng):
         spec = herm_eigensystem(random_hermitian(rng, 8))
         assert np.all(np.diff(spec.values) <= 1e-14)
+
+    def test_equals_the_state_spectrum_bit_for_bit(self, rng):
+        # the same reversed eigh as validation, also on degenerate spectra
+        states = [random_density(rng, (d1, d2)) for d1 in range(1, 9) for d2 in range(1, 9)]
+        for rho in [*states, tracial(4), tracial(36), werner(0.0)]:
+            spec = herm_eigensystem(rho.matrix)
+            for got, want in ((spec.values, rho.spectrum.values),
+                              (spec.vectors, rho.spectrum.vectors)):
+                got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestPsdSqrt:

@@ -255,6 +255,8 @@ class TestAbsSep:
             abs_sep_2x2([0.1, 0.2, 0.3, 0.4])
         with pytest.raises(ValueError):
             abs_sep_2x2([0.5, 0.3, 0.2])
+        with pytest.raises(ValueError, match="must sum to 1, got 1.25"):
+            abs_sep_2x2([0.5, 0.25, 0.25, 0.25])
 
     def test_positive_verdict_implies_ppt_under_unitaries(self, rng):
         spectrum = np.array([0.47, 0.30, 0.13, 0.10])

@@ -180,6 +180,48 @@ class TestThetaSwitches:
         np.testing.assert_allclose(b.t, np.diag([-s2, -s2, -1.0]), atol=1e-12)
 
 
+def literal_u_switch():
+    return np.array(
+        [[1, 0, 0, 1], [0, 1, -1, 0], [0, 1, 1, 0], [-1, 0, 0, 1]], dtype=complex
+    ) / np.sqrt(2.0)
+
+
+def literal_u_theta(theta):
+    fm = np.cos(theta) - np.sin(theta)
+    fp = np.cos(theta) + np.sin(theta)
+    return np.array(
+        [[fm, 0, 0, -fp], [0, fm, fp, 0], [0, -fp, fm, 0], [fp, 0, 0, fm]], dtype=complex
+    ) / np.sqrt(2.0)
+
+
+def literal_u_tilde_theta(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, 0, 0, -s], [0, c, s, 0], [0, -s, c, 0], [s, 0, 0, c]], dtype=complex)
+
+
+def assert_same_bits(got, want):
+    """Equal as floats and in every sign bit, zeros included."""
+    got, want = got.view(float), want.view(float)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestXyRotationBits:
+    """The three switches, built as one rotation c 1(x)1 - s i s_x(x)s_y, equal
+    their former 4x4 literals bit for bit (the oracles above)."""
+
+    EDGES = [0.0, -0.0, np.pi / 4, np.pi / 2, 2.5, np.pi]
+
+    def test_u_switch(self):
+        assert_same_bits(u_switch().unitary, literal_u_switch())
+
+    def test_theta_switches_at_edges_and_random_angles(self):
+        angles = [*self.EDGES, *np.random.default_rng(7).uniform(-7.0, 7.0, size=1000)]
+        for theta in angles:
+            assert_same_bits(u_theta(theta).unitary, literal_u_theta(theta))
+            assert_same_bits(u_tilde_theta(theta).unitary, literal_u_tilde_theta(theta))
+
+
 class TestGhzSwitches:
     @pytest.mark.parametrize("theta", THETAS)
     def test_u1_matrix_form(self, theta):
@@ -471,6 +513,7 @@ class TestConstrainedEntangle:
         assert isinstance(result, NotApplicable)
         assert result.largest_eigenvalue == pytest.approx(0.25)
         assert result.required_bound == pytest.approx(0.75)
+        assert str(result) == "largest eigenvalue 0.250000 does not exceed the required bound 0.750000"
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_random_spectra_above_bound(self, rng, d):
@@ -622,6 +665,13 @@ class TestGisinFilter:
         rho = gisin(lam, theta)
         filtered = apply_filter(rho, gisin_filter(theta))
         assert abs(purity(filtered) - purity(rho)) > 1e-3
+
+    @pytest.mark.parametrize("split", [(4, 1), (1, 4)])
+    def test_rejects_other_factorizations_of_four(self, split):
+        rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), split)
+        with pytest.raises(DimensionMismatchError) as exc:
+            apply_filter(rho, gisin_filter(0.3))
+        assert str(exc.value) == f"local filter requires split (2, 2), got {split}"
 
     def test_angle_range(self):
         with pytest.raises(ValueError):
