@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures, states, transforms, witness_bell
-from .linalg import DEFAULT_TOL, DimensionMismatchError, fail_first
+from .linalg import DEFAULT_TOL, NORM_TOL, UNITARY_TOL, DimensionMismatchError, require
 from .protocols import Isometry, ProtocolCheckError, swap_stack, teleport_stack
 from .states import DensityMatrix, StateValidationError
 
@@ -209,7 +209,7 @@ class SweepSpec:
             raise CliParseError(f"grid bounds must be finite, got {self.start} to {self.stop}")
         if self.theta is not None and not np.isfinite(self.theta):
             raise CliParseError(f"--theta must be finite, got {self.theta}")
-        if self.stop < self.start:
+        if not self.start <= self.stop:
             raise CliParseError("grid stop must not be below start")
 
 
@@ -364,9 +364,9 @@ def run_protocol(kind: str, d: int, seed: int) -> dict:
     outcome = stack.indices.tolist()
     probability = stack.probabilities.tolist()
     fidelity = stack.fidelities.tolist()
-    fail_first(np.abs(stack.probabilities - 1.0 / (d * d)) > 1e-10, lambda n: ProtocolCheckError(
-        f"outcome {outcome[n]}: probability {probability[n]} != 1/d^2"))
-    fail_first(np.abs(stack.fidelities - 1.0) > 1e-9, lambda n: ProtocolCheckError(
+    require(np.abs(stack.probabilities - 1.0 / (d * d)) <= UNITARY_TOL, lambda n: (
+        ProtocolCheckError(f"outcome {outcome[n]}: probability {probability[n]} != 1/d^2")))
+    require(np.abs(stack.fidelities - 1.0) <= NORM_TOL, lambda n: ProtocolCheckError(
         f"outcome {outcome[n]}: fidelity {fidelity[n]} != 1"))
     rows = [
         {"outcome": o, "probability": p, "correction": c, "fidelity": f}

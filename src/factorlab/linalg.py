@@ -3,9 +3,10 @@
 All operators are plain square ``numpy`` arrays of complex dtype; vectors are
 1-D arrays.  The partial trace/transpose, ``psd_sqrt`` and the Hermitian and
 unitary deviations also take an (N, D, D) stack and treat each matrix on its own;
-``fail_first`` reports the first matrix of a stack that fails a check.  Every
-predicate takes an explicit tolerance (default 1e-9) and is pure: no function
-here mutates its input or keeps state.
+``require`` reports the first matrix of a stack that fails a check.  Every fixed
+tolerance is one of the constants below, every check states the condition that
+passes (``dev <= tol``, so NaN fails), and every predicate is pure and takes its
+tolerance explicitly (default ``DEFAULT_TOL``).
 """
 
 from __future__ import annotations
@@ -14,8 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
-UNITARY_TOL = 1e-10  # max |U U^dagger - 1| of a switch or an isometry
+DEFAULT_TOL = 1e-9  # validation: Hermiticity, unit trace, positivity, the PPT verdict (--tol)
+UNITARY_TOL = 1e-10  # switches, isometries, gisin_unitary_family, protocol probabilities 1/d^2
+NORM_TOL = 1e-9  # unit norms, protocol fidelities and composition laws, abs_sep_2x2's unit sum
+MAXENT_TOL = 1e-8  # how far a maximally entangled vector or projector may be from exact
+FLATNESS_TOL = 1e-6  # Schmidt flatness of maxent_weight's top eigenvector
+SLACK = 1e-12  # smallest filtered trace, the schmidt_decompose norm floor, edge slacks
+ZERO_FLOOR = 1e-14  # rounding noise; the entropy cutoff is D * ZERO_FLOOR
 
 
 class DimensionMismatchError(ValueError):
@@ -30,15 +36,15 @@ def _as_square(m: np.ndarray, stack: bool = False) -> np.ndarray:
     return m
 
 
-def fail_first(bad: np.ndarray, error) -> None:
-    """Raise ``error(k)`` for the first k with ``bad[k]`` set, if there is one.
+def require(ok: np.ndarray, error) -> None:
+    """Raise ``error(k)`` for the first k, in flattened order, where ``ok[k]`` is false.
 
     Per-matrix checks on a stack go through here, so a batch of one fails with
     the same message as a single matrix.  The raised exception carries k as
     ``index``, so a caller that knows what each matrix stands for (a sweep's
     grid value) can name it.
     """
-    hits = np.flatnonzero(bad)
+    hits = np.flatnonzero(~np.ravel(ok))
     if hits.size:
         k = int(hits[0])
         exc = error(k)
@@ -53,9 +59,8 @@ def hermitian_deviation(m: np.ndarray) -> np.ndarray:
 
 def require_hermitian(m: np.ndarray, tol: float, caller: str) -> None:
     """Raise ValueError naming ``caller`` unless each matrix is Hermitian within tol."""
-    ok = hermitian_deviation(m) <= tol
-    if not ok.all():
-        fail_first(np.ravel(~ok), lambda k: ValueError(f"{caller} requires a Hermitian matrix"))
+    require(hermitian_deviation(m) <= tol,
+            lambda k: ValueError(f"{caller} requires a Hermitian matrix"))
 
 
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -170,7 +175,7 @@ def psd_sqrt(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 def eigh_sqrt(w: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
     """``psd_sqrt`` of the matrix (or stack) whose ``eigh`` is (w, v), w ascending."""
     lo = np.ravel(w.min(axis=-1))
-    fail_first(lo < -tol, lambda k: ValueError(
+    require(lo >= -tol, lambda k: ValueError(
         f"psd_sqrt: negative eigenvalue {lo[k]:.3e} below -{tol:.1e}"))
     w = np.sqrt(np.clip(w, 0.0, None))
     return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
@@ -206,7 +211,7 @@ def schmidt_decompose(
     if v.size != d1 * d2:
         raise DimensionMismatchError(f"vector of length {v.size} does not match split {split}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > max(tol, 1e-12):
+    if not abs(norm - 1.0) <= max(tol, SLACK):
         raise ValueError(f"schmidt_decompose requires a normalized vector, |v| = {norm}")
     coeff = v.reshape(d1, d2)
     u, s, vh = np.linalg.svd(coeff, full_matrices=False)

@@ -15,6 +15,9 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    FLATNESS_TOL,
+    NORM_TOL,
+    ZERO_FLOOR,
     DimensionMismatchError,
     Spectrum,
     eigh_sqrt,
@@ -50,12 +53,12 @@ def mixedness(rho: DensityMatrix) -> float:
 def vn_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy -Tr rho ln rho in nats, read from ``rho.spectrum``.
 
-    Eigenvalues at or below D * 1e-14 (D the dimension) are rounding noise of
+    Eigenvalues at or below D * ZERO_FLOOR (D the dimension) are rounding noise of
     the eigensolve and count as zero (0 ln 0 = 0); a state with at most one
     eigenvalue above that cutoff is rank-1, and its entropy is exactly +0.0.
     """
     p = rho.spectrum.values
-    p = p[p > rho.dim * 1e-14]
+    p = p[p > rho.dim * ZERO_FLOOR]
     return float(np.sum(-p * np.log(p))) if p.size > 1 else 0.0
 
 
@@ -104,16 +107,15 @@ def concurrences(m: np.ndarray, spectrum: Spectrum, tol: float) -> np.ndarray:
     ascending order, so it is ``psd_sqrt(m)`` bit for bit.  The core's eigenvalues
     come from ``eigh`` (``eigvalsh`` takes another LAPACK path and can move a
     last digit), reversed to descending order; reversing can only swap tied
-    signed zeros, which the 1e-14 clamp sets to +0.  The clamp to [0, 1]
+    signed zeros, which the ZERO_FLOOR clamp sets to +0.  The clamp to [0, 1]
     picks exactly what ``min(1, max(0, c))`` picks, zeros included.
     """
     require_hermitian(m, tol, "psd_sqrt")
     s = eigh_sqrt(spectrum.values[..., ::-1], spectrum.vectors[..., ::-1], tol)
     core = s @ _spin_flip(m) @ s
     core = (core + np.swapaxes(core.conj(), -1, -2)) / 2.0
-    require_hermitian(core, tol, "concurrence")
     w = np.linalg.eigh(core)[0][..., ::-1].copy()
-    w[w < 1e-14] = 0.0
+    w[w < ZERO_FLOOR] = 0.0
     lam = np.sqrt(w)
     c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     c = np.where(c > 0.0, c, 0.0)
@@ -126,7 +128,7 @@ def concurrence(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
     The l_i are the descending square roots of the eigenvalues of
     rho (s_y(x)s_y) rho* (s_y(x)s_y), evaluated on the Hermitian form
     sqrt(rho) rho~ sqrt(rho) for numerical stability.  Eigenvalues of that
-    product below 1e-14 (including tiny negatives from rounding) are treated
+    product below ZERO_FLOOR (including tiny negatives from rounding) are treated
     as exact zeros: for a unit-trace input the product's spectrum is bounded
     by 1, so anything at that scale is floating-point noise, and taking its
     square root would otherwise inflate it to ~1e-7.
@@ -183,11 +185,11 @@ def abs_sep_2x2(spectrum, tol: float = DEFAULT_TOL) -> bool:
     p = np.asarray(spectrum, dtype=float).reshape(-1)
     if p.size != 4:
         raise ValueError(f"expected four eigenvalues, got {p.size}")
-    if np.any(p < -tol):
+    if not np.all(p >= -tol):
         raise ValueError(f"spectrum has a negative entry: {p.min()}")
-    if np.any(np.diff(p) > tol):
+    if not np.all(np.diff(p) <= tol):
         raise ValueError("spectrum must be sorted descending")
-    if abs(p.sum() - 1.0) > max(tol, 1e-9):
+    if not abs(p.sum() - 1.0) <= max(tol, NORM_TOL):
         raise ValueError(f"spectrum must sum to 1, got {p.sum()}")
     return bool(p[0] - p[2] - 2.0 * np.sqrt(max(p[1] * p[3], 0.0)) <= tol)
 
@@ -198,7 +200,7 @@ def split_bound_check(beta: float, d: int) -> bool:
     return beta > 1.0 / d
 
 
-def maxent_weight(rho: DensityMatrix, tol: float = 1e-6) -> float | None:
+def maxent_weight(rho: DensityMatrix, tol: float = FLATNESS_TOL) -> float | None:
     """Weight of a detected maximally entangled projector in the spectral top.
 
     If the eigenvector of the largest eigenvalue is maximally entangled (all
@@ -207,8 +209,6 @@ def maxent_weight(rho: DensityMatrix, tol: float = 1e-6) -> float | None:
     eigenvalue) is returned for use with split_bound_check.  Otherwise None.
     """
     d1, d2 = rho.split
-    if d1 != d2:
-        return None
-    if schmidt_flatness(rho.spectrum.vectors[:, 0], d1) > tol:
-        return None
-    return float(rho.spectrum.values[0])
+    if d1 == d2 and schmidt_flatness(rho.spectrum.vectors[:, 0], d1) <= tol:
+        return float(rho.spectrum.values[0])
+    return None

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_TOL, fail_first, is_unitary, unitary_deviation
-from .states import (MAXENT_TOL, maxent_vectors, schmidt_flatness, weyl_basis_state,
-                     weyl_indices, weyl_operator)
+from .linalg import MAXENT_TOL, NORM_TOL, UNITARY_TOL, is_unitary, require, unitary_deviation
+from .states import maxent_vectors, schmidt_flatness, weyl_basis_state, weyl_indices, weyl_operator
 
 
 class ProtocolCheckError(AssertionError):
@@ -114,11 +113,12 @@ def maxent_from_isometry(iso: Isometry) -> np.ndarray:
 
 def _isometry_maps(v: np.ndarray, d: int, tol: float, names) -> np.ndarray:
     """Inverse of ``states.maxent_vectors`` on a (..., d*d) stack, after checking
-    that each vector's Schmidt coefficients are flat within tol; ``names[n]``
-    prefixes the message for vector n."""
-    flat = schmidt_flatness(v, d) <= tol
-    fail_first(np.ravel(~flat), lambda n: ValueError(
-        f"{names[n]}input vector is not maximally entangled"))
+    that each vector is finite and its Schmidt coefficients are flat within tol;
+    ``names[n]`` prefixes the message for vector n."""
+    def error(n: int) -> ValueError:
+        return ValueError(f"{names[n]}input vector is not maximally entangled")
+    require(np.isfinite(v).all(axis=-1), error)
+    require(schmidt_flatness(v, d) <= tol, error)
     return np.sqrt(d) * np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
 
 
@@ -158,12 +158,12 @@ def _outcome_names(k, l) -> tuple[np.ndarray, np.ndarray, list[str]]:
 
 
 def _require_unitary(maps: np.ndarray, names: list[str]) -> None:
-    fail_first(unitary_deviation(maps) > UNITARY_TOL,
-               lambda n: ValueError(f"{names[n]}isometry matrix must be unitary"))
+    require(unitary_deviation(maps) <= UNITARY_TOL,
+            lambda n: ValueError(f"{names[n]}isometry matrix must be unitary"))
 
 
 def _require_close(residual: np.ndarray, names: list[str], law: str) -> None:
-    fail_first(residual > 1e-9, lambda n: ProtocolCheckError(
+    require(residual <= NORM_TOL, lambda n: ProtocolCheckError(
         f"{names[n]}{law} violated by {residual[n]:.3e}"))
 
 
@@ -182,7 +182,7 @@ def teleport_stack(phi: np.ndarray, k, l) -> OutcomeStack:
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     d = phi.size
     norm = np.linalg.norm(phi)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"input state must be normalized, |phi| = {norm}")
     k, l, names = _outcome_names(k, l)
 

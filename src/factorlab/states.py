@@ -13,11 +13,12 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    MAXENT_TOL,
     DimensionMismatchError,
     Spectrum,
-    fail_first,
     hermitian_deviation,
     partial_trace,
+    require,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -27,7 +28,6 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 I2 = np.eye(2, dtype=complex)
 # s_i (x) s_j for i, j in 0..3 with s_0 = 1, flattened as 4 i + j.
 PAULI_PRODUCTS = np.array([np.kron(a, b) for a in (I2, *PAULI) for b in (I2, *PAULI)])
-MAXENT_TOL = 1e-8  # how far a maximally entangled vector or projector may be from exact
 
 
 def _pauli_gather() -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +71,7 @@ def validate_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     stop = len(flat) if ok.all() else int(np.argmin(ok))
     w, v = np.linalg.eigh(flat[:stop])
     lo = w.min(axis=-1)
-    fail_first(lo < -tol, lambda k: StateValidationError(
+    require(lo >= -tol, lambda k: StateValidationError(
         "positive", f"eigenvalue {lo[k]:.3e} below -{tol:.1e}", float(lo[k])))
 
     def error(k: int) -> StateValidationError:
@@ -85,7 +85,7 @@ def validate_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
         trace = complex(tr[k])
         return StateValidationError("trace", f"trace {trace} differs from 1", abs(trace - 1.0))
 
-    fail_first(~ok, error)
+    require(ok, error)
     return Spectrum(values=w[..., ::-1].reshape(m.shape[:-1]), vectors=v[..., ::-1].reshape(m.shape))
 
 
@@ -271,10 +271,10 @@ def maxent_projector(projector: np.ndarray, d: int, tol: float = MAXENT_TOL) -> 
     p = np.asarray(projector, dtype=complex)
     if p.shape != (d * d, d * d):
         raise DimensionMismatchError(f"projector shape {p.shape} does not match d = {d}")
-    if np.max(np.abs(p @ p - p)) > tol or abs(np.trace(p) - 1.0) > tol:
+    if not (np.max(np.abs(p @ p - p)) <= tol and abs(np.trace(p) - 1.0) <= tol):
         raise ValueError("projector must be rank-1 (P^2 = P, Tr P = 1)")
     red = partial_trace(p, (d, d), keep="first")
-    if np.max(np.abs(red - np.eye(d) / d)) > tol:
+    if not np.max(np.abs(red - np.eye(d) / d)) <= tol:
         raise ValueError("projector must target a maximally entangled vector")
     return p
 
@@ -293,8 +293,7 @@ def weyl_operator(k, l, d: int) -> np.ndarray:
     reported for the first pair that has one.
     """
     k, l = np.broadcast_arrays(k, l)
-    bad = ~((0 <= k) & (k < d) & (0 <= l) & (l < d))
-    fail_first(np.ravel(bad), lambda i: ValueError(
+    require((0 <= k) & (k < d) & (0 <= l) & (l < d), lambda i: ValueError(
         f"indices (k, l) = ({np.ravel(k)[i]}, {np.ravel(l)[i]}) out of range for d = {d}"))
     j = np.arange(d)
     row = (j + k[..., None]) % d

@@ -17,11 +17,14 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    NORM_TOL,
+    SLACK,
     UNITARY_TOL,
     DimensionMismatchError,
+    _check_split,
     extend_to_unitary,
-    fail_first,
     is_unitary,
+    require,
     schmidt_decompose,
 )
 from .measures import ppt_check
@@ -51,6 +54,7 @@ class FactorizationSwitch:
         u = np.asarray(self.unitary, dtype=complex)
         if not is_unitary(u, UNITARY_TOL):
             raise ValueError(f"switch {self.description!r}: matrix is not unitary")
+        _check_split(u, self.split)
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
 
@@ -236,6 +240,8 @@ def geometric_mean_predicts_npt(spectrum: np.ndarray) -> bool:
     sqrt(p_(D-2) p_D) < (p_1 - p_(D-1)) / 2.
     """
     p = np.asarray(spectrum, dtype=float).reshape(-1)
+    if p.size < 4:
+        raise ValueError(f"expected at least four eigenvalues, got {p.size}")
     return bool(np.sqrt(max(p[-3] * p[-1], 0.0)) < 0.5 * (p[0] - p[-2]))
 
 
@@ -291,7 +297,7 @@ def ghz_split_unitary(omega: np.ndarray, d: int) -> FactorizationSwitch:
     if omega.size != d ** 3:
         raise DimensionMismatchError(f"vector of length {omega.size} is not a ({d},{d},{d}) state")
     norm = np.linalg.norm(omega)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"ghz_split_unitary requires a normalized vector, |omega| = {norm}")
     sd = schmidt_decompose(omega, (d * d, d))
     rank = sd.coefficients.size
@@ -312,7 +318,7 @@ class LocalFilter:
     def __post_init__(self):
         for name in ("t_left", "t_right"):
             t = np.asarray(getattr(self, name), dtype=float)
-            if t.shape != (2, 2) or abs(t[0, 1]) > 0 or abs(t[1, 0]) > 0:
+            if t.shape != (2, 2) or not t[0, 1] == t[1, 0] == 0:
                 raise ValueError(f"{name} must be 2x2 diagonal")
             if not np.all((t.diagonal() > 0) & (t.diagonal() <= 1.0)):
                 raise ValueError(f"{name} entries must lie in (0, 1]")
@@ -331,7 +337,7 @@ def gisin_filter(theta: float) -> LocalFilter:
     1/sqrt(cot theta); the overall scale cancels in the normalized output, and
     the rescaled entries lie in (0, 1] for 0 < theta <= pi/4.
     """
-    if not 0.0 < theta <= np.pi / 4 + 1e-12:
+    if not 0.0 < theta <= np.pi / 4 + SLACK:
         raise ValueError(f"theta must lie in (0, pi/4], got {theta}")
     root_tan = np.sqrt(np.tan(theta))
     return LocalFilter(
@@ -354,11 +360,11 @@ def apply_filter(rho: DensityMatrix, filt: LocalFilter, tol: float = DEFAULT_TOL
 
 def filtered(m: np.ndarray, filt: LocalFilter) -> np.ndarray:
     """F m F^dagger / Tr(F m F^dagger) for a 4x4 matrix or each matrix of a
-    stack (unvalidated); each filtered trace must exceed 1e-12."""
+    stack (unvalidated); each filtered trace must exceed SLACK."""
     f = filt.combined
     out = f @ m @ f.conj().T
     tr = np.trace(out, axis1=-2, axis2=-1).real
-    fail_first(np.ravel(~(tr > 1e-12)), lambda k: ValueError("filtered state has zero trace"))
+    require(tr > SLACK, lambda k: ValueError("filtered state has zero trace"))
     return out / tr[..., None, None]
 
 
@@ -376,13 +382,13 @@ def gisin_unitary_matrices(lam, theta: float) -> np.ndarray:
     """Unvalidated gisin_unitary_family matrix (or stack, for an array of lam).
 
     Each is checked against the conjugation of gisin(lam, theta) by
-    u_theta(theta), which must agree within 1e-10.
+    u_theta(theta), which must agree within UNITARY_TOL.
     """
     lam = unit_interval(lam, "lambda")
     m = mix_with_diagonal(lam, projectors(bell_vector("psi+")))
     reference = conjugated(gisin_matrices(lam, theta), u_theta(theta))
     residual = np.ravel(np.max(np.abs(reference - m), axis=(-2, -1)))
-    fail_first(~(residual <= 1e-10), lambda k: AssertionError(
+    require(residual <= UNITARY_TOL, lambda k: AssertionError(
         f"closed form deviates from conjugation by {residual[k]:.3e}"))
     return m
 

@@ -15,9 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DimensionMismatchError, hs_inner, hs_norm, is_hermitian
-from .states import (MAXENT_TOL, PAULI, DensityMatrix, bloch_coefficients, maxent_projector,
-                     require_split, to_bloch)
+from .linalg import (DEFAULT_TOL, MAXENT_TOL, NORM_TOL, SLACK, ZERO_FLOOR,
+                     DimensionMismatchError, hs_inner, hs_norm, is_hermitian)
+from .states import (PAULI, DensityMatrix, bloch_coefficients, maxent_projector, require_split,
+                     to_bloch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +59,7 @@ def optimal_witness(rho0: DensityMatrix, rho_ent: DensityMatrix) -> Witness:
         raise DimensionMismatchError(f"dimension mismatch: {rho0.dim} vs {rho_ent.dim}")
     diff = rho0.matrix - rho_ent.matrix
     dist = hs_norm(diff)
-    if dist <= 1e-14:
+    if not dist > ZERO_FLOOR:
         raise ValueError("optimal_witness requires rho0 != rho_ent")
     shift = hs_inner(rho0.matrix, diff).real
     op = (diff - shift * np.eye(rho0.dim)) / dist
@@ -87,7 +88,7 @@ class ChshSetting:
     def __post_init__(self):
         for name in ("a", "a_prime", "b", "b_prime"):
             v = np.asarray(getattr(self, name), dtype=float).reshape(3)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+            if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:
                 raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(v)}")
             object.__setattr__(self, name, v)
 
@@ -132,7 +133,7 @@ def horodecki_bmax(rho: DensityMatrix) -> float:
 
 def _unit(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(v)
-    return v / n if n > 1e-14 else fallback
+    return v / n if n > ZERO_FLOOR else fallback
 
 
 def _constructive_setting(t: np.ndarray) -> ChshSetting:
@@ -167,7 +168,7 @@ def verstraete_wolf_bounds(concurrence_value: float) -> tuple[float, float]:
     sqrt(2) C and describes the bound curve for states at fixed C.
     """
     c = float(concurrence_value)
-    if not -1e-12 <= c <= 1.0 + 1e-12:
+    if not -SLACK <= c <= 1.0 + SLACK:
         raise ValueError(f"concurrence must lie in [0, 1], got {c}")
     c = min(max(c, 0.0), 1.0)
     return (max(1.0, np.sqrt(2.0) * c), float(np.sqrt(1.0 + c * c)))
@@ -194,8 +195,10 @@ def gisin_thresholds(theta: float) -> GisinThresholds:
     Both branches are evaluated exactly rather than restricting to either one.
     The filtered family violates for lam > 1/(1 + sin(2 theta)(sqrt(2) - 1)).
     """
+    if not np.isfinite(theta):
+        raise ValueError(f"gisin_thresholds requires a finite theta, got {theta}")
     s = np.sin(2.0 * theta)
-    if abs(s) < 1e-12:
+    if not abs(s) >= SLACK:
         raise ValueError(f"degenerate theta = {theta}: sin(2 theta) = 0")
     s = abs(s)
     branch_mixed = 4.0 / (4.0 + s * s)

@@ -360,6 +360,24 @@ class TestProtocolCommand:
         assert (code, out) == (3, "")
         assert err == "protocol assertion failed: outcome [1, 2]: fidelity 0.5 != 1\n"
 
+    @pytest.mark.parametrize("kind, field, message", [
+        ("swap", "fidelities", "outcome [1, 2]: fidelity nan != 1"),
+        ("teleport", "probabilities", "outcome [1, 2]: probability nan != 1/d^2"),
+    ])
+    def test_nan_outcome_fails_its_check(self, capsys, monkeypatch, kind, field, message):
+        stack_of = getattr(cli, f"{kind}_stack")
+
+        def nan_row(*args):
+            stack = stack_of(*args)
+            values = getattr(stack, field).copy()
+            values[[5, 7]] = np.nan
+            return dataclasses.replace(stack, **{field: values})
+
+        monkeypatch.setattr(f"factorlab.cli.{kind}_stack", nan_row)
+        code, out, err = run(capsys, "protocol", kind, "--d", "3")
+        assert (code, out) == (3, "")
+        assert err == f"protocol assertion failed: {message}\n"
+
     def test_non_unitary_resource_is_validation_error(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_haar_unitary", lambda rng, d: np.ones((d, d)))
         code, out, err = run(capsys, "protocol", "swap", "--d", "2")

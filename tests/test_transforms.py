@@ -75,6 +75,16 @@ class TestSwitchValidation:
         with pytest.raises(ValueError):
             FactorizationSwitch(np.eye(4) * 2, (2, 2), "broken")
 
+    @pytest.mark.parametrize("split", [(2, 3), (4, 4), (0, 4), (3, 1)])
+    def test_rejects_split_that_does_not_factor_the_dimension(self, split):
+        message = rf"split \({split[0]}, {split[1]}\) inconsistent with matrix dimension 4"
+        with pytest.raises(DimensionMismatchError, match=message):
+            identity_switch(4, split)
+
+    @pytest.mark.parametrize("split", [(4, 1), (1, 4), (2, 2)])
+    def test_accepts_every_factorization_of_the_dimension(self, split):
+        assert identity_switch(4, split).split == split
+
 
 class TestConjugate:
     def test_identity(self, rng):
@@ -549,6 +559,11 @@ class TestConstrainedEntangle:
         assert not isinstance(switch, NotApplicable)
         np.testing.assert_array_equal(
             switch.unitary, reference @ rho.spectrum.vectors.conj().T)
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3])
+    def test_geometric_predictor_needs_four_eigenvalues(self, length):
+        with pytest.raises(ValueError, match=f"expected at least four eigenvalues, got {length}"):
+            geometric_mean_predicts_npt(np.full(length, 1.0 / max(length, 1)))
 
     def test_geometric_predictor_matches_block_determinant(self, rng):
         for _ in range(200):

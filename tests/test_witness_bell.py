@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,3 +365,10 @@ class TestGisinThresholds:
     def test_degenerate_angle(self):
         with pytest.raises(ValueError):
             gisin_thresholds(0.0)
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle(self, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"requires a finite theta, got {theta}"):
+                gisin_thresholds(theta)
