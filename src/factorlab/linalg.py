@@ -52,6 +52,15 @@ def require(ok: np.ndarray, error) -> None:
         raise exc
 
 
+def require_finite(a: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first non-finite entry of a, as
+    ``{what} entry (i, j) is nan`` (``entry i`` for a vector)."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        at = tuple(np.argwhere(~finite)[0].tolist())
+        raise ValueError(f"{what} entry {at[0] if len(at) == 1 else at} is {a[at]}")
+
+
 def hermitian_deviation(m: np.ndarray) -> np.ndarray:
     """max |m - m^dagger| of each matrix of a stack (a 0-d array for one matrix)."""
     return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
@@ -226,11 +235,21 @@ def extend_to_unitary(columns: np.ndarray) -> np.ndarray:
 
     Accepts a (D, r) array with r <= D orthonormal columns (or a single 1-D
     vector) and returns a D x D unitary whose leading r columns equal them.
+    Raises ValueError unless the columns are finite, at most D, and each norm
+    is 1 and each overlap 0 within NORM_TOL.
     """
     cols = np.asarray(columns, dtype=complex)
     if cols.ndim == 1:
         cols = cols.reshape(-1, 1)
     dim, r = cols.shape
+    if r > dim:
+        raise ValueError(f"extend_to_unitary: {r} columns exceed the dimension {dim}")
+    require_finite(cols, "extend_to_unitary: input")
+    gram = cols.conj().T @ cols
+    norms = np.sqrt(np.diagonal(gram).real)
+    np.fill_diagonal(gram, 0.0)
+    if not (np.all(np.abs(norms - 1.0) <= NORM_TOL) and np.all(np.abs(gram) <= NORM_TOL)):
+        raise ValueError("extend_to_unitary requires orthonormal columns")
     q, _ = np.linalg.qr(np.hstack([cols, np.eye(dim, dtype=complex)]))
     # Householder QR fixes each leading column only up to phase; realign.
     for k in range(r):

@@ -23,6 +23,7 @@ from .linalg import (
     eigh_sqrt,
     hs_norm,
     partial_transpose,
+    require_finite,
     require_hermitian,
 )
 from .states import PAULI, DensityMatrix, require_split, schmidt_flatness
@@ -185,6 +186,7 @@ def abs_sep_2x2(spectrum, tol: float = DEFAULT_TOL) -> bool:
     p = np.asarray(spectrum, dtype=float).reshape(-1)
     if p.size != 4:
         raise ValueError(f"expected four eigenvalues, got {p.size}")
+    require_finite(p, "spectrum")
     if not np.all(p >= -tol):
         raise ValueError(f"spectrum has a negative entry: {p.min()}")
     if not np.all(np.diff(p) <= tol):

@@ -10,8 +10,21 @@ the transfer map it realizes is the entrywise conjugate of its ket-convention
 isometry.  With that convention the composition laws hold on the nose:
 teleportation realizes I_13 = I_23 . conj(I_12) and swapping realizes
 I_14 = I_34 . conj(I_23) . I_12 (matrix products, rightmost factor first).
-Every simulated outcome is checked against the algebraic composition and a
-ProtocolCheckError is raised on disagreement.
+Every simulated outcome obeys five laws, each checked on every outcome:
+
+1. unitarity: teleportation's correction and swapping's extracted and
+   predicted isometries are unitary within UNITARY_TOL (ValueError);
+2. flatness: a swapped pair's Schmidt coefficients are 1/sqrt(d) within
+   MAXENT_TOL (ValueError);
+3. composition: the branch equals the algebraic composition up to a global
+   phase within NORM_TOL (ProtocolCheckError);
+4. probability: the outcome occurs with probability 1/d^2 within UNITARY_TOL
+   (ProtocolCheckError);
+5. fidelity: its correction recovers the target with fidelity 1 within
+   NORM_TOL (ProtocolCheckError).
+
+The kernels check the first three.  ``OutcomeStack`` checks the last two when
+it is built, so every stack obeys them, whoever builds it.
 
 Each protocol is one kernel over a stack of outcomes (k, l), ``teleport_stack``
 and ``swap_stack``: the joint vector is built once, and every branch's
@@ -26,12 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAXENT_TOL, NORM_TOL, UNITARY_TOL, is_unitary, require, unitary_deviation
+from .linalg import (
+    MAXENT_TOL, NORM_TOL, UNITARY_TOL, is_unitary, require, require_finite, unitary_deviation,
+)
 from .states import maxent_vectors, schmidt_flatness, weyl_basis_state, weyl_indices, weyl_operator
 
 
 class ProtocolCheckError(AssertionError):
-    """A protocol invariant (recovery fidelity or composition law) failed."""
+    """A protocol law (composition, probability 1/d^2 or fidelity 1) failed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +99,9 @@ class OutcomeStack:
     Row n of every array belongs to outcome ``indices[n] = (k, l)``:
     ``post_states[n]`` is the normalized state the branch leaves behind and
     ``maps[n]`` its isometry (teleportation's correction, swapping's extracted
-    composition), named ``labels[n]``.
+    composition), named ``labels[n]``.  Construction checks that every
+    probability is 1/d^2 within UNITARY_TOL, then that every fidelity is 1
+    within NORM_TOL, and names the first failing outcome.
     """
 
     d: int
@@ -94,6 +111,13 @@ class OutcomeStack:
     maps: np.ndarray
     fidelities: np.ndarray
     labels: tuple[str, ...]
+
+    def __post_init__(self):
+        p, f = np.asarray(self.probabilities), np.asarray(self.fidelities)
+        require(np.abs(p - 1.0 / (self.d * self.d)) <= UNITARY_TOL, lambda n: ProtocolCheckError(
+            f"outcome {self.indices[n].tolist()}: probability {float(p[n])} != 1/d^2"))
+        require(np.abs(f - 1.0) <= NORM_TOL, lambda n: ProtocolCheckError(
+            f"outcome {self.indices[n].tolist()}: fidelity {float(f[n])} != 1"))
 
     def outcomes(self) -> list[BellMeasurementOutcome]:
         """One BellMeasurementOutcome per row."""
@@ -181,6 +205,7 @@ def teleport_stack(phi: np.ndarray, k, l) -> OutcomeStack:
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     d = phi.size
+    require_finite(phi, "input state")
     norm = np.linalg.norm(phi)
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"input state must be normalized, |phi| = {norm}")

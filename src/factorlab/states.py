@@ -19,6 +19,7 @@ from .linalg import (
     hermitian_deviation,
     partial_trace,
     require,
+    require_finite,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -183,14 +184,15 @@ def to_bloch(rho: DensityMatrix) -> BlochForm:
     return BlochForm(r=c[1:, 0], u=c[0, 1:], t=c[1:, 1:])
 
 
-_BELL_SIGNS = {"psi+": +1, "psi-": -1, "phi+": +1, "phi-": -1}
+# Bell kind -> the relative sign of its two terms
+BELL_SIGNS = {"psi+": +1, "psi-": -1, "phi+": +1, "phi-": -1}
 
 
 def bell_vector(kind: str) -> np.ndarray:
     """One of the four Bell vectors psi+/-, phi+/- in the computational basis."""
-    if kind not in _BELL_SIGNS:
-        raise ValueError(f"unknown Bell state {kind!r}; expected one of {sorted(_BELL_SIGNS)}")
-    sign = _BELL_SIGNS[kind]
+    if kind not in BELL_SIGNS:
+        raise ValueError(f"unknown Bell state {kind!r}; expected one of {sorted(BELL_SIGNS)}")
+    sign = BELL_SIGNS[kind]
     v = np.zeros(4, dtype=complex)
     if kind.startswith("psi"):
         v[1], v[2] = 1.0, sign
@@ -209,8 +211,8 @@ def bell_state(kind: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
 
 def product_state(a: int, b: int, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Computational product projector |ab><ab| with a, b in {0, 1}."""
-    if a not in (0, 1) or b not in (0, 1):
+    """Computational product projector |ab><ab| with a, b the integers 0 or 1."""
+    if not all(_is_integer(x) and x in (0, 1) for x in (a, b)):
         raise ValueError("product_state expects qubit labels 0 (up) or 1 (down)")
     m = np.zeros((4, 4), dtype=complex)
     m[2 * a + b, 2 * a + b] = 1.0
@@ -271,6 +273,7 @@ def maxent_projector(projector: np.ndarray, d: int, tol: float = MAXENT_TOL) -> 
     p = np.asarray(projector, dtype=complex)
     if p.shape != (d * d, d * d):
         raise DimensionMismatchError(f"projector shape {p.shape} does not match d = {d}")
+    require_finite(p, "projector")
     if not (np.max(np.abs(p @ p - p)) <= tol and abs(np.trace(p) - 1.0) <= tol):
         raise ValueError("projector must be rank-1 (P^2 = P, Tr P = 1)")
     red = partial_trace(p, (d, d), keep="first")
@@ -289,12 +292,16 @@ def weyl_operator(k, l, d: int) -> np.ndarray:
 
     Satisfies chi_kl = (1 (x) W_kl) chi_00, so the Weyl basis vectors and
     these operators are two faces of the same family.  Integer arrays k, l
-    (broadcast together) give a (..., d, d) stack; an index out of range is
-    reported for the first pair that has one.
+    (broadcast together) give a (..., d, d) stack; indices that are not
+    integers, or out of range, are reported for the first pair that has one.
     """
     k, l = np.broadcast_arrays(k, l)
-    require((0 <= k) & (k < d) & (0 <= l) & (l < d), lambda i: ValueError(
-        f"indices (k, l) = ({np.ravel(k)[i]}, {np.ravel(l)[i]}) out of range for d = {d}"))
+
+    def error(i: int, problem: str) -> ValueError:
+        return ValueError(f"indices (k, l) = ({np.ravel(k)[i]}, {np.ravel(l)[i]}) {problem}")
+    if k.size and not (k.dtype.kind in "iu" and l.dtype.kind in "iu"):
+        raise error(0, "must be integers")  # a non-integer dtype makes every pair fail
+    require((0 <= k) & (k < d) & (0 <= l) & (l < d), lambda i: error(i, f"out of range for d = {d}"))
     j = np.arange(d)
     row = (j + k[..., None]) % d
     phase = np.exp(1j * ((2 * np.pi * j * l[..., None]) / d))
@@ -421,11 +428,16 @@ def state_to_dict(rho: DensityMatrix) -> dict:
     }
 
 
+def _is_integer(x) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def state_split(data: dict) -> tuple[int, int]:
     """The JSON state's split: KeyError if missing, TypeError unless two positive integers."""
     split = data["split"]
     if not (isinstance(split, (list, tuple)) and len(split) == 2 and all(
-            isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x > 0 for x in split)):
+            _is_integer(x) and x > 0 for x in split)):
         raise TypeError(f"split must be a list of two positive integers, got {split!r}")
     return split[0], split[1]
 

@@ -25,6 +25,7 @@ from .linalg import (
     extend_to_unitary,
     is_unitary,
     require,
+    require_finite,
     schmidt_decompose,
 )
 from .measures import ppt_check
@@ -52,6 +53,7 @@ class FactorizationSwitch:
 
     def __post_init__(self):
         u = np.asarray(self.unitary, dtype=complex)
+        require_finite(u, f"switch {self.description!r}: matrix")
         if not is_unitary(u, UNITARY_TOL):
             raise ValueError(f"switch {self.description!r}: matrix is not unitary")
         _check_split(u, self.split)

@@ -332,6 +332,10 @@ class TestProtocolCommand:
         assert (code, out) == (2, "")
         assert err == "parse error: protocol --seed must be a non-negative integer, got -1\n"
 
+    def test_unknown_protocol_lists_the_protocol_table(self):
+        with pytest.raises(CliParseError, match=r"^unknown protocol 'x'; valid: teleport, swap$"):
+            cli.run_protocol("x", 2, 0)
+
     def test_failed_assertion_exits_3_with_label(self, capsys, monkeypatch):
         from factorlab.protocols import OutcomeStack
 

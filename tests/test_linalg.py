@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from factorlab import (
     partial_transpose,
     product_state,
     psd_sqrt,
+    pure_to_product,
     psi_theta,
     schmidt_decompose,
     tracial,
@@ -258,6 +261,28 @@ class TestCompletionHelpers:
         u = extend_to_unitary(q)
         assert is_unitary(u, 1e-12)
         np.testing.assert_allclose(u[:, :3], q, atol=1e-12)
+
+    @pytest.mark.parametrize("columns, message", [
+        (np.eye(2, 3), r"extend_to_unitary: 3 columns exceed the dimension 2"),
+        (np.zeros((3, 1)), "extend_to_unitary requires orthonormal columns"),
+        (np.array([[1.0], [np.nan]]), r"extend_to_unitary: input entry \(1, 0\) is \(nan\+0j\)"),
+        (np.array([[1.0, 1.0], [0.0, 0.0]]), "extend_to_unitary requires orthonormal columns"),
+        (np.array([1.0, 1.0]), "extend_to_unitary requires orthonormal columns"),
+    ], ids=["too-many-columns", "zero-column", "nan-column", "equal-columns", "not-unit"])
+    def test_extend_to_unitary_rejects_columns_that_are_not_orthonormal(self, columns, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                extend_to_unitary(columns)
+
+    @pytest.mark.parametrize("excess", [-0.9e-9, 0.9e-9])
+    def test_extend_to_unitary_accepts_what_schmidt_decompose_accepts(self, rng, excess):
+        # a norm within 1e-9 of 1 has a squared norm up to 1.8e-9 away from 1
+        v = haar_vector(rng, 4) * (1.0 + excess)
+        schmidt_decompose(v, (2, 2))
+        np.testing.assert_allclose(extend_to_unitary(v)[:, 0], v / np.linalg.norm(v), atol=1e-12)
+        switched = pure_to_product(v, (2, 2)).unitary @ v
+        assert abs(switched[0]) == pytest.approx(np.linalg.norm(v), abs=1e-12)
 
     def test_align_global_phase(self):
         v = np.array([0.3j, -0.9, 0.1 + 0.1j])

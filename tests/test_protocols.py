@@ -18,7 +18,7 @@ from factorlab import (
     weyl_operator,
 )
 from factorlab import protocols
-from factorlab.protocols import swap_stack, teleport_stack
+from factorlab.protocols import OutcomeStack, swap_stack, teleport_stack
 from factorlab.states import weyl_indices
 from conftest import haar_unitary, haar_vector
 
@@ -51,6 +51,10 @@ class TestIsometry:
         iso = Isometry.weyl(1, 2, 3)
         assert iso.label == "W[1,2]"
         np.testing.assert_allclose(iso.map, weyl_operator(1, 2, 3), atol=1e-15)
+
+    def test_weyl_constructor_rejects_non_integer_index(self):
+        with pytest.raises(ValueError, match=r"^indices \(k, l\) = \(0, 1\.5\) must be integers$"):
+            Isometry.weyl(0, 1.5, 3)
 
 
 class TestMaxentIsometryCorrespondence:
@@ -384,3 +388,34 @@ class TestPerOutcomeChecks:
     def test_non_unitary_resource_keeps_its_message(self):
         with pytest.raises(ValueError, match=r"^isometry matrix must be unitary$"):
             swap_outcomes(Isometry(np.ones((2, 2)), 2), Isometry.identity(2))
+
+
+class TestOutcomeLaws:
+    """Every OutcomeStack checks probability 1/d^2, then fidelity 1, when it is
+    built, so each caller of the kernels gets both laws."""
+
+    @pytest.mark.parametrize("call", [
+        lambda phi, iso: teleport_outcomes(phi),
+        lambda phi, iso: swap_outcomes(iso, iso),
+        lambda phi, iso: teleport(phi, (1, 0)),
+        lambda phi, iso: swap((1, 0), iso, iso),
+    ], ids=["teleport_outcomes", "swap_outcomes", "teleport", "swap"])
+    def test_wrong_probability_names_outcome(self, rng, monkeypatch, call):
+        # 1.5 chi_10 leaves every branch state as it was, but outcome (1, 0)
+        # then has probability 2.25 / 4
+        phi, iso = haar_vector(rng, 2), Isometry(haar_unitary(rng, 2), 2)
+        corrupt_outcome(monkeypatch, "weyl_basis_state", (1, 0), lambda chi, d: 1.5 * chi)
+        with pytest.raises(ProtocolCheckError, match=r"^outcome \[1, 0\]: probability 0\.562\d* != 1/d\^2$"):
+            call(phi, iso)
+
+    def test_nan_fidelity_names_first_bad_row(self, rng):
+        stack = teleport_stack(haar_vector(rng, 2), *weyl_indices(2))
+        with pytest.raises(ProtocolCheckError, match=r"^outcome \[0, 1\]: fidelity nan != 1$"):
+            OutcomeStack(2, stack.indices, stack.probabilities, stack.post_states, stack.maps,
+                         np.array([1.0, np.nan, np.nan, 1.0]), stack.labels)
+
+    def test_probability_is_checked_before_fidelity(self, rng):
+        stack = teleport_stack(haar_vector(rng, 2), *weyl_indices(2))
+        with pytest.raises(ProtocolCheckError, match=r"^outcome \[1, 1\]: probability 0\.3 != 1/d\^2$"):
+            OutcomeStack(2, stack.indices, np.array([0.25, 0.25, 0.25, 0.3]), stack.post_states,
+                         stack.maps, np.array([0.5, 1.0, 1.0, 1.0]), stack.labels)

@@ -232,6 +232,16 @@ class TestWeylBasis:
         with pytest.raises(ValueError):
             weyl_basis_state(2, 0, 2)
 
+    @pytest.mark.parametrize("call, pair", [
+        (lambda: weyl_basis_state(0.5, 0, 2), r"\(0\.5, 0\)"),
+        (lambda: weyl_operator(1, 0.5, 2), r"\(1, 0\.5\)"),
+        (lambda: weyl_operator(True, 0, 2), r"\(True, 0\)"),
+        (lambda: weyl_operator([0, 1], [1.0, np.nan], 2), r"\(0, 1\.0\)"),
+    ], ids=["weyl_basis_state", "weyl_operator", "bool", "float-array"])
+    def test_non_integer_index_names_first_pair(self, call, pair):
+        with pytest.raises(ValueError, match=rf"^indices \(k, l\) = {pair} must be integers$"):
+            call()
+
     def test_equals_sum_over_j_bitwise(self):
         # chi_kl = d^(-1/2) sum_j exp(2 pi i j l / d) |j> (x) |(j+k) mod d>, term by term
         for d in range(1, 13):
@@ -330,6 +340,14 @@ class TestGisin:
 
 
 class TestNamedStates:
+    @pytest.mark.parametrize("a, b", [(0.0, 1), (True, 0), (0, False), (1, 1.0), (2, 0), (0, -1)])
+    def test_product_state_takes_only_the_integers_0_and_1(self, a, b):
+        with pytest.raises(ValueError, match=r"^product_state expects qubit labels 0 \(up\) or 1 \(down\)$"):
+            product_state(a, b)
+
+    def test_product_state_takes_numpy_integers(self):
+        assert (product_state(np.int64(1), np.uint8(0)).matrix == product_state(1, 0).matrix).all()
+
     def test_rho_theta_matrix(self):
         theta = 0.8
         m = rho_theta(theta).matrix

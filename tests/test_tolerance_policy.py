@@ -62,15 +62,15 @@ def test_readme_conventions_list_every_tolerance_with_its_value():
 NAN = np.nan
 NAN_CASES = {
     "teleport": (lambda: fl.teleport(np.array([NAN, 1.0]), (0, 0)),
-                 r"input state must be normalized, \|phi\| = nan"),
+                 r"input state entry 0 is \(nan\+0j\)"),
     "chsh_setting": (lambda: fl.ChshSetting([NAN, 0, 0], [1, 0, 0], [1, 0, 0], [1, 0, 0]),
                      r"a must be a unit vector, \|a\| = nan"),
     "abs_sep_2x2": (lambda: fl.abs_sep_2x2([NAN, 0.5, 0.3, 0.2]),
-                    "spectrum has a negative entry: nan"),
+                    "spectrum entry 0 is nan"),
     "abs_sep_2x2_order": (lambda: fl.abs_sep_2x2([0.5, NAN, 0.3, 0.2]),
-                          "spectrum has a negative entry: nan"),
+                          "spectrum entry 1 is nan"),
     "maxent_projector": (lambda: states.maxent_projector(np.full((4, 4), NAN), 2),
-                         r"projector must be rank-1 \(P\^2 = P, Tr P = 1\)"),
+                         r"projector entry \(0, 0\) is \(nan\+0j\)"),
     "schmidt_decompose": (lambda: fl.schmidt_decompose(np.full(4, NAN), (2, 2)),
                           r"schmidt_decompose requires a normalized vector, \|v\| = nan"),
     "ghz_split_unitary": (lambda: fl.ghz_split_unitary(np.full(8, NAN), 2),
@@ -81,6 +81,7 @@ NAN_CASES = {
                                "input vector is not maximally entangled"),
     "local_filter": (lambda: transforms.LocalFilter(np.array([[1.0, NAN], [0.0, 1.0]]), np.eye(2)),
                      "t_left must be 2x2 diagonal"),
+    "u_theta": (lambda: fl.u_theta(NAN), r"switch 'u-theta': matrix entry \(0, 0\) is \(nan\+0j\)"),
     "filtered_trace": (
         lambda: transforms.filtered(np.full((4, 4), NAN), transforms.gisin_filter(0.3)),
         "filtered state has zero trace"),

@@ -721,7 +721,7 @@ class TestGisinUnitaryFamily:
         assert concurrence(gisin_unitary_family(0.0, 0.5)) == pytest.approx(0.0, abs=1e-12)
 
     def test_nan_theta_fails_the_switch_check(self):
-        with pytest.raises(ValueError, match="switch 'u-theta': matrix is not unitary"):
+        with pytest.raises(ValueError, match=r"^switch 'u-theta': matrix entry \(0, 0\) is \(nan\+0j\)$"):
             gisin_unitary_family(0.5, float("nan"))
 
 
