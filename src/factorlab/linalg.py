@@ -6,7 +6,8 @@ unitary deviations also take an (N, D, D) stack and treat each matrix on its own
 ``require`` reports the first matrix of a stack that fails a check.  Every fixed
 tolerance is one of the constants below, every check states the condition that
 passes (``dev <= tol``, so NaN fails), and every predicate is pure and takes its
-tolerance explicitly (default ``DEFAULT_TOL``).
+tolerance explicitly (default ``DEFAULT_TOL``).  Every validated dataclass holds
+each array it checked through ``hold``: a read-only copy, never the caller's array.
 """
 
 from __future__ import annotations
@@ -34,6 +35,17 @@ def _as_square(m: np.ndarray, stack: bool = False) -> np.ndarray:
     if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def hold(obj, name: str, dtype=complex, shape=None) -> np.ndarray:
+    """Set field ``name`` of frozen dataclass obj to a read-only copy of its value, as dtype
+    (None keeps the value's) and reshaped to shape if given, and return that copy."""
+    a = np.array(getattr(obj, name), dtype=dtype)
+    if shape is not None:
+        a = a.reshape(shape)
+    a.setflags(write=False)
+    object.__setattr__(obj, name, a)
+    return a
 
 
 def require(ok: np.ndarray, error) -> None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    MAXENT_TOL, NORM_TOL, UNITARY_TOL, is_unitary, require, require_finite, unitary_deviation,
+    MAXENT_TOL, NORM_TOL, UNITARY_TOL, hold, is_unitary, require, require_finite, unitary_deviation,
 )
 from .states import maxent_vectors, schmidt_flatness, weyl_basis_state, weyl_indices, weyl_operator
 
@@ -58,13 +58,12 @@ class Isometry:
     label: str = ""
 
     def __post_init__(self):
-        m = np.asarray(self.map, dtype=complex)
+        m = hold(self, "map")
         if m.shape != (self.d, self.d):
             raise ValueError(f"isometry matrix shape {m.shape} does not match d = {self.d}")
+        require_finite(m, "isometry matrix")
         if not is_unitary(m, UNITARY_TOL):
             raise ValueError("isometry matrix must be unitary")
-        m.setflags(write=False)
-        object.__setattr__(self, "map", m)
 
     @classmethod
     def identity(cls, d: int) -> "Isometry":
@@ -113,7 +112,9 @@ class OutcomeStack:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        p, f = np.asarray(self.probabilities), np.asarray(self.fidelities)
+        for name in ("indices", "post_states", "maps"):
+            hold(self, name, None)
+        p, f = hold(self, "probabilities", None), hold(self, "fidelities", None)
         require(np.abs(p - 1.0 / (self.d * self.d)) <= UNITARY_TOL, lambda n: ProtocolCheckError(
             f"outcome {self.indices[n].tolist()}: probability {float(p[n])} != 1/d^2"))
         require(np.abs(f - 1.0) <= NORM_TOL, lambda n: ProtocolCheckError(

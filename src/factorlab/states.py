@@ -17,6 +17,7 @@ from .linalg import (
     DimensionMismatchError,
     Spectrum,
     hermitian_deviation,
+    hold,
     partial_trace,
     require,
     require_finite,
@@ -105,7 +106,7 @@ class DensityMatrix:
     spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self, tol: float):
-        m = np.array(self.matrix, dtype=complex)
+        m = hold(self, "matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StateValidationError("shape", f"not a square matrix: {m.shape}")
         d1, d2 = int(self.split[0]), int(self.split[1])
@@ -113,11 +114,9 @@ class DensityMatrix:
             raise StateValidationError(
                 "split", f"split {self.split} does not factor dimension {m.shape[0]}"
             )
-        solved = validate_stack(m, tol)
-        spectrum = Spectrum(values=solved.values.copy(), vectors=solved.vectors.copy())
-        for a in (m, spectrum.values, spectrum.vectors):
-            a.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        spectrum = validate_stack(m, tol)
+        hold(spectrum, "values", float)
+        hold(spectrum, "vectors")
         object.__setattr__(self, "split", (d1, d2))
         object.__setattr__(self, "spectrum", spectrum)
 
@@ -139,9 +138,8 @@ class BlochForm:
     t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "r", np.array(self.r, dtype=float).reshape(3))
-        object.__setattr__(self, "u", np.array(self.u, dtype=float).reshape(3))
-        object.__setattr__(self, "t", np.array(self.t, dtype=float).reshape(3, 3))
+        for name, shape in (("r", 3), ("u", 3), ("t", (3, 3))):
+            hold(self, name, float, shape)
 
 
 def from_bloch(b: BlochForm, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -248,8 +246,6 @@ def weyl_basis_state(k, l, d: int) -> np.ndarray:
     coefficient array chi_kl is W_kl^T / sqrt(d), W_kl the ``weyl_operator``.
     Integer arrays k, l (broadcast together) give a (..., d*d) stack.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
     return maxent_vectors(weyl_operator(k, l, d))
 
 
@@ -293,8 +289,13 @@ def weyl_operator(k, l, d: int) -> np.ndarray:
     Satisfies chi_kl = (1 (x) W_kl) chi_00, so the Weyl basis vectors and
     these operators are two faces of the same family.  Integer arrays k, l
     (broadcast together) give a (..., d, d) stack; indices that are not
-    integers, or out of range, are reported for the first pair that has one.
+    integers, or out of range, are reported for the first pair that has one;
+    d must be a positive integer (not a bool).
     """
+    if not _is_integer(d):
+        raise ValueError(f"d must be an integer, got {d!r}")
+    if d < 1:
+        raise ValueError("d must be positive")
     k, l = np.broadcast_arrays(k, l)
 
     def error(i: int, problem: str) -> ValueError:

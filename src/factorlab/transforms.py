@@ -23,6 +23,7 @@ from .linalg import (
     DimensionMismatchError,
     _check_split,
     extend_to_unitary,
+    hold,
     is_unitary,
     require,
     require_finite,
@@ -52,13 +53,11 @@ class FactorizationSwitch:
     description: str = ""
 
     def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex)
+        u = hold(self, "unitary")
         require_finite(u, f"switch {self.description!r}: matrix")
         if not is_unitary(u, UNITARY_TOL):
             raise ValueError(f"switch {self.description!r}: matrix is not unitary")
         _check_split(u, self.split)
-        u.setflags(write=False)
-        object.__setattr__(self, "unitary", u)
 
 
 @dataclass(frozen=True)
@@ -319,12 +318,11 @@ class LocalFilter:
 
     def __post_init__(self):
         for name in ("t_left", "t_right"):
-            t = np.asarray(getattr(self, name), dtype=float)
+            t = hold(self, name, float)
             if t.shape != (2, 2) or not t[0, 1] == t[1, 0] == 0:
                 raise ValueError(f"{name} must be 2x2 diagonal")
             if not np.all((t.diagonal() > 0) & (t.diagonal() <= 1.0)):
                 raise ValueError(f"{name} entries must lie in (0, 1]")
-            object.__setattr__(self, name, t)
 
     @property
     def combined(self) -> np.ndarray:

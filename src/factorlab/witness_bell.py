@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, MAXENT_TOL, NORM_TOL, SLACK, ZERO_FLOOR,
-                     DimensionMismatchError, hs_inner, hs_norm, is_hermitian)
+                     DimensionMismatchError, hold, hs_inner, hs_norm, is_hermitian,
+                     require_finite)
 from .states import (PAULI, DensityMatrix, bloch_coefficients, maxent_projector, require_split,
                      to_bloch)
 
@@ -30,11 +31,10 @@ class Witness:
     split: tuple[int, int]
 
     def __post_init__(self):
-        op = np.asarray(self.operator, dtype=complex)
+        op = hold(self, "operator")
+        require_finite(op, "witness operator")
         if not is_hermitian(op, DEFAULT_TOL):
             raise ValueError("witness operator must be Hermitian")
-        op.setflags(write=False)
-        object.__setattr__(self, "operator", op)
 
 
 def witness_projector(projector: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> Witness:
@@ -87,10 +87,9 @@ class ChshSetting:
 
     def __post_init__(self):
         for name in ("a", "a_prime", "b", "b_prime"):
-            v = np.asarray(getattr(self, name), dtype=float).reshape(3)
+            v = hold(self, name, float, 3)
             if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:
                 raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(v)}")
-            object.__setattr__(self, name, v)
 
 
 def _dot_sigma(v: np.ndarray) -> np.ndarray:

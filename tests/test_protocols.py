@@ -57,6 +57,13 @@ class TestIsometry:
             Isometry.weyl(0, 1.5, 3)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_is_named_before_unitarity(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = bad
+        with pytest.raises(ValueError, match=rf"^isometry matrix entry \(1, 0\) is \({bad}\+0j\)$"):
+            Isometry(m, 2)
+
 class TestMaxentIsometryCorrespondence:
     def test_identity_d2_gives_phi_plus(self):
         v = maxent_from_isometry(Isometry.identity(2))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,22 @@ class TestWeylBasis:
     def test_non_integer_index_names_first_pair(self, call, pair):
         with pytest.raises(ValueError, match=rf"^indices \(k, l\) = {pair} must be integers$"):
             call()
+
+    @pytest.mark.parametrize("call", [weyl_operator, weyl_basis_state], ids=["operator", "vector"])
+    @pytest.mark.parametrize("d", [2.5, True, np.float64(3.0)], ids=["float", "bool", "np.float64"])
+    def test_dimension_must_be_an_integer(self, call, d):
+        with pytest.raises(ValueError, match=rf"^d must be an integer, got {re.escape(repr(d))}$"):
+            call(0, 0, d)
+
+    @pytest.mark.parametrize("call", [weyl_operator, weyl_basis_state], ids=["operator", "vector"])
+    @pytest.mark.parametrize("d", [0, -2, np.int64(0)], ids=["0", "-2", "np.int64"])
+    def test_dimension_must_be_positive(self, call, d):
+        with pytest.raises(ValueError, match="^d must be positive$"):
+            call(0, 0, d)
+
+    def test_numpy_integer_dimension(self):
+        np.testing.assert_array_equal(weyl_operator(1, 2, np.int64(3)), weyl_operator(1, 2, 3))
+        np.testing.assert_array_equal(weyl_basis_state(1, 2, np.int64(3)), weyl_basis_state(1, 2, 3))
 
     def test_equals_sum_over_j_bitwise(self):
         # chi_kl = d^(-1/2) sum_j exp(2 pi i j l / d) |j> (x) |(j+k) mod d>, term by term

@@ -109,6 +109,14 @@ class TestWitnessProjector:
             assert ewi_eval(rho, w) >= -1e-9
 
 
+class TestWitness:
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
+    def test_non_finite_entry_is_named_before_hermiticity(self, bad):
+        op = np.eye(4, dtype=complex)
+        op[2, 3] = bad
+        with pytest.raises(ValueError, match=rf"^witness operator entry \(2, 3\) is \({bad}\+0j\)$"):
+            Witness(op, (2, 2))
+
 class TestOptimalWitness:
     def test_matrix_form_for_singlet(self):
         w = optimal_witness(werner(1 / 3), bell_state("psi-"))
