@@ -171,10 +171,15 @@ class Spectrum:
 
     ``vectors[..., :, k]`` is the eigenvector for ``values[..., k]``, of one matrix
     or each of a stack.  Within a degenerate cluster their order is unspecified.
+    Both are held as read-only copies.
     """
 
     values: np.ndarray
     vectors: np.ndarray
+
+    def __post_init__(self):
+        hold(self, "values", float)
+        hold(self, "vectors")
 
 
 def herm_eigensystem(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
@@ -207,13 +212,19 @@ class SchmidtDecomposition:
     """Bipartite decomposition v = sum_k c_k |left_k> (x) |right_k>.
 
     Coefficients are nonnegative and descending; ``left_basis[:, k]`` and
-    ``right_basis[:, k]`` are the paired orthonormal vectors.
+    ``right_basis[:, k]`` are the paired orthonormal vectors.  All three arrays
+    are held as read-only copies.
     """
 
     coefficients: np.ndarray
     left_basis: np.ndarray
     right_basis: np.ndarray
     split: tuple[int, int]
+
+    def __post_init__(self):
+        hold(self, "coefficients", float)
+        hold(self, "left_basis")
+        hold(self, "right_basis")
 
     def reconstruct(self) -> np.ndarray:
         d1, d2 = self.split
@@ -237,9 +248,7 @@ def schmidt_decompose(
     coeff = v.reshape(d1, d2)
     u, s, vh = np.linalg.svd(coeff, full_matrices=False)
     # rows of vh are the right vectors; numpy returns singular values descending
-    return SchmidtDecomposition(
-        coefficients=s.copy(), left_basis=u.copy(), right_basis=vh.T.copy(), split=(d1, d2)
-    )
+    return SchmidtDecomposition(coefficients=s, left_basis=u, right_basis=vh.T, split=(d1, d2))
 
 
 def extend_to_unitary(columns: np.ndarray) -> np.ndarray:

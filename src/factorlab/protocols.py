@@ -29,7 +29,10 @@ it is built, so every stack obeys them, whoever builds it.
 Each protocol is one kernel over a stack of outcomes (k, l), ``teleport_stack``
 and ``swap_stack``: the joint vector is built once, and every branch's
 contraction, normalization, extraction and check runs on the whole stack; a
-failing check names the first failing outcome.  ``teleport``/``swap`` are a
+failing check names the first failing outcome.  Each branch is one BLAS
+vector-matrix product per outcome, the outcome's bra times the joint vector
+held as a matrix whose rows are the measured pair, so a batch of one equals
+its row of any batch bit for bit.  ``teleport``/``swap`` are a
 batch of one, ``teleport_outcomes``/``swap_outcomes`` a batch of all d^2.
 """
 
@@ -98,7 +101,8 @@ class OutcomeStack:
     Row n of every array belongs to outcome ``indices[n] = (k, l)``:
     ``post_states[n]`` is the normalized state the branch leaves behind and
     ``maps[n]`` its isometry (teleportation's correction, swapping's extracted
-    composition), named ``labels[n]``.  Construction checks that every
+    composition), named ``labels[n]``.  Construction checks that every field
+    has one row per outcome (ValueError naming the field), then that every
     probability is 1/d^2 within UNITARY_TOL, then that every fidelity is 1
     within NORM_TOL, and names the first failing outcome.
     """
@@ -115,6 +119,14 @@ class OutcomeStack:
         for name in ("indices", "post_states", "maps"):
             hold(self, name, None)
         p, f = hold(self, "probabilities", None), hold(self, "fidelities", None)
+        n = len(self.indices) if self.indices.ndim else 0
+        # None: any length
+        rows = {"indices": (n, 2), "probabilities": (n,), "post_states": (n, None),
+                "maps": (n, self.d, self.d), "fidelities": (n,), "labels": (n,)}
+        for name, want in rows.items():
+            got = np.shape(getattr(self, name))
+            if len(got) != len(want) or any(w not in (None, g) for w, g in zip(want, got)):
+                raise ValueError(f"OutcomeStack {name} has shape {got}, expected {want}")
         require(np.abs(p - 1.0 / (self.d * self.d)) <= UNITARY_TOL, lambda n: ProtocolCheckError(
             f"outcome {self.indices[n].tolist()}: probability {float(p[n])} != 1/d^2"))
         require(np.abs(f - 1.0) <= NORM_TOL, lambda n: ProtocolCheckError(
@@ -192,6 +204,16 @@ def _require_close(residual: np.ndarray, names: list[str], law: str) -> None:
         f"{names[n]}{law} violated by {residual[n]:.3e}"))
 
 
+def _measure(chi: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """Unnormalized branch <chi_n| joint for each row chi_n of an (N, m) stack,
+    where the rows of ``joint`` are the m measured basis states.
+
+    One vector-matrix product per outcome, never one product over the whole
+    stack, so that a batch of one equals its row of any batch bit for bit.
+    """
+    return (chi.conj()[:, None, :] @ joint)[:, 0, :]
+
+
 def teleport_stack(phi: np.ndarray, k, l) -> OutcomeStack:
     """Teleport ``phi`` through the identity-isometry resource, for each
     outcome (k[n], l[n]).
@@ -213,9 +235,8 @@ def teleport_stack(phi: np.ndarray, k, l) -> OutcomeStack:
     k, l, names = _outcome_names(k, l)
 
     resource = maxent_from_isometry(Isometry.identity(d))
-    joint = np.kron(phi, resource).reshape(d, d, d)
-    chi = weyl_basis_state(k, l, d).reshape(-1, d, d)
-    branch = np.einsum("nab,abc->nc", chi.conj(), joint)
+    joint = np.kron(phi, resource).reshape(d * d, d)
+    branch = _measure(weyl_basis_state(k, l, d), joint)
     probability = np.einsum("nc,nc->n", branch.conj(), branch).real
     bob = branch / np.sqrt(probability)[:, None]
 
@@ -263,9 +284,10 @@ def swap_stack(k, l, i12: Isometry, i34: Isometry) -> OutcomeStack:
     d = i12.d
     k, l, names = _outcome_names(k, l)
 
-    joint = np.kron(maxent_from_isometry(i12), maxent_from_isometry(i34)).reshape(d, d, d, d)
-    chi = weyl_basis_state(k, l, d).reshape(-1, d, d)
-    branch = np.einsum("nbc,abce->nae", chi.conj(), joint).reshape(-1, d * d)
+    joint = np.kron(maxent_from_isometry(i12), maxent_from_isometry(i34))
+    # rows (b, c): the measured pair (2, 3); columns (a, e): the pair (1, 4)
+    joint = joint.reshape(d, d * d, d).transpose(1, 0, 2).reshape(d * d, d * d)
+    branch = _measure(weyl_basis_state(k, l, d), joint)
     probability = np.einsum("ni,ni->n", branch.conj(), branch).real
     pair14 = branch / np.sqrt(probability)[:, None]
 

@@ -114,11 +114,8 @@ class DensityMatrix:
             raise StateValidationError(
                 "split", f"split {self.split} does not factor dimension {m.shape[0]}"
             )
-        spectrum = validate_stack(m, tol)
-        hold(spectrum, "values", float)
-        hold(spectrum, "vectors")
         object.__setattr__(self, "split", (d1, d2))
-        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "spectrum", validate_stack(m, tol))
 
     @property
     def dim(self) -> int:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,8 +315,8 @@ class TestStackedKernels:
         assert_stack_matches(stack, lambda k, l: reference_swap_branch(k, l, i12, i34))
         assert stack.labels == tuple(f"composed@{k},{l}" for k in range(d) for l in range(d))
 
-    def test_single_outcome_is_a_batch_of_one(self, rng):
-        d = 4
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_single_outcome_is_a_batch_of_one(self, rng, d):
         phi = haar_vector(rng, d)
         i12 = Isometry(haar_unitary(rng, d), d)
         i34 = Isometry(haar_unitary(rng, d), d)
@@ -420,6 +422,22 @@ class TestOutcomeLaws:
         with pytest.raises(ProtocolCheckError, match=r"^outcome \[0, 1\]: fidelity nan != 1$"):
             OutcomeStack(2, stack.indices, stack.probabilities, stack.post_states, stack.maps,
                          np.array([1.0, np.nan, np.nan, 1.0]), stack.labels)
+
+    # field -> a value of the wrong shape for a stack of 4 outcomes
+    MISSHAPEN = {
+        "indices": lambda s: s.indices[:, 0],
+        "probabilities": lambda s: s.probabilities[:3],
+        "post_states": lambda s: s.post_states[:3],
+        "maps": lambda s: s.maps[:, :, :1],
+        "fidelities": lambda s: s.fidelities[:0],
+        "labels": lambda s: s.labels[:3],
+    }
+
+    @pytest.mark.parametrize("field", MISSHAPEN)
+    def test_field_without_one_row_per_outcome_is_named(self, rng, field):
+        stack = teleport_stack(haar_vector(rng, 2), *weyl_indices(2))
+        with pytest.raises(ValueError, match=rf"^OutcomeStack {field} has shape "):
+            dataclasses.replace(stack, **{field: self.MISSHAPEN[field](stack)})
 
     def test_probability_is_checked_before_fidelity(self, rng):
         stack = teleport_stack(haar_vector(rng, 2), *weyl_indices(2))

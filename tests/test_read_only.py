@@ -28,6 +28,10 @@ HOLDERS = {
                             [np.eye(4, dtype=complex)]),
     "LocalFilter": (fl.LocalFilter, [np.diag([0.5, 1.0]), np.diag([1.0, 0.25])]),
     "Isometry": (lambda m: fl.Isometry(m, 2), [np.eye(2, dtype=complex)]),
+    "Spectrum": (linalg.Spectrum, [np.array([0.75, 0.25]), np.eye(2, dtype=complex)]),
+    "SchmidtDecomposition": (lambda c, u, v: linalg.SchmidtDecomposition(c, u, v, (2, 2)),
+                             [np.full(2, np.sqrt(0.5)), np.eye(2, dtype=complex),
+                              np.eye(2, dtype=complex)]),
     "OutcomeStack": (_outcome_stack, [np.array([[0, 0]]), np.array([0.25]),
                                       np.array([[1.0, 0.0]], dtype=complex),
                                       np.eye(2, dtype=complex)[None], np.array([1.0])]),
@@ -80,6 +84,8 @@ def test_broken_laws_cannot_be_written_in():
         lambda: stack.probabilities.__setitem__(0, 0.9),
         lambda: fl.gisin_filter(0.3).t_left.__setitem__((1, 1), 7.0),
         lambda: setting.a.__setitem__(slice(None), 0.0),
+        lambda: fl.schmidt_decompose(fl.bell_vector("psi-"), (2, 2)).coefficients.__setitem__(0, 5.0),
+        lambda: fl.herm_eigensystem(np.eye(2)).vectors.__setitem__((0, 0), 5.0),
     ]
     for write in writes:
         with pytest.raises(ValueError, match="read-only"):
