@@ -144,36 +144,45 @@ def load_state_file(path: str, tol: float) -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# classify
+# measures and classify
+
+def _abs_separable(m, s, split, tol):
+    p = np.clip(s.values, 0.0, None).reshape(-1, 4)
+    return np.array([measures.abs_sep_2x2(q / q.sum()) for q in p]).reshape(m.shape[:-2])
+
+
+_EVERY = lambda split: True
+_QUBITS = lambda split: split == (2, 2)
+_SQUARE = lambda split: split[0] == split[1]
+
+# report key -> (the splits it applies to, its kernel).  A kernel maps a matrix
+# or a stack of them, m, with its Spectrum s, the split and tol to one value per
+# matrix.  classify evaluates each row that applies to its state's split; a
+# sweep column names a row, evaluated on a stack of two-qubit states.
+_MEASURES = {
+    "purity": (_EVERY, lambda m, s, split, tol: measures.purities(m)),
+    "mixedness": (_EVERY, lambda m, s, split, tol: 1.0 - measures.purities(m)),
+    "entropy": (_EVERY, lambda m, s, split, tol: measures.entropies(s)),
+    "ppt": (_EVERY, lambda m, s, split, tol: measures.pt_min_eigenvalues(m, split)),
+    "concurrence": (_QUBITS, lambda m, s, split, tol: measures.concurrences(m, s, tol)),
+    "bmax": (_QUBITS, lambda m, s, split, tol: witness_bell.bmax_values(m)),
+    "abs_separable_spectrum": (_QUBITS, _abs_separable),
+    "kz_ball_member": (_SQUARE, lambda m, s, split, tol: measures.kz_ball_members(m, tol)),
+    "split_bound": (_EVERY, lambda m, s, split, tol: measures.maxent_weights(s, split[0])),
+}
+
 
 def classification_report(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> dict:
-    """Aggregate diagnostics for one state."""
-    verdict = measures.ppt_check(rho, tol=tol)
-    report: dict = {
-        "split": list(rho.split),
-        "purity": measures.purity(rho),
-        "mixedness": measures.mixedness(rho),
-        "entropy": measures.vn_entropy(rho),
-        "ppt": {
-            "classification": verdict.classification,
-            "min_pt_eigenvalue": verdict.min_pt_eigenvalue,
-        },
-    }
-    if rho.split == (2, 2):
-        report["concurrence"] = measures.concurrence(rho, tol=tol)
-        report["bmax"] = witness_bell.horodecki_bmax(rho)
-        spectrum = np.clip(rho.spectrum.values, 0.0, None)
-        report["abs_separable_spectrum"] = measures.abs_sep_2x2(spectrum / spectrum.sum())
-    if rho.split[0] == rho.split[1]:
-        report["kz_ball_member"] = measures.kz_ball_member(rho, tol=tol)
-    beta = measures.maxent_weight(rho)
-    if beta is not None:
-        report["split_bound"] = {
-            "beta": beta,
-            "entangled": measures.split_bound_check(beta, rho.split[0]),
-        }
-    else:
-        report["split_bound"] = None
+    """Aggregate diagnostics for one state: each row of ``_MEASURES`` that
+    applies to its split, with ``ppt`` and ``split_bound`` nested."""
+    report: dict = {"split": list(rho.split)}
+    for key, (applies, kernel) in _MEASURES.items():
+        if applies(rho.split):
+            report[key] = kernel(rho.matrix, rho.spectrum, rho.split, tol).item()
+    report["ppt"] = vars(measures.PptVerdict.from_min(report["ppt"], tol))
+    beta = report["split_bound"]
+    report["split_bound"] = None if math.isnan(beta) else {
+        "beta": beta, "entangled": measures.split_bound_check(beta, rho.split[0])}
     return report
 
 
@@ -213,17 +222,6 @@ class SweepSpec:
             raise CliParseError("grid stop must not be below start")
 
 
-# measure -> stacked kernel: (matrix stack, its spectrum, tol) -> one value per grid point
-_SWEEP_MEASURES = {
-    "C": measures.concurrences,
-    "bmax": lambda m, spectrum, tol: witness_bell.bmax_values(m),
-    "purity": lambda m, spectrum, tol: measures.purities(m),
-    "mixedness": lambda m, spectrum, tol: 1.0 - measures.purities(m),
-    "ppt": lambda m, spectrum, tol: measures.pt_min_eigenvalues(m, (2, 2)),
-    "kz_member": lambda m, spectrum, tol: measures.kz_ball_members(m, tol=tol).astype(float),
-}
-
-
 def _switched(source: str, switch):
     """Stack builder: the stack ``source`` conjugated by ``switch()``."""
     return lambda x, theta, built: transforms.conjugated(built[source][0], switch())
@@ -240,21 +238,21 @@ _SWEEP_FAMILIES = {
         "theta", False,
         (("rho", lambda x, theta, built: states.rho_theta_matrices(x)),
          ("switched", _switched("rho", transforms.u_switch))),
-        {"C": ("C", "rho"), "C_after_u_switch": ("C", "switched"),
+        {"C": ("concurrence", "rho"), "C_after_u_switch": ("concurrence", "switched"),
          "bmax": ("bmax", "rho"), "purity": ("purity", "rho")},
         ("C", "C_after_u_switch"),
     ),
     "werner": _SweepFamily(
         "alpha", False,
         (("rho", lambda x, theta, built: states.werner_matrices(x)),),
-        {"ppt": ("ppt", "rho"), "bmax": ("bmax", "rho"), "C": ("C", "rho"),
-         "purity": ("purity", "rho"), "kz_member": ("kz_member", "rho")},
+        {"ppt": ("ppt", "rho"), "bmax": ("bmax", "rho"), "C": ("concurrence", "rho"),
+         "purity": ("purity", "rho"), "kz_member": ("kz_ball_member", "rho")},
         ("ppt", "bmax"),
     ),
     "gisin": _SweepFamily(
         "lambda", True,
         (("rho", lambda x, theta, built: states.gisin_matrices(x, theta)),),
-        {"C": ("C", "rho"), "bmax": ("bmax", "rho"), "purity": ("purity", "rho"),
+        {"C": ("concurrence", "rho"), "bmax": ("bmax", "rho"), "purity": ("purity", "rho"),
          "ppt": ("ppt", "rho")},
         ("C", "bmax"),
     ),
@@ -264,8 +262,8 @@ _SWEEP_FAMILIES = {
          ("filtered", lambda x, theta, built: transforms.filtered(
              built["gisin"][0], transforms.gisin_filter(theta))),
          ("unitary", lambda x, theta, built: transforms.gisin_unitary_matrices(x, theta))),
-        {"C_gisin": ("C", "gisin"), "C_filtered": ("C", "filtered"),
-         "C_unitary": ("C", "unitary"), "B_gisin": ("bmax", "gisin"),
+        {"C_gisin": ("concurrence", "gisin"), "C_filtered": ("concurrence", "filtered"),
+         "C_unitary": ("concurrence", "unitary"), "B_gisin": ("bmax", "gisin"),
          "B_filtered": ("bmax", "filtered"), "B_unitary": ("bmax", "unitary"),
          "purity_gisin": ("purity", "gisin"), "purity_filtered": ("purity", "filtered"),
          "purity_unitary": ("purity", "unitary")},
@@ -277,8 +275,9 @@ _SWEEP_FAMILIES = {
          ("u1", _switched("rho", transforms.u1_ghz)),
          ("u2", _switched("rho", transforms.u2_ghz)),
          ("switched", _switched("rho", transforms.u_switch))),
-        {"C_u1": ("C", "u1"), "C_u2": ("C", "u2"), "C_best": ("C", "u1", "u2"),
-         "C_after_u_switch": ("C", "switched"), "mixedness": ("mixedness", "rho")},
+        {"C_u1": ("concurrence", "u1"), "C_u2": ("concurrence", "u2"),
+         "C_best": ("concurrence", "u1", "u2"), "C_after_u_switch": ("concurrence", "switched"),
+         "mixedness": ("mixedness", "rho")},
         ("C_best", "C_after_u_switch", "mixedness"),
     ),
 }
@@ -315,7 +314,7 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], lis
             stack = build(grid, spec.theta, built)
             built[name] = stack, states.validate_stack(stack, tol)
         # cached, so a column over two stacks reuses their single-stack values
-        evaluate = functools.cache(lambda measure, stack: _SWEEP_MEASURES[measure](*built[stack], tol))
+        evaluate = functools.cache(lambda key, stack: _MEASURES[key][1](*built[stack], (2, 2), tol))
         values = [
             functools.reduce(lambda a, b: np.where(b > a, b, a),
                              (evaluate(measure, stack) for stack in stacks))
@@ -327,7 +326,7 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], lis
             exc.args = (f"{exc} at {family.param} = {float(grid[index])!r}",)
         raise
     columns = [family.param] + outputs
-    table = zip(grid.tolist(), *(column.tolist() for column in values))
+    table = zip(grid.tolist(), *(column.astype(float).tolist() for column in values))
     return columns, [dict(zip(columns, row)) for row in table]
 
 

@@ -1,10 +1,10 @@
 """Scalar diagnostics: purity, entropy, PPT classification, concurrence,
 Hilbert-Schmidt geometry, and absolute-separability tests.
 
-Purity, the partial-transpose minimum, concurrence (given the ``spectrum`` that
-validation returns) and the purity-ball test each have one kernel that works on
-an (N, D, D) stack of validated matrices (``purities``, ``pt_min_eigenvalues``,
-``concurrences``, ``kz_ball_members``); DensityMatrix functions call it on one matrix.
+Purity, entropy, the partial-transpose minimum, concurrence, the purity ball and
+the maxent weight each have one kernel for a validated matrix or (N, D, D) stack and
+its ``spectrum`` (``purities``, ``entropies``, ``pt_min_eigenvalues``, ``concurrences``,
+``kz_ball_members``, ``maxent_weights``); DensityMatrix functions call it on one matrix.
 """
 
 from __future__ import annotations
@@ -58,9 +58,16 @@ def vn_entropy(rho: DensityMatrix) -> float:
     the eigensolve and count as zero (0 ln 0 = 0); a state with at most one
     eigenvalue above that cutoff is rank-1, and its entropy is exactly +0.0.
     """
-    p = rho.spectrum.values
-    p = p[p > rho.dim * ZERO_FLOOR]
-    return float(np.sum(-p * np.log(p))) if p.size > 1 else 0.0
+    return float(entropies(rho.spectrum))
+
+
+def entropies(spectrum: Spectrum) -> np.ndarray:
+    """vn_entropy of a matrix or of each matrix of a stack, read from its
+    ``spectrum``.  A dropped eigenvalue adds a signed zero, p ln 1, to the sum."""
+    p = spectrum.values
+    kept = p > p.shape[-1] * ZERO_FLOOR
+    terms = p * np.log(np.where(kept, p, 1.0))
+    return np.where(kept.sum(axis=-1) > 1, -terms.sum(axis=-1), 0.0)
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,11 @@ class PptVerdict:
     classification: str  # "PPT" or "NPT"
     min_pt_eigenvalue: float
 
+    @classmethod
+    def from_min(cls, lo: float, tol: float) -> PptVerdict:
+        """The verdict on a partial transpose whose smallest eigenvalue is lo."""
+        return cls("NPT" if lo < -tol else "PPT", lo)
+
     @property
     def entangled(self) -> bool:
         return self.classification == "NPT"
@@ -88,8 +100,7 @@ def pt_min_eigenvalues(m: np.ndarray, split: tuple[int, int]) -> np.ndarray:
 
 
 def ppt_check(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> PptVerdict:
-    lo = float(pt_min_eigenvalues(rho.matrix, rho.split))
-    return PptVerdict("NPT" if lo < -tol else "PPT", lo)
+    return PptVerdict.from_min(float(pt_min_eigenvalues(rho.matrix, rho.split)), tol)
 
 
 def _spin_flip(m: np.ndarray) -> np.ndarray:
@@ -210,7 +221,13 @@ def maxent_weight(rho: DensityMatrix, tol: float = FLATNESS_TOL) -> float | None
     beta * P + (1 - beta) * sigma with sigma orthogonal to P, and beta (the top
     eigenvalue) is returned for use with split_bound_check.  Otherwise None.
     """
-    d1, d2 = rho.split
-    if d1 == d2 and schmidt_flatness(rho.spectrum.vectors[:, 0], d1) <= tol:
-        return float(rho.spectrum.values[0])
-    return None
+    beta = float(maxent_weights(rho.spectrum, rho.split[0], tol))
+    return None if np.isnan(beta) else beta
+
+
+def maxent_weights(spectrum: Spectrum, d: int, tol: float = FLATNESS_TOL) -> np.ndarray:
+    """maxent_weight of a matrix or of each matrix of a stack, split (d, d), from its
+    ``spectrum``: NaN where the top eigenvector is not maximally entangled or D != d * d."""
+    top, v = spectrum.values[..., 0], spectrum.vectors[..., :, 0]
+    flat = schmidt_flatness(v, d) <= tol if v.shape[-1] == d * d else False
+    return np.where(flat, top, np.nan)

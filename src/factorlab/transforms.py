@@ -411,10 +411,10 @@ def named_switch(name: str, theta: float | None = None) -> FactorizationSwitch:
             f"unknown transform {name!r}; valid names: {', '.join(sorted(SWITCH_BUILDERS))}"
         )
     builder, needs_theta = SWITCH_BUILDERS[name]
+    if theta is not None and not np.isfinite(theta):
+        raise ValueError(f"transform {name!r} requires a finite theta, got {theta}")
     if needs_theta:
         if theta is None:
             raise ValueError(f"transform {name!r} requires a theta parameter")
-        if not np.isfinite(theta):
-            raise ValueError(f"transform {name!r} requires a finite theta, got {theta}")
         return builder(theta)
     return builder()

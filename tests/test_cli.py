@@ -592,6 +592,14 @@ class TestInputBoundary:
         with pytest.raises(CliParseError, match="--theta"):
             SweepSpec(family, 0.0, 1.0, 5, theta=float(theta))
 
+    @pytest.mark.parametrize("switch", [name for name, (_, needs_theta)
+                                        in fl.transforms.SWITCH_BUILDERS.items() if not needs_theta])
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_transform_non_finite_theta_is_parse_error(self, capsys, switch, theta):
+        # a switch that takes no theta still rejects a non-finite one, as sweep does
+        assert run(capsys, "transform", switch, f"--theta={theta}", "werner", "0.5") == (
+            2, "", f"parse error: transform {switch!r} requires a finite theta, got {float(theta)}\n")
+
     def test_sweep_failure_names_grid_value(self, capsys, monkeypatch):
         werner_matrices = fl.states.werner_matrices
 
