@@ -15,7 +15,10 @@ Every simulated outcome obeys five laws, each checked on every outcome:
 1. unitarity: teleportation's correction and swapping's extracted and
    predicted isometries are unitary within UNITARY_TOL (ValueError);
 2. flatness: a swapped pair's Schmidt coefficients are 1/sqrt(d) within
-   MAXENT_TOL (ValueError);
+   MAXENT_TOL (ValueError).  The pair's isometry M has flatness
+   max_k |s_k - 1/sqrt(d)| <= sqrt(d) * max|M M^dagger - 1|, the deviation
+   law 1 computes anyway; the SVD runs only on the branches this bound
+   leaves open;
 3. composition: the branch equals the algebraic composition up to a global
    phase within NORM_TOL (ProtocolCheckError);
 4. probability: the outcome occurs with probability 1/d^2 within UNITARY_TOL
@@ -43,9 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    MAXENT_TOL, NORM_TOL, UNITARY_TOL, hold, is_unitary, require, require_finite, unitary_deviation,
+    MAXENT_TOL, NORM_TOL, UNITARY_TOL, ZERO_FLOOR, hold, is_unitary, require, require_finite,
+    unitary_deviation,
 )
-from .states import maxent_vectors, schmidt_flatness, weyl_basis_state, weyl_indices, weyl_operator
+from .states import (
+    maxent_vectors, require_dimension, schmidt_flatness, weyl_basis_state, weyl_indices,
+    weyl_operator,
+)
 
 
 class ProtocolCheckError(AssertionError):
@@ -61,6 +68,7 @@ class Isometry:
     label: str = ""
 
     def __post_init__(self):
+        require_dimension(self.d)
         m = hold(self, "map")
         if m.shape != (self.d, self.d):
             raise ValueError(f"isometry matrix shape {m.shape} does not match d = {self.d}")
@@ -148,27 +156,50 @@ def maxent_from_isometry(iso: Isometry) -> np.ndarray:
     return maxent_vectors(iso.map)
 
 
-def _isometry_maps(v: np.ndarray, d: int, tol: float, names) -> np.ndarray:
-    """Inverse of ``states.maxent_vectors`` on a (..., d*d) stack, after checking
-    that each vector is finite and its Schmidt coefficients are flat within tol;
-    ``names[n]`` prefixes the message for vector n."""
+def _isometry_maps(v: np.ndarray, d: int, tol: float, names) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``states.maxent_vectors`` on a (..., d*d) stack, and the unitary
+    deviation dev = max|M M^dagger - 1| of each map M, after checking that each
+    vector is finite and its Schmidt coefficients s_k are flat within tol;
+    ``names[n]`` prefixes the message for vector n.
+
+    M M^dagger - 1 has eigenvalues d s_k^2 - 1 and a spectral norm at most d
+    times its largest entry, so |s_k^2 - 1/d| <= dev and max_k |s_k - 1/sqrt(d)|
+    <= sqrt(d) * dev: a vector whose bound is within tol is flat, and the SVD
+    (``schmidt_flatness``) decides only the others.
+    """
     def error(n: int) -> ValueError:
         return ValueError(f"{names[n]}input vector is not maximally entangled")
     require(np.isfinite(v).all(axis=-1), error)
-    require(schmidt_flatness(v, d) <= tol, error)
-    return np.sqrt(d) * np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
+    maps = np.sqrt(d) * np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
+    dev = unitary_deviation(maps)
+    # Rounding: each entry of M M^dagger sums d products of two rows whose squared
+    # norms are at most 1 + dev, so the computed dev is off by at most about
+    # d * eps * (1 + dev).  ZERO_FLOOR * d * (1 + dev), ZERO_FLOOR ~ 45 eps, covers
+    # that; times sqrt(d), the ~44 * d^1.5 * eps * (1 + dev) left over covers the
+    # rounding of M and of the SVD, each a few multiples of sqrt(d) * eps * s_max
+    # with s_max <= sqrt(1 + dev).  So the bound passes no vector that
+    # schmidt_flatness(v, d) <= tol rejects.
+    flat = np.ravel(np.sqrt(d) * (dev + ZERO_FLOOR * d * (1 + dev)) <= tol)
+    if not flat.all():
+        flat[~flat] = schmidt_flatness(v.reshape(-1, d * d)[~flat], d) <= tol
+    require(flat, error)
+    return maps, dev
 
 
 def isometry_of_maxent(v: np.ndarray, d: int, tol: float = MAXENT_TOL) -> Isometry:
     """Inverse of maxent_from_isometry (exact, no phase freedom).
 
-    Raises ValueError when the input is not maximally entangled, i.e. when its
+    Raises ValueError when d is not a positive integer, when tol is not finite
+    and >= 0, or when the input is not maximally entangled, i.e. when its
     Schmidt coefficients deviate from the flat value 1/sqrt(d) beyond tol.
     """
+    require_dimension(d)
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.size != d * d:
         raise ValueError(f"vector of length {v.size} does not match d = {d}")
-    return Isometry(_isometry_maps(v, d, tol, [""]), d)
+    return Isometry(_isometry_maps(v, d, tol, [""])[0], d)
 
 
 def _phase_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -194,8 +225,11 @@ def _outcome_names(k, l) -> tuple[np.ndarray, np.ndarray, list[str]]:
     return k, l, [f"outcome ({a},{b}): " for a, b in zip(k.tolist(), l.tolist())]
 
 
-def _require_unitary(maps: np.ndarray, names: list[str]) -> None:
-    require(unitary_deviation(maps) <= UNITARY_TOL,
+def _require_unitary(maps: np.ndarray, names: list[str], dev: np.ndarray | None = None) -> None:
+    """Each map is unitary within UNITARY_TOL; ``dev`` is their unitary_deviation
+    when the caller has it already."""
+    dev = unitary_deviation(maps) if dev is None else dev
+    require(dev <= UNITARY_TOL,
             lambda n: ValueError(f"{names[n]}isometry matrix must be unitary"))
 
 
@@ -291,8 +325,8 @@ def swap_stack(k, l, i12: Isometry, i34: Isometry) -> OutcomeStack:
     probability = np.einsum("ni,ni->n", branch.conj(), branch).real
     pair14 = branch / np.sqrt(probability)[:, None]
 
-    extracted = _isometry_maps(pair14, d, MAXENT_TOL, names)
-    _require_unitary(extracted, names)
+    extracted, dev = _isometry_maps(pair14, d, MAXENT_TOL, names)
+    _require_unitary(extracted, names, dev)
     predicted = i34.map @ weyl_operator(k, l, d).conj() @ i12.map
     residual = _phase_distance(extracted.reshape(-1, d * d), predicted.reshape(-1, d * d))
     _require_close(residual, names, "isometry composition")

@@ -280,6 +280,14 @@ def weyl_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.arange(d * d), d)
 
 
+def require_dimension(d: int) -> None:
+    """Raise ValueError unless the factor dimension d is a positive integer (not a bool)."""
+    if not _is_integer(d):
+        raise ValueError(f"d must be an integer, got {d!r}")
+    if d < 1:
+        raise ValueError("d must be positive")
+
+
 def weyl_operator(k, l, d: int) -> np.ndarray:
     """Shift-and-phase unitary W_kl = sum_j exp(2 pi i j l / d) |(j+k) mod d><j|.
 
@@ -287,12 +295,9 @@ def weyl_operator(k, l, d: int) -> np.ndarray:
     these operators are two faces of the same family.  Integer arrays k, l
     (broadcast together) give a (..., d, d) stack; indices that are not
     integers, or out of range, are reported for the first pair that has one;
-    d must be a positive integer (not a bool).
+    d must be a positive integer (``require_dimension``).
     """
-    if not _is_integer(d):
-        raise ValueError(f"d must be an integer, got {d!r}")
-    if d < 1:
-        raise ValueError("d must be positive")
+    require_dimension(d)
     k, l = np.broadcast_arrays(k, l)
 
     def error(i: int, problem: str) -> ValueError:

@@ -687,7 +687,10 @@ class TestSolveBudget:
          {"eigh": 7, "eigvalsh": 0, "svd": 0}),
         (("sweep", "werner", "--start", "0", "--stop", "1", "--num", "11"),
          {"eigh": 1, "eigvalsh": 2, "svd": 0}),
-    ], ids=["classify", "transform", "sweep-every-measure", "sweep-default-outputs"])
+        (("protocol", "swap", "--d", "8"), {"svd": 0, "qr": 2}),
+        (("protocol", "teleport", "--d", "8"), {"svd": 0, "qr": 0}),
+    ], ids=["classify", "transform", "sweep-every-measure", "sweep-default-outputs",
+            "protocol-swap", "protocol-teleport"])
     def test_solver_calls_per_command(self, capsys, monkeypatch, argv, budget):
         calls = dict.fromkeys(budget, 0)
 
