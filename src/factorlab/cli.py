@@ -146,11 +146,6 @@ def load_state_file(path: str, tol: float) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # measures and classify
 
-def _abs_separable(m, s, split, tol):
-    p = np.clip(s.values, 0.0, None).reshape(-1, 4)
-    return np.array([measures.abs_sep_2x2(q / q.sum()) for q in p]).reshape(m.shape[:-2])
-
-
 _EVERY = lambda split: True
 _QUBITS = lambda split: split == (2, 2)
 _SQUARE = lambda split: split[0] == split[1]
@@ -166,7 +161,9 @@ _MEASURES = {
     "ppt": (_EVERY, lambda m, s, split, tol: measures.pt_min_eigenvalues(m, split)),
     "concurrence": (_QUBITS, lambda m, s, split, tol: measures.concurrences(m, s, tol)),
     "bmax": (_QUBITS, lambda m, s, split, tol: witness_bell.bmax_values(m)),
-    "abs_separable_spectrum": (_QUBITS, _abs_separable),
+    # at DEFAULT_TOL whatever --tol says, on the spectrum clipped at 0 and renormalized
+    "abs_separable_spectrum": (_QUBITS, lambda m, s, split, tol: measures.abs_separables(
+        (p := np.clip(s.values, 0.0, None)) / p.sum(axis=-1, keepdims=True))),
     "kz_ball_member": (_SQUARE, lambda m, s, split, tol: measures.kz_ball_members(m, tol)),
     "split_bound": (_EVERY, lambda m, s, split, tol: measures.maxent_weights(s, split[0])),
 }
@@ -216,6 +213,8 @@ class SweepSpec:
             raise CliParseError(f"grid may hold at most {MAX_SWEEP_POINTS} points, got {self.num}")
         if not (np.isfinite(self.start) and np.isfinite(self.stop)):
             raise CliParseError(f"grid bounds must be finite, got {self.start} to {self.stop}")
+        if not np.isfinite(float(self.stop) - float(self.start)):
+            raise CliParseError(f"grid span must be finite, got {self.start} to {self.stop}")
         if self.theta is not None and not np.isfinite(self.theta):
             raise CliParseError(f"--theta must be finite, got {self.theta}")
         if not self.start <= self.stop:

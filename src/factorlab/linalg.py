@@ -29,6 +29,17 @@ class DimensionMismatchError(ValueError):
     """Operands act on Hilbert spaces of incompatible dimension."""
 
 
+def _is_integer(x) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _factors(split, dim: int) -> bool:
+    """True when split[0] and split[1] are positive integers whose product is dim."""
+    d1, d2 = split[0], split[1]
+    return _is_integer(d1) and _is_integer(d2) and d1 >= 1 and d2 >= 1 and d1 * d2 == dim
+
+
 def _as_square(m: np.ndarray, stack: bool = False) -> np.ndarray:
     """m as a complex square matrix; with ``stack``, an (N, D, D) stack of them is accepted too."""
     m = np.asarray(m, dtype=complex)
@@ -119,12 +130,11 @@ def hs_norm(a: np.ndarray) -> float:
 
 
 def _check_split(m: np.ndarray, split: tuple[int, int]) -> tuple[int, int]:
-    d1, d2 = int(split[0]), int(split[1])
-    if d1 < 1 or d2 < 1 or d1 * d2 != m.shape[-1]:
+    if not _factors(split, m.shape[-1]):
         raise DimensionMismatchError(
             f"split {split} inconsistent with matrix dimension {m.shape[-1]}"
         )
-    return d1, d2
+    return int(split[0]), int(split[1])
 
 
 def partial_transpose(
@@ -239,9 +249,9 @@ def schmidt_decompose(
 ) -> SchmidtDecomposition:
     """Schmidt decomposition of a normalized bipartite state vector."""
     v = np.asarray(v, dtype=complex).reshape(-1)
-    d1, d2 = int(split[0]), int(split[1])
-    if v.size != d1 * d2:
+    if not _factors(split, v.size):
         raise DimensionMismatchError(f"vector of length {v.size} does not match split {split}")
+    d1, d2 = int(split[0]), int(split[1])
     norm = np.linalg.norm(v)
     if not abs(norm - 1.0) <= max(tol, SLACK):
         raise ValueError(f"schmidt_decompose requires a normalized vector, |v| = {norm}")

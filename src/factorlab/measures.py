@@ -204,7 +204,12 @@ def abs_sep_2x2(spectrum, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("spectrum must be sorted descending")
     if not abs(p.sum() - 1.0) <= max(tol, NORM_TOL):
         raise ValueError(f"spectrum must sum to 1, got {p.sum()}")
-    return bool(p[0] - p[2] - 2.0 * np.sqrt(max(p[1] * p[3], 0.0)) <= tol)
+    return bool(abs_separables(p, tol))
+
+
+def abs_separables(p: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """abs_sep_2x2's test, unchecked, on a descending spectrum or a (..., 4) stack of them."""
+    return p[..., 0] - p[..., 2] - 2.0 * np.sqrt(np.maximum(p[..., 1] * p[..., 3], 0.0)) <= tol
 
 
 def split_bound_check(beta: float, d: int) -> bool:

@@ -32,11 +32,11 @@ it is built, so every stack obeys them, whoever builds it.
 Each protocol is one kernel over a stack of outcomes (k, l), ``teleport_stack``
 and ``swap_stack``: the joint vector is built once, and every branch's
 contraction, normalization, extraction and check runs on the whole stack; a
-failing check names the first failing outcome.  Each branch is one BLAS
-vector-matrix product per outcome, the outcome's bra times the joint vector
-held as a matrix whose rows are the measured pair, so a batch of one equals
-its row of any batch bit for bit.  ``teleport``/``swap`` are a
-batch of one, ``teleport_outcomes``/``swap_outcomes`` a batch of all d^2.
+failing check names the first failing outcome.  Both open with one Bell step,
+``_bell_step``: each outcome's bra times the joint vector held as a matrix whose
+rows are the measured pair, one BLAS product per outcome so that a batch of one
+equals its row of any batch bit for bit, then normalized.  ``teleport``/``swap``
+are a batch of one, ``teleport_outcomes``/``swap_outcomes`` a batch of all d^2.
 """
 
 from __future__ import annotations
@@ -219,12 +219,6 @@ def _phase_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.abs(u - phase / np.abs(phase) * v).max(axis=-1)
 
 
-def _outcome_names(k, l) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """k and l as 1-D arrays, and the message prefix naming each outcome."""
-    k, l = np.broadcast_arrays(np.ravel(k), np.ravel(l))
-    return k, l, [f"outcome ({a},{b}): " for a, b in zip(k.tolist(), l.tolist())]
-
-
 def _require_unitary(maps: np.ndarray, names: list[str], dev: np.ndarray | None = None) -> None:
     """Each map is unitary within UNITARY_TOL; ``dev`` is their unitary_deviation
     when the caller has it already."""
@@ -238,14 +232,20 @@ def _require_close(residual: np.ndarray, names: list[str], law: str) -> None:
         f"{names[n]}{law} violated by {residual[n]:.3e}"))
 
 
-def _measure(chi: np.ndarray, joint: np.ndarray) -> np.ndarray:
-    """Unnormalized branch <chi_n| joint for each row chi_n of an (N, m) stack,
-    where the rows of ``joint`` are the m measured basis states.
+def _bell_step(k, l, d: int, joint: np.ndarray):
+    """The Bell measurement both kernels open with: for each outcome (k[n], l[n]),
+    broadcast to 1-D, the bra <chi_kl| times ``joint``, whose rows are the measured
+    pair's basis states.  Returns the (N, 2) indices, each outcome's message
+    prefix, and each branch's probability and normalized state.
 
     One vector-matrix product per outcome, never one product over the whole
     stack, so that a batch of one equals its row of any batch bit for bit.
     """
-    return (chi.conj()[:, None, :] @ joint)[:, 0, :]
+    k, l = np.broadcast_arrays(np.ravel(k), np.ravel(l))
+    names = [f"outcome ({a},{b}): " for a, b in zip(k.tolist(), l.tolist())]
+    branch = (weyl_basis_state(k, l, d).conj()[:, None, :] @ joint)[:, 0, :]
+    probability = np.einsum("ni,ni->n", branch.conj(), branch).real
+    return np.stack([k, l], axis=-1), names, probability, branch / np.sqrt(probability)[:, None]
 
 
 def teleport_stack(phi: np.ndarray, k, l) -> OutcomeStack:
@@ -266,22 +266,16 @@ def teleport_stack(phi: np.ndarray, k, l) -> OutcomeStack:
     norm = np.linalg.norm(phi)
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"input state must be normalized, |phi| = {norm}")
-    k, l, names = _outcome_names(k, l)
+    joint = np.kron(phi, maxent_vectors(np.eye(d, dtype=complex))).reshape(d * d, d)
+    indices, names, probability, bob = _bell_step(k, l, d, joint)
 
-    resource = maxent_from_isometry(Isometry.identity(d))
-    joint = np.kron(phi, resource).reshape(d * d, d)
-    branch = _measure(weyl_basis_state(k, l, d), joint)
-    probability = np.einsum("nc,nc->n", branch.conj(), branch).real
-    bob = branch / np.sqrt(probability)[:, None]
-
-    correction = weyl_operator(k, l, d).conj()
+    correction = weyl_operator(*indices.T, d).conj()
     _require_unitary(correction, names)
     _require_close(_phase_distance(bob, correction @ phi), names, "composition law")
     recovered = np.einsum("nji,nj->ni", correction.conj(), bob)
     fidelity = np.abs(recovered @ phi.conj())
-    labels = tuple(f"W[{a},{(d - b) % d}]" for a, b in zip(k.tolist(), l.tolist()))
-    return OutcomeStack(d, np.stack([k, l], axis=-1), probability, bob, correction,
-                        fidelity, labels)
+    labels = tuple(f"W[{a},{(d - b) % d}]" for a, b in indices.tolist())
+    return OutcomeStack(d, indices, probability, bob, correction, fidelity, labels)
 
 
 def teleport(
@@ -316,25 +310,20 @@ def swap_stack(k, l, i12: Isometry, i34: Isometry) -> OutcomeStack:
     if i12.d != i34.d:
         raise ValueError(f"resource dimension mismatch: {i12.d} vs {i34.d}")
     d = i12.d
-    k, l, names = _outcome_names(k, l)
-
     joint = np.kron(maxent_from_isometry(i12), maxent_from_isometry(i34))
     # rows (b, c): the measured pair (2, 3); columns (a, e): the pair (1, 4)
     joint = joint.reshape(d, d * d, d).transpose(1, 0, 2).reshape(d * d, d * d)
-    branch = _measure(weyl_basis_state(k, l, d), joint)
-    probability = np.einsum("ni,ni->n", branch.conj(), branch).real
-    pair14 = branch / np.sqrt(probability)[:, None]
+    indices, names, probability, pair14 = _bell_step(k, l, d, joint)
 
     extracted, dev = _isometry_maps(pair14, d, MAXENT_TOL, names)
     _require_unitary(extracted, names, dev)
-    predicted = i34.map @ weyl_operator(k, l, d).conj() @ i12.map
+    predicted = i34.map @ weyl_operator(*indices.T, d).conj() @ i12.map
     residual = _phase_distance(extracted.reshape(-1, d * d), predicted.reshape(-1, d * d))
     _require_close(residual, names, "isometry composition")
     _require_unitary(predicted, names)
     fidelity = np.abs(np.einsum("ni,ni->n", maxent_vectors(predicted).conj(), pair14))
-    labels = tuple(f"composed@{a},{b}" for a, b in zip(k.tolist(), l.tolist()))
-    return OutcomeStack(d, np.stack([k, l], axis=-1), probability, pair14, extracted,
-                        fidelity, labels)
+    labels = tuple(f"composed@{a},{b}" for a, b in indices.tolist())
+    return OutcomeStack(d, indices, probability, pair14, extracted, fidelity, labels)
 
 
 def swap(

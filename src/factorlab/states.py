@@ -16,6 +16,8 @@ from .linalg import (
     MAXENT_TOL,
     DimensionMismatchError,
     Spectrum,
+    _factors,
+    _is_integer,
     hermitian_deviation,
     hold,
     partial_trace,
@@ -109,12 +111,11 @@ class DensityMatrix:
         m = hold(self, "matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StateValidationError("shape", f"not a square matrix: {m.shape}")
-        d1, d2 = int(self.split[0]), int(self.split[1])
-        if d1 < 1 or d2 < 1 or d1 * d2 != m.shape[0]:
+        if not _factors(self.split, m.shape[0]):
             raise StateValidationError(
                 "split", f"split {self.split} does not factor dimension {m.shape[0]}"
             )
-        object.__setattr__(self, "split", (d1, d2))
+        object.__setattr__(self, "split", (int(self.split[0]), int(self.split[1])))
         object.__setattr__(self, "spectrum", validate_stack(m, tol))
 
     @property
@@ -431,11 +432,6 @@ def state_to_dict(rho: DensityMatrix) -> dict:
     }
 
 
-def _is_integer(x) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def state_split(data: dict) -> tuple[int, int]:
     """The JSON state's split: KeyError if missing, TypeError unless two positive integers."""
     split = data["split"]
@@ -455,7 +451,11 @@ def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
     split = state_split(data)
     try:
         re, im = (np.asarray(data[key], dtype=float) for key in ("re", "im"))
-    except ValueError as exc:
+        for key in ("re", "im"):
+            for x in np.asarray(data[key], dtype=object).flat:
+                if not (_is_integer(x) or isinstance(x, float)):
+                    raise ValueError(f"{key} entry {x!r} is not a number")
+    except (ValueError, TypeError) as exc:
         raise TypeError(f"re/im must be rectangular arrays of numbers ({exc})") from None
     if re.shape != im.shape:
         raise ValueError(f"re/im shape mismatch: {re.shape} vs {im.shape}")

@@ -96,7 +96,7 @@ def algebra_image(switch: FactorizationSwitch, basis_op: np.ndarray) -> np.ndarr
         raise DimensionMismatchError(
             f"dimension mismatch: operator {op.shape} vs switch {switch.unitary.shape}"
         )
-    return switch.unitary @ op @ switch.unitary.conj().T
+    return conjugated(op, switch)
 
 
 def identity_switch(dim: int = 4, split: tuple[int, int] = (2, 2)) -> FactorizationSwitch:

@@ -83,6 +83,11 @@ class TestClassify:
     @pytest.mark.parametrize("field,value", [
         ("re", [[0.25, 0, 0, 0], [0, 0.25, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]),
         ("re", "abc"),
+        ("re", [["0.25", 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]),
+        ("im", [[False] * 4] * 4),
+        ("re", [[True, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]),
+        ("re", [[None, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]),
+        ("re", [[{}, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]),
     ])
     def test_malformed_matrix_is_parse_error(self, capsys, tmp_path, field, value):
         data = {"split": [2, 2], "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
@@ -576,6 +581,8 @@ class TestInputBoundary:
         (("classify", "gisin", "0.5", "inf"), 1, "validation error: finite: entry (0, 1) is (nan+nanj)"),
         (("sweep", "werner", "--start", "1", "--stop", "0", "--num", "3"), 2,
          "parse error: grid stop must not be below start"),
+        (("sweep", "rho_theta", "--start=-1e308", "--stop", "1e308", "--num", "3"), 2,
+         "parse error: grid span must be finite, got -1e+308 to 1e+308"),
     ])
     def test_bad_value_gives_one_error_line(self, capsys, argv, code, message):
         with warnings.catch_warnings():

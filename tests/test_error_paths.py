@@ -120,6 +120,35 @@ def test_operators_must_be_square(m, shape):
         linalg.partial_trace(m, (1, 1))
 
 
+class TestSplitsAreIntegers:
+    """A split entry must be an integer (numpy's too), never a float or a bool
+    that truncates to one."""
+
+    @pytest.mark.parametrize("split", [(2.5, 2), (2.0, 2), (True, 4)])
+    def test_density_matrix(self, split):
+        with pytest.raises(fl.StateValidationError,
+                           match=rf"^split: split {re.escape(str(split))} does not factor dimension 4$"):
+            fl.DensityMatrix(np.eye(4) / 4, split)
+
+    @pytest.mark.parametrize("split", [(2.5, 2), (2.0, 2), (True, 4)])
+    def test_partial_trace(self, split):
+        with pytest.raises(fl.DimensionMismatchError, match=rf"^split {re.escape(str(split))} "
+                           "inconsistent with matrix dimension 4$"):
+            fl.partial_trace(np.eye(4) / 4, split)
+
+    @pytest.mark.parametrize("split", [(2.5, 2), (2.0, 2), (True, 4)])
+    def test_schmidt_decompose(self, split):
+        with pytest.raises(fl.DimensionMismatchError,
+                           match=rf"^vector of length 4 does not match split {re.escape(str(split))}$"):
+            fl.schmidt_decompose(fl.bell_vector("phi+"), split)
+
+    def test_numpy_integers_pass(self):
+        two = np.int64(2)
+        assert fl.DensityMatrix(np.eye(4) / 4, (two, 2)).split == (2, 2)
+        assert fl.partial_trace(np.eye(4) / 4, (two, 2)).shape == (2, 2)
+        assert fl.schmidt_decompose(fl.bell_vector("phi+"), (two, 2)).split == (2, 2)
+
+
 def test_build_state_needs_a_source():
     with pytest.raises(cli.CliParseError, match="^no state source given$"):
         cli.build_state([], fl.DEFAULT_TOL)

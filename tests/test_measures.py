@@ -29,7 +29,8 @@ from factorlab import (
     vn_entropy,
     werner,
 )
-from factorlab.measures import kz_ball_members
+from factorlab.linalg import DEFAULT_TOL
+from factorlab.measures import abs_separables, kz_ball_members
 from factorlab.transforms import FactorizationSwitch
 from conftest import (
     ginibre_density,
@@ -257,6 +258,16 @@ class TestAbsSep:
             abs_sep_2x2([0.5, 0.3, 0.2])
         with pytest.raises(ValueError, match="must sum to 1, got 1.25"):
             abs_sep_2x2([0.5, 0.25, 0.25, 0.25])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+        lambda row: sum(row) > 0), min_size=1, max_size=8))
+    @pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL])
+    def test_stacked_test_is_the_test_of_each_spectrum(self, tol, rows):
+        # werner(1/3) sits on the boundary: p1 - p3 - 2 sqrt(p2 p4) is 0 up to rounding
+        stack = np.vstack([-np.sort(-np.array(rows), axis=1), werner(1 / 3).spectrum.values])
+        stack /= stack.sum(axis=1, keepdims=True)
+        assert abs_separables(stack, tol).tolist() == [abs_sep_2x2(q, tol) for q in stack]
 
     def test_positive_verdict_implies_ppt_under_unitaries(self, rng):
         spectrum = np.array([0.47, 0.30, 0.13, 0.10])
