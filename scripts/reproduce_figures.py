@@ -15,21 +15,20 @@ import factorlab as fl
 from factorlab.cli import SweepSpec, render_table, run_sweep
 
 
-def write_sweep(outdir, name, spec):
-    columns, rows = run_sweep(spec)
+def write_table(outdir, name, columns, table):
     path = outdir / name
-    path.write_text(render_table(columns, rows, "csv"))
-    print(f"wrote {path} ({len(rows)} rows)")
+    path.write_text(render_table(columns, table, "csv"))
+    print(f"wrote {path} ({len(table[0])} rows)")
+
+
+def write_sweep(outdir, name, spec):
+    write_table(outdir, name, *run_sweep(spec))
 
 
 def write_bound_curves(outdir, name, num=201):
-    rows = []
-    for c in np.linspace(0.0, 1.0, num):
-        lower, upper = fl.verstraete_wolf_bounds(float(c))
-        rows.append({"C": float(c), "B_lower": lower, "B_upper": upper})
-    path = outdir / name
-    path.write_text(render_table(["C", "B_lower", "B_upper"], rows, "csv"))
-    print(f"wrote {path} ({len(rows)} rows)")
+    grid = np.linspace(0.0, 1.0, num).tolist()
+    lower, upper = zip(*map(fl.verstraete_wolf_bounds, grid))
+    write_table(outdir, name, ["C", "B_lower", "B_upper"], [grid, list(lower), list(upper)])
 
 
 def main():

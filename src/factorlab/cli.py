@@ -151,31 +151,40 @@ _QUBITS = lambda split: split == (2, 2)
 _SQUARE = lambda split: split[0] == split[1]
 
 # report key -> (the splits it applies to, its kernel).  A kernel maps a matrix
-# or a stack of them, m, with its Spectrum s, the split and tol to one value per
-# matrix.  classify evaluates each row that applies to its state's split; a
-# sweep column names a row, evaluated on a stack of two-qubit states.
+# or a stack of them, m, with its Spectrum s, the split, tol and the ``_Rows`` of
+# m to one value per matrix.  classify evaluates each row that applies to its
+# state's split; a sweep column names a row, on a stack of two-qubit states.
 _MEASURES = {
-    "purity": (_EVERY, lambda m, s, split, tol: measures.purities(m)),
-    "mixedness": (_EVERY, lambda m, s, split, tol: 1.0 - measures.purities(m)),
-    "entropy": (_EVERY, lambda m, s, split, tol: measures.entropies(s)),
-    "ppt": (_EVERY, lambda m, s, split, tol: measures.pt_min_eigenvalues(m, split)),
-    "concurrence": (_QUBITS, lambda m, s, split, tol: measures.concurrences(m, s, tol)),
-    "bmax": (_QUBITS, lambda m, s, split, tol: witness_bell.bmax_values(m)),
+    "purity": (_EVERY, lambda m, s, split, tol, rows: measures.purities(m)),
+    "mixedness": (_EVERY, lambda m, s, split, tol, rows: 1.0 - rows["purity"]),
+    "entropy": (_EVERY, lambda m, s, split, tol, rows: measures.entropies(s)),
+    "ppt": (_EVERY, lambda m, s, split, tol, rows: measures.pt_min_eigenvalues(m, split)),
+    "concurrence": (_QUBITS, lambda m, s, split, tol, rows: measures.concurrences(m, s, tol)),
+    "bmax": (_QUBITS, lambda m, s, split, tol, rows: witness_bell.bmax_values(m)),
     # at DEFAULT_TOL whatever --tol says, on the spectrum clipped at 0 and renormalized
-    "abs_separable_spectrum": (_QUBITS, lambda m, s, split, tol: measures.abs_separables(
+    "abs_separable_spectrum": (_QUBITS, lambda m, s, split, tol, rows: measures.abs_separables(
         (p := np.clip(s.values, 0.0, None)) / p.sum(axis=-1, keepdims=True))),
-    "kz_ball_member": (_SQUARE, lambda m, s, split, tol: measures.kz_ball_members(m, tol)),
-    "split_bound": (_EVERY, lambda m, s, split, tol: measures.maxent_weights(s, split[0])),
+    "kz_ball_member": (_SQUARE, lambda m, s, split, tol, rows: measures.kz_ball_members(
+        m, tol, rows["purity"])),
+    "split_bound": (_EVERY, lambda m, s, split, tol, rows: measures.maxent_weights(s, split[0])),
 }
+
+
+class _Rows(dict):
+    """key -> row ``key`` of ``_MEASURES`` on (m, s, split, tol), evaluated when first read."""
+    def __init__(self, *args):
+        self.args = args
+
+    def __missing__(self, key: str) -> np.ndarray:
+        return self.setdefault(key, _MEASURES[key][1](*self.args, self))
 
 
 def classification_report(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> dict:
     """Aggregate diagnostics for one state: each row of ``_MEASURES`` that
     applies to its split, with ``ppt`` and ``split_bound`` nested."""
     report: dict = {"split": list(rho.split)}
-    for key, (applies, kernel) in _MEASURES.items():
-        if applies(rho.split):
-            report[key] = kernel(rho.matrix, rho.spectrum, rho.split, tol).item()
+    rows = _Rows(rho.matrix, rho.spectrum, rho.split, tol)
+    report.update((k, rows[k].item()) for k, (applies, _) in _MEASURES.items() if applies(rho.split))
     report["ppt"] = vars(measures.PptVerdict.from_min(report["ppt"], tol))
     beta = report["split_bound"]
     report["split_bound"] = None if math.isnan(beta) else {
@@ -282,17 +291,17 @@ _SWEEP_FAMILIES = {
 }
 
 
-def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], list[dict]]:
+def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], list[list[float]]]:
     """Evaluate the printed columns of one sweep family over its grid as one
-    stacked batch; returns (column names, rows).
+    stacked batch; returns (column names, table), the table column-major: one
+    list of Python floats per column, the grid first.
 
     Every check of the per-state functions runs on each grid point; a check
     that fails on a state names the first offending grid value.
     """
     if spec.family not in _SWEEP_FAMILIES:
         raise CliParseError(
-            f"unknown sweep family {spec.family!r}; valid: {', '.join(sorted(_SWEEP_FAMILIES))}"
-        )
+            f"unknown sweep family {spec.family!r}; valid: {', '.join(sorted(_SWEEP_FAMILIES))}")
     family = _SWEEP_FAMILIES[spec.family]
     if family.needs_theta and spec.theta is None:
         raise CliParseError(f"sweep family {spec.family!r} requires --theta")
@@ -301,8 +310,7 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], lis
     if unknown:
         raise CliParseError(
             f"unknown measure(s) {unknown} for family {spec.family!r}; "
-            f"valid: {', '.join(sorted(family.columns))}"
-        )
+            f"valid: {', '.join(sorted(family.columns))}")
     repeated = sorted({name for name in outputs if outputs.count(name) > 1})
     if repeated:
         raise CliParseError(f"repeated measure(s) {repeated} for family {spec.family!r}")
@@ -312,21 +320,16 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], lis
         for name, build in family.stacks:
             stack = build(grid, spec.theta, built)
             built[name] = stack, states.validate_stack(stack, tol)
-        # cached, so a column over two stacks reuses their single-stack values
-        evaluate = functools.cache(lambda key, stack: _MEASURES[key][1](*built[stack], (2, 2), tol))
-        values = [
-            functools.reduce(lambda a, b: np.where(b > a, b, a),
-                             (evaluate(measure, stack) for stack in stacks))
-            for measure, *stacks in (family.columns[name] for name in outputs)
-        ]
+        # each row evaluated once per stack, so a column over two stacks reuses their values
+        rows = {name: _Rows(*pair, (2, 2), tol) for name, pair in built.items()}
+        values = [functools.reduce(lambda a, b: np.where(b > a, b, a), (rows[s][measure] for s in stacks))
+                  for measure, *stacks in (family.columns[name] for name in outputs)]
     except (ValueError, AssertionError) as exc:
         index = getattr(exc, "index", None)
         if index is not None:
             exc.args = (f"{exc} at {family.param} = {float(grid[index])!r}",)
         raise
-    columns = [family.param] + outputs
-    table = zip(grid.tolist(), *(column.astype(float).tolist() for column in values))
-    return columns, [dict(zip(columns, row)) for row in table]
+    return [family.param] + outputs, [grid.tolist(), *(v.astype(float).tolist() for v in values)]
 
 
 # ---------------------------------------------------------------------------
@@ -373,46 +376,40 @@ def run_protocol(kind: str, d: int, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 # rendering
 #
-# One pass over the payload.  Each float is formatted once, to 12 significant
-# digits.  CSV prints that string; JSON prints what ``float.__repr__`` prints
-# for the float it denotes (json's NaN and Infinity for the non-finite ones),
-# in 2-space-indented text laid out as ``json.dumps(..., indent=2)`` lays it
-# out, with non-ASCII characters escaped.
+# Each float is formatted once, to 12 significant digits: CSV prints that text,
+# JSON what ``float.__repr__`` prints for the float it denotes (NaN, Infinity),
+# as ``json.dumps(..., indent=2)`` would.  A report is one pass over its payload;
+# a table is column-major: one pass formats each column, one template each row.
 
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _json_str = json.encoder.encode_basestring_ascii
+_g12 = "%.12g".__mod__
 
 
-def _json_float(x) -> str:
-    s = f"{x:.12g}"
+def _json_number(s: str) -> str:
+    """JSON text of the float whose 12-digit text is s."""
     if "e" in s:
         # %.12g switches to an exponent at 1e12, float.__repr__ at 1e16, and a
         # subnormal's shortest repr can have fewer digits
         return float.__repr__(float(s))
-    if "." in s:
-        return s
-    return _NON_FINITE.get(s) or s + ".0"
+    return s if "." in s else _NON_FINITE.get(s) or s + ".0"
 
 
-def _json(obj, pad: str = "", keys: dict | None = None) -> str:
-    """JSON text of obj, starting on a line indented by pad.  ``keys`` holds the
-    text of each key at this depth; the dicts of one list share it, so the rows
-    of a table build one key template per column."""
+def _json(obj, pad: str = "") -> str:
+    """JSON text of obj, starting on a line indented by pad."""
     if isinstance(obj, float):
-        return _json_float(obj)
+        return _json_number(_g12(obj))
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = pad + "  "
-        keys = {} if keys is None else keys
-        items = ",\n".join((keys.get(k) or keys.setdefault(k, f"{inner}{_json_str(k)}: "))
-                           + _json(v, inner) for k, v in obj.items())
+        items = ",\n".join(f"{inner}{_json_str(k)}: {_json(v, inner)}" for k, v in obj.items())
         return f"{{\n{items}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner, rows = pad + "  ", {}
-        items = f",\n{inner}".join([_json(v, inner, rows) for v in obj])
+        inner = pad + "  "
+        items = f",\n{inner}".join([_json(v, inner) for v in obj])
         return f"[\n{inner}{items}\n{pad}]"
     if isinstance(obj, str):
         return _json_str(obj)
@@ -421,7 +418,7 @@ def _json(obj, pad: str = "", keys: dict | None = None) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, np.floating):
-        return _json_float(float(obj))
+        return _json_number(_g12(float(obj)))
     if obj is None:
         return "null"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -431,16 +428,26 @@ def _fmt_cell(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
-        return f"{float(v):.12g}"
+        return _g12(float(v))
     return str(v)
 
 
-def render_table(columns: list[str], rows: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        return _json(rows) + "\n"
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt_cell(row[c]) for c in columns) for row in rows]
-    return "\n".join(lines) + "\n"
+def render_table(columns: list[str], table: list[list], fmt: str) -> str:
+    """Text of a column-major table: ``table`` holds the cells of each of the
+    distinct ``columns`` in turn, one list per column, all of one length."""
+    cells = []
+    for column in table:
+        if set(map(type, column)) - {float}:  # not all Python floats: cell by cell
+            cells.append([_json(v, "    ") if fmt == "json" else _fmt_cell(v) for v in column])
+        elif fmt == "json":  # a text with a point and no exponent is already JSON
+            cells.append([s if "." in s and "e" not in s else _json_number(s) for s in map(_g12, column)])
+        else:
+            cells.append(list(map(_g12, column)))
+    if fmt == "csv":
+        return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+    fields = ",\n".join(f"    {_json_str(c).replace('%', '%%')}: %s" for c in columns)
+    text = ",\n".join(map(f"  {{\n{fields}\n  }}".__mod__, zip(*cells)))
+    return f"[\n{text}\n]\n" if text else "[]\n"
 
 
 def _flatten(prefix: str, obj, out: list[tuple[str, str]]):
@@ -565,16 +572,8 @@ def main(argv: list[str] | None = None) -> int:
             text = render_report(payload, args.format)
         elif args.command == "sweep":
             outputs = [s for s in (args.outputs or "").split(",") if s]
-            spec = SweepSpec(
-                family=args.family,
-                start=args.start,
-                stop=args.stop,
-                num=args.num,
-                outputs=outputs,
-                theta=args.theta,
-            )
-            columns, rows = run_sweep(spec, tol)
-            text = render_table(columns, rows, args.format)
+            spec = SweepSpec(args.family, args.start, args.stop, args.num, outputs, args.theta)
+            text = render_table(*run_sweep(spec, tol), args.format)
         else:
             trace = run_protocol(args.kind, args.d, args.seed)
             text = render_report(trace, "json")

@@ -176,15 +176,16 @@ def kz_ball_member(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> bool:
     return bool(kz_ball_members(rho.matrix, tol))
 
 
-def kz_ball_members(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """kz_ball_member of a matrix or of each matrix of a stack.
+def kz_ball_members(m: np.ndarray, tol: float = DEFAULT_TOL, purity=None) -> np.ndarray:
+    """kz_ball_member of a matrix or of each matrix of a stack; ``purity``, if
+    given, is ``purities(m)`` already computed.
 
     At D = 1 the bound 1/(D - 1) is infinite: the only 1x1 state is the
     maximally mixed one, the ball's centre, so it is a member.
     """
     dim = m.shape[-1]
     bound = 1.0 / (dim - 1) if dim > 1 else np.inf
-    return purities(m) <= bound + tol
+    return (purities(m) if purity is None else purity) <= bound + tol
 
 
 def abs_sep_2x2(spectrum, tol: float = DEFAULT_TOL) -> bool:

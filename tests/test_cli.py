@@ -296,11 +296,14 @@ class TestSweep:
         assert code == 2
 
     def test_run_sweep_api(self):
-        columns, rows = run_sweep(
+        columns, table = run_sweep(
             SweepSpec(family="werner", start=0.0, stop=1.0, num=3, outputs=["ppt", "C"])
         )
         assert columns == ["alpha", "ppt", "C"]
-        assert len(rows) == 3 and set(rows[0]) == {"alpha", "ppt", "C"}
+        # column-major: one list of three Python floats per column, the grid first
+        assert len(table) == 3 and all(len(column) == 3 for column in table)
+        assert all(type(x) is float for column in table for x in column)
+        assert table[0] == [0.0, 0.5, 1.0]
 
 
 class TestProtocolCommand:

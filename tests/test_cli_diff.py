@@ -33,7 +33,7 @@ def test_reports_every_changed_line(tmp_path):
     cli = changed / "factorlab" / "cli.py"
     text = cli.read_text()
     text = text.replace('"outcomes": rows}', '"outcomes": rows[::-1]}')
-    text = text.replace("tol: 1.0 - measures.purities(m)),", "tol: 0.25 + 0.0 * measures.purities(m)),")
+    text = text.replace('rows: 1.0 - rows["purity"]),', 'rows: 0.25 + 0.0 * rows["purity"]),')
     cli.write_text(text)
     differ = cli_diff(SRC, changed, "--commands", commands)
     assert differ.returncode == 1

@@ -2,9 +2,9 @@
 
 The oracle is the two-pass renderer the CLI once used: round every float to
 12 significant digits while walking the payload, then ``json.dumps(indent=2)``.
-``render_report`` and ``render_table`` must reproduce its bytes on any nested
-payload.  A CSV report is a two-column ``key,value`` file whose every number
-is the JSON report's number.
+``render_report`` must reproduce its bytes on any nested payload, and
+``render_table`` on the rows of any column-major table.  A CSV report is a
+two-column ``key,value`` file whose every number is the JSON report's number.
 """
 
 import json
@@ -91,13 +91,34 @@ trees = st.recursive(
 )
 
 
+# Column names that a template could misread: printf and str.format
+# directives, quotes, a comma, non-ASCII and the empty name.
+TABLE_KEYS = ["%", "%s", "%%", "%(x)s", "{", "}", "{0}", '"', 'a"b', "\\", ",", "état", "ψ⁻",
+              "日本", "\x00", ""]
+table_keys = st.one_of(keys, st.sampled_from(TABLE_KEYS))
+
+
 @st.composite
 def tables(draw):
-    """(columns, rows): a list of flat dicts sharing one column order."""
-    columns = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
-    rows = draw(st.lists(st.lists(leaves, min_size=len(columns), max_size=len(columns)),
-                         max_size=6))
-    return columns, [dict(zip(columns, row)) for row in rows]
+    """(columns, table): distinct column names and one list of cells per
+    column, all of one length; a column holds Python floats only (the sweep's
+    columns) or any leaves."""
+    columns = draw(st.lists(table_keys, min_size=1, max_size=5, unique=True))
+    num = draw(st.integers(0, 6))
+    column = st.one_of(st.lists(floats, min_size=num, max_size=num),
+                       st.lists(leaves, min_size=num, max_size=num))
+    return columns, [draw(column) for _ in columns]
+
+
+def as_rows(columns, table):
+    """The rows of a column-major table, as the dicts the oracles take."""
+    return [dict(zip(columns, row)) for row in zip(*table)]
+
+
+def assert_table_equals_oracle(columns, table):
+    rows = as_rows(columns, table)
+    assert render_table(columns, table, "json") == oracle_json(rows)
+    assert render_table(columns, table, "csv") == oracle_csv_table(columns, rows)
 
 
 @settings(max_examples=400, deadline=None)
@@ -116,23 +137,42 @@ def test_report_json_lists_of_dicts_equal_oracle(payload):
 @settings(max_examples=300, deadline=None)
 @given(tables())
 def test_table_equals_oracle(table):
-    columns, rows = table
-    assert render_table(columns, rows, "json") == oracle_json(rows)
-    assert render_table(columns, rows, "csv") == oracle_csv_table(columns, rows)
+    assert_table_equals_oracle(*table)
 
 
 @pytest.mark.parametrize("x", EDGE_FLOATS)
 def test_edge_floats_equal_oracle(x):
     payload = {"x": x, "np": np.float64(x), "list": [x, -x]}
     assert render_report(payload, "json") == oracle_json(payload)
-    assert render_table(["x"], [{"x": x}], "json") == oracle_json([{"x": x}])
+    assert_table_equals_oracle(["x"], [[x]])
+    assert_table_equals_oracle(["x", "-x", "np"], [[x], [-x], [np.float64(x)]])
+
+
+def test_edge_float_columns_equal_oracle():
+    """Every edge value in one float column, beside their negations, the same
+    values as numpy scalars, and a column that also holds a None."""
+    column = EDGE_FLOATS + [0.5]
+    assert_table_equals_oracle(["x", "-x", "np", "mixed"], [
+        column, [-x for x in column], list(map(np.float64, column)), EDGE_FLOATS + [None]])
+
+
+@pytest.mark.parametrize("columns", [["x"], TABLE_KEYS], ids=["one column", "template keys"])
+@pytest.mark.parametrize("num", [0, 1, 3])
+def test_table_shapes_equal_oracle(columns, num):
+    """No row, one row and a few, under one plain key and under keys that a
+    row template could misread."""
+    table = [[0.5 * i - j for i in range(num)] for j in range(len(columns))]
+    assert_table_equals_oracle(columns, table)
+    assert_table_equals_oracle(columns, [[None, "s", 7, False][:num] for _ in columns])
 
 
 def test_empty_containers_equal_oracle():
     payload = {"a": [], "b": {}, "c": [[], {}, ()], "d": [{}]}
     assert render_report(payload, "json") == oracle_json(payload)
     assert render_report({}, "json") == oracle_json({})
-    assert render_table(["x"], [], "json") == oracle_json([])
+    assert render_table(["x"], [[]], "json") == oracle_json([])
+    assert render_table([], [], "json") == oracle_json([])
+    assert render_table([], [], "csv") == "\n"
 
 
 # ---------------------------------------------------------------------------

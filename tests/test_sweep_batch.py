@@ -2,8 +2,9 @@
 
 The reference evaluates each grid point on its own, one DensityMatrix at a
 time, the way a sweep was computed before it became one stacked batch.  The
-batched rows must equal it exactly (``==``, not a tolerance), and a failing
-grid must raise the same error with the same message.
+batched table, column-major, must equal the transposed reference rows exactly
+(``==``, not a tolerance), and a failing grid must raise the same error with
+the same message.
 """
 
 import numpy as np
@@ -129,10 +130,11 @@ GRIDS = [
 @pytest.mark.parametrize("family,start,stop,num,theta", GRIDS)
 def test_batched_rows_equal_reference(family, start, stop, num, theta):
     spec = SweepSpec(family, start, stop, num, outputs=MEASURES[family], theta=theta)
-    columns, rows = run_sweep(spec)
+    columns, table = run_sweep(spec)
     ref_columns, ref_rows = reference_sweep(spec)
     assert columns == ref_columns
-    assert rows == ref_rows
+    assert table == [[row[name] for row in ref_rows] for name in ref_columns]
+    assert all(type(x) is float for column in table for x in column)
 
 
 @pytest.mark.parametrize("family,start,stop,theta", [
@@ -153,5 +155,5 @@ def test_failing_grid_matches_reference(family, start, stop, theta):
 def test_default_outputs_are_a_subset_of_the_reference():
     for family in REFERENCE:
         theta = 0.35 if family.startswith("gisin") else None
-        columns, rows = run_sweep(SweepSpec(family, 0.1, 0.2, 2, theta=theta))
+        columns, _ = run_sweep(SweepSpec(family, 0.1, 0.2, 2, theta=theta))
         assert set(columns[1:]) <= set(MEASURES[family])
