@@ -301,7 +301,8 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], lis
     """
     if spec.family not in _SWEEP_FAMILIES:
         raise CliParseError(
-            f"unknown sweep family {spec.family!r}; valid: {', '.join(sorted(_SWEEP_FAMILIES))}")
+            f"unknown sweep family {spec.family!r}; valid: {', '.join(sorted(_SWEEP_FAMILIES))}"
+        )
     family = _SWEEP_FAMILIES[spec.family]
     if family.needs_theta and spec.theta is None:
         raise CliParseError(f"sweep family {spec.family!r} requires --theta")
@@ -310,7 +311,8 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], lis
     if unknown:
         raise CliParseError(
             f"unknown measure(s) {unknown} for family {spec.family!r}; "
-            f"valid: {', '.join(sorted(family.columns))}")
+            f"valid: {', '.join(sorted(family.columns))}"
+        )
     repeated = sorted({name for name in outputs if outputs.count(name) > 1})
     if repeated:
         raise CliParseError(f"repeated measure(s) {repeated} for family {spec.family!r}")
@@ -397,7 +399,7 @@ def _json_number(s: str) -> str:
 
 def _json(obj, pad: str = "") -> str:
     """JSON text of obj, starting on a line indented by pad."""
-    if isinstance(obj, float):
+    if isinstance(obj, (float, np.floating)):
         return _json_number(_g12(obj))
     if isinstance(obj, dict):
         if not obj:
@@ -417,8 +419,6 @@ def _json(obj, pad: str = "") -> str:
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, np.floating):
-        return _json_number(_g12(float(obj)))
     if obj is None:
         return "null"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -428,7 +428,7 @@ def _fmt_cell(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
-        return _g12(float(v))
+        return _g12(v)
     return str(v)
 
 
@@ -443,11 +443,11 @@ def render_table(columns: list[str], table: list[list], fmt: str) -> str:
             cells.append([s if "." in s and "e" not in s else _json_number(s) for s in map(_g12, column)])
         else:
             cells.append(list(map(_g12, column)))
-    if fmt == "csv":
-        return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
-    fields = ",\n".join(f"    {_json_str(c).replace('%', '%%')}: %s" for c in columns)
-    text = ",\n".join(map(f"  {{\n{fields}\n  }}".__mod__, zip(*cells)))
-    return f"[\n{text}\n]\n" if text else "[]\n"
+    if fmt == "json":
+        fields = ",\n".join(f"    {_json_str(c).replace('%', '%%')}: %s" for c in columns)
+        text = ",\n".join(map(f"  {{\n{fields}\n  }}".__mod__, zip(*cells)))
+        return f"[\n{text}\n]\n" if text else "[]\n"
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _flatten(prefix: str, obj, out: list[tuple[str, str]]):

@@ -176,7 +176,8 @@ def kz_ball_member(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> bool:
     return bool(kz_ball_members(rho.matrix, tol))
 
 
-def kz_ball_members(m: np.ndarray, tol: float = DEFAULT_TOL, purity=None) -> np.ndarray:
+def kz_ball_members(m: np.ndarray, tol: float = DEFAULT_TOL,
+                    purity: np.ndarray | None = None) -> np.ndarray:
     """kz_ball_member of a matrix or of each matrix of a stack; ``purity``, if
     given, is ``purities(m)`` already computed.
 
