@@ -13,12 +13,13 @@ whose split is not two positive integers, a missing and an unreadable state
 file, a non-finite ``sweep --theta``, a reversed ``sweep`` grid, a
 ``tracial`` dimension that is not a perfect square); ``classify`` of every
 state family at several parameters, in JSON and CSV (``file`` reads
-``tests/golden/state.json``); ``transform`` with every switch on four
-states, in JSON and CSV, and the theta switches at the edges of their
-rotation (``ROTATION_EDGES``) on one state; ``sweep`` of every family
-with its default and with every measure, in CSV and JSON, plus a
-``gisin_compare`` grid at the ``--num`` cap (10000 points, CSV and JSON) and a
-one-point ``werner`` grid; ``classify`` of six states and ``sweep`` of every
+``tests/golden/state.json``); ``transform`` with every switch on ten
+states, in JSON and CSV (among them the degenerate tops of ``narnhofer``,
+``tracial 4``, ``werner 0`` and ``ghz-traced`` at pi/4), and the theta
+switches at the edges of their rotation (``ROTATION_EDGES``) on one state;
+``sweep`` of every family with its default and with every measure, in CSV
+and JSON, plus a ``gisin_compare`` grid at the ``--num`` cap (10000 points,
+CSV and JSON) and a one-point ``werner`` grid; ``classify`` of six states and ``sweep`` of every
 family with every measure at ``--tol 0`` and ``--tol 1e-16``;
 ``protocol {teleport,swap} --d 2..8 --seed s`` for s < N (default 150, so
 2100 commands); and ``classify weyl k l d`` for every 0 <= k, l < d <= 8.
@@ -105,8 +106,13 @@ SWITCHES = [
     ["identity"], ["u-switch"], ["u-theta", "--theta", "0.6"],
     ["u-tilde-theta", "--theta", "0.6"], ["u1-ghz"], ["u2-ghz"], ["narnhofer"],
 ]
-TRANSFORM_SOURCES = [["werner", "0.8"], ["rho-theta", "0.6"], ["ghz-traced", "0.3"],
-                     ["gisin", "0.8", "0.35"]]
+# the states classified at the tolerance edge; transform switches each of them too
+TOL_EDGE_SOURCES = [["werner", "0.8"], ["rho-theta", "0.6"], ["ghz-traced", "0.3"],
+                    ["gisin", "0.8", "0.35"], ["bell", "psi-"], ["tracial", "4"]]
+# and states whose top eigenvalue is degenerate, or whose concurrence reads a null
+# space, where a spectrum carried through the switch would change printed digits
+TRANSFORM_SOURCES = [*TOL_EDGE_SOURCES, ["narnhofer"], ["werner", "0"],
+                     ["ghz-traced", "0.7853981634"], ["gisin", "0", "0.7853981634"]]
 # the sigma_x (x) sigma_y rotation at its edges: signed zero angles, f- < 0 and
 # f- at rounding scale (theta = pi/4)
 ROTATION_EDGES = [
@@ -157,7 +163,7 @@ def default_commands(seeds: int) -> list[list[str]]:
     # run on eigenvalues at rounding scale
     commands += [
         ["--tol", tol, "classify", *source]
-        for tol in TOL_EDGE for source in [*TRANSFORM_SOURCES, ["bell", "psi-"], ["tracial", "4"]]
+        for tol in TOL_EDGE for source in TOL_EDGE_SOURCES
     ]
     commands += [
         ["--tol", tol, "sweep", family, *grid, "--num", "101", "--outputs", every]

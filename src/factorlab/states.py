@@ -13,7 +13,9 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    FLATNESS_TOL,
     MAXENT_TOL,
+    ZERO_FLOOR,
     DimensionMismatchError,
     Spectrum,
     _factors,
@@ -59,19 +61,26 @@ class StateValidationError(ValueError):
         super().__init__(f"{invariant}: {message}")
 
 
+def _screen(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checks before the eigensolve, on a matrix or each of a stack: its Hermitian
+    deviation max |m - m^dagger|, its trace, and whether it has finite entries, is
+    Hermitian within tol and has unit trace within tol.  A non-finite entry makes the
+    deviation NaN or infinite, so one comparison screens for all three."""
+    with np.errstate(invalid="ignore"):
+        dev = hermitian_deviation(m)
+    tr = m.trace(axis1=-2, axis2=-1)
+    return dev, tr, np.maximum(dev, np.abs(tr - 1.0)) <= tol
+
+
 def validate_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     """Check each matrix of a (..., D, D) stack is a density matrix: finite
     entries, Hermitian (max |m - m^dagger| <= tol), unit trace within tol and
     eigenvalues >= -tol, in that order; return the Spectrum of every matrix,
     views of the one ``eigh`` that does the positivity check.  The first
     offending matrix raises StateValidationError, whose ``index`` is its
-    position in the flattened stack.  A non-finite entry makes the Hermitian
-    deviation NaN or infinite, so one comparison screens for both."""
+    position in the flattened stack."""
     flat = m.reshape((-1,) + m.shape[-2:])
-    with np.errstate(invalid="ignore"):
-        dev = hermitian_deviation(flat)
-    tr = flat.trace(axis1=-2, axis2=-1)
-    ok = np.maximum(dev, np.abs(tr - 1.0)) <= tol
+    dev, tr, ok = _screen(flat, tol)
     stop = len(flat) if ok.all() else int(np.argmin(ok))
     w, v = np.linalg.eigh(flat[:stop])
     lo = w.min(axis=-1)
@@ -99,7 +108,8 @@ class DensityMatrix:
 
     Construction runs ``validate_stack`` on the one matrix, whose ``eigh``,
     eigenvalues descending, is the read-only ``spectrum`` that every spectral
-    measure and switch reads.
+    measure and switch reads.  A state that ``conjugate`` switches may instead
+    carry the spectrum it had before the switch (``_switched_state``).
     """
 
     matrix: np.ndarray
@@ -121,6 +131,51 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _carry_bound(m: np.ndarray, w: np.ndarray, v: np.ndarray, dev) -> float:
+    """b with |lambda_k - w_k| <= b for every eigenvalue lambda_k (descending) of the
+    Hermitian matrix A that ``eigh`` reads from m, where v holds approximate eigenvectors
+    for w and dev = max |m - m^dagger|; inf unless v is close to orthonormal."""
+    # R = m v - v diag(w), e = ||v^dagger v - 1||_F, ||A - m|| <= D dev.  Then
+    # v^dagger A v = diag(w) + F with F = (v^dagger v - 1) diag(w) + v^dagger (R + (A - m) v)
+    # Hermitian and ||F|| <= f = e max|w| + sqrt(1 + e) ||R||_F + (1 + e) D dev, so by Weyl
+    # its k-th eigenvalue mu_k lies within f of w_k.  Ostrowski: mu_k = theta_k lambda_k with
+    # theta_k in [1 - e, 1 + e], so |lambda_k - w_k| <= (f + e max|w|) / (1 - e) = b.
+    e = np.linalg.norm(v.conj().T @ v - np.eye(len(w)))
+    if not e < 1.0:
+        return np.inf
+    top = np.abs(w).max()
+    f = e * top + np.sqrt(1.0 + e) * np.linalg.norm(m @ v - v * w) + (1.0 + e) * len(w) * dev
+    return float((f + e * top) / (1.0 - e))
+
+
+def _switched_state(rho: DensityMatrix, u: np.ndarray, m: np.ndarray, tol: float) -> DensityMatrix:
+    """The state of m = U rho U^dagger (u the unitary U) at tol, as ``conjugate`` returns it.
+
+    With rho's spectrum (w, V), the eigenvalues w and the vectors U V are carried
+    over without an eigensolve when m passes ``_screen`` and ``_carry_bound`` puts
+    every eigenvalue of m within rounding noise, D * ZERO_FLOOR, of w and at or
+    above -tol.  The noise bound keeps w as close to m's eigenvalues as a fresh
+    ``eigh`` would be (a U up to UNITARY_TOL from unitary fails it, for one).
+    Two cases keep the fresh ``eigh``:
+    a (2, 2) split, since the concurrence builds sqrt(rho) from every eigenvector,
+    and a top eigenvalue within FLATNESS_TOL of the next, since ``maxent_weight``
+    reads its eigenvector.  There, and whenever a check fails, the result is
+    DensityMatrix(m, rho.split, tol), so every error is validation's own.
+    """
+    w = rho.spectrum.values
+    if rho.split != (2, 2) and rho.dim > 1 and w[0] - w[1] > FLATNESS_TOL:
+        v = u @ rho.spectrum.vectors
+        dev, _, ok = _screen(m, tol)
+        b = _carry_bound(m, w, v, dev) if ok else np.inf
+        if b <= rho.dim * ZERO_FLOOR and w[-1] - b >= -tol:
+            moved = object.__new__(DensityMatrix)
+            for name, value in (("matrix", m), ("split", rho.split), ("spectrum", Spectrum(w, v))):
+                object.__setattr__(moved, name, value)
+            hold(moved, "matrix")
+            return moved
+    return DensityMatrix(m, rho.split, tol=tol)
 
 
 @dataclass(frozen=True, eq=False)

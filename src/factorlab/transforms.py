@@ -32,6 +32,7 @@ from .linalg import (
 from .measures import ppt_check
 from .states import (
     DensityMatrix,
+    _switched_state,
     bell_vector,
     gisin_matrices,
     maxent_vectors,
@@ -81,12 +82,16 @@ def conjugated(m: np.ndarray, switch: FactorizationSwitch) -> np.ndarray:
 
 
 def conjugate(rho: DensityMatrix, switch: FactorizationSwitch, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """State as seen from the switched factorization: U rho U^dagger."""
+    """State as seen from the switched factorization: U rho U^dagger, validated at tol.
+
+    Its spectrum is rho's eigenvalues with eigenvectors U V where a residual bound
+    proves them, and a fresh ``eigh`` otherwise (``states._switched_state``).
+    """
     if rho.dim != switch.unitary.shape[0]:
         raise DimensionMismatchError(
             f"dimension mismatch: state {rho.dim} vs switch {switch.unitary.shape[0]}"
         )
-    return DensityMatrix(conjugated(rho.matrix, switch), rho.split, tol=tol)
+    return _switched_state(rho, switch.unitary, conjugated(rho.matrix, switch), tol)
 
 
 def algebra_image(switch: FactorizationSwitch, basis_op: np.ndarray) -> np.ndarray:

@@ -20,6 +20,9 @@ def _outcome_stack(indices, probabilities, post_states, maps, fidelities):
 # name -> (constructor, the caller's writable arguments)
 HOLDERS = {
     "DensityMatrix": (lambda m: fl.DensityMatrix(m, (2, 2)), [np.eye(4, dtype=complex) / 4]),
+    # a switched qutrit pair whose spectrum conjugate carries rather than solves
+    "DensityMatrix carried": (lambda m: fl.conjugate(fl.DensityMatrix(m, (3, 3)), fl.identity_switch(9, (3, 3))),
+                              [np.diag(np.arange(1.0, 10.0) / 45).astype(complex)]),
     "BlochForm": (fl.BlochForm, [np.zeros(3), np.full(3, 0.1), np.eye(3) / 3]),
     "Witness": (lambda op: fl.Witness(op, (2, 2)), [np.eye(4, dtype=complex)]),
     "ChshSetting": (fl.ChshSetting, [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),

@@ -47,10 +47,11 @@ from factorlab import (
     weyl_basis_state,
     weylize,
 )
-from factorlab import cli
-from factorlab.states import I2, PAULI
-from factorlab.transforms import FactorizationSwitch
-from conftest import haar_unitary, haar_vector, random_density
+from factorlab import cli, states
+from factorlab.linalg import DEFAULT_TOL, ZERO_FLOOR, hermitian_deviation
+from factorlab.states import I2, PAULI, StateValidationError
+from factorlab.transforms import FactorizationSwitch, conjugated
+from conftest import ginibre_density, haar_unitary, haar_vector, random_density
 
 SX, SY, SZ = PAULI
 THETAS = np.linspace(0.0, np.pi / 2, 13)
@@ -464,35 +465,46 @@ class TestSpectralSwitches:
         np.testing.assert_allclose(in_weyl_frame, np.diag(spectrum), atol=1e-10)
 
 
+@pytest.fixture
+def solves_in(monkeypatch):
+    """step -> (step(), the number of np.linalg.eigh and eigvalsh calls it made).
+
+    Counting the numpy solvers themselves keeps a count true whatever factorlab
+    function ends up calling them."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def solve(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return solve
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+
+    def run(step):
+        before = dict(calls)
+        result = step()
+        return result, {name: calls[name] - before[name] for name in calls}
+
+    return run
+
+
+def rotated(rng, spectrum) -> np.ndarray:
+    """U diag(spectrum) U^dagger for a Haar-random U."""
+    u = haar_unitary(rng, len(spectrum))
+    return u @ np.diag(spectrum) @ u.conj().T
+
+
 class TestSharedEigensystem:
     @pytest.mark.parametrize("build", [constrained_entangle, separabilize, weylize])
     @pytest.mark.parametrize("top", [0.2, 0.6])
-    def test_report_then_switch_decomposes_once(self, rng, monkeypatch, build, top):
+    def test_report_then_switch_decomposes_once(self, rng, solves_in, build, top):
         # top = 0.6 lies above constrained_entangle's bound 3/9, top = 0.2 below.
-        # Counting the numpy solvers themselves keeps the test true whatever
-        # factorlab function ends up calling them.
-        calls = {"eigh": 0, "eigvalsh": 0}
-
-        def counted(name):
-            original = getattr(np.linalg, name)
-
-            def solve(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return solve
-
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counted(name))
-        spectrum = np.array([top] + [(1.0 - top) / 8] * 8)
-        u = haar_unitary(rng, 9)
-        m = u @ np.diag(spectrum) @ u.conj().T
-
-        def solves_in(step):
-            before = dict(calls)
-            result = step()
-            return result, {name: calls[name] - before[name] for name in calls}
-
+        m = rotated(rng, np.array([top] + [(1.0 - top) / 8] * 8))
         # construction: one eigh, which validates and is the spectrum
         rho, counts = solves_in(lambda: DensityMatrix(m, (3, 3)))
         assert counts == {"eigh": 1, "eigvalsh": 0}
@@ -504,9 +516,104 @@ class TestSharedEigensystem:
         assert counts == {"eigh": 0, "eigvalsh": 0}
         if isinstance(switch, NotApplicable):
             return
-        # the switched state is validated, and so decomposed, on its own
-        _, counts = solves_in(lambda: conjugate(rho, switch))
+        # the switched state carries rho's spectrum through U: no solve at all
+        moved, counts = solves_in(lambda: conjugate(rho, switch))
+        assert counts == {"eigh": 0, "eigvalsh": 0}
+        np.testing.assert_array_equal(moved.spectrum.values, rho.spectrum.values)
+        np.testing.assert_array_equal(moved.spectrum.vectors, switch.unitary @ rho.spectrum.vectors)
+
+
+class TestCarriedSpectrum:
+    """``conjugate`` carries rho's spectrum (w, U V) where ``states._carry_bound``
+    proves it, and validates the switched matrix afresh everywhere else."""
+
+    @staticmethod
+    def fallback_cases(rng):
+        """name -> (rho, switch, tol): each must take exactly today's path."""
+        q = haar_unitary(rng, 9)
+        # a scaled unitary: max |U U^dagger - 1| = 2 eps + eps^2 just under UNITARY_TOL,
+        # so the switched eigenvalues sit about 1e-10 from rho's
+        near = FactorizationSwitch(q * (1.0 + 0.45e-10), (3, 3), "near")
+        haar9 = FactorizationSwitch(haar_unitary(rng, 9), (3, 3), "random")
+        low = np.array([0.4, 0.2, 0.15, 0.1, 0.08, 0.05, 0.02, 0.0, 0.0])
+        low[-1] = -5e-10
+        low[-2] = 1.0 - low[:-2].sum() - low[-1]
+        return {
+            "degenerate-top-tracial": (tracial(9), weylize(tracial(9)), DEFAULT_TOL),
+            "degenerate-top-rotated": (
+                DensityMatrix(rotated(rng, np.array([0.3, 0.3] + [0.4 / 7] * 7)), (3, 3)),
+                haar9, DEFAULT_TOL),
+            "qubit-pair": (random_density(rng, (2, 2)), u_switch(), DEFAULT_TOL),
+            "near-unitary-tol": (random_density(rng, (3, 3), rank=2), near, DEFAULT_TOL),
+            "negative-eigenvalue": (DensityMatrix(rotated(rng, low), (3, 3), tol=1e-9), haar9, 1e-10),
+            "trace-off": (DensityMatrix(ginibre_density(rng, 9) * (1.0 + 5e-10), (3, 3), tol=1e-9),
+                          haar9, 1e-10),
+        }
+
+    @pytest.mark.parametrize("name", ["degenerate-top-tracial", "degenerate-top-rotated",
+                                      "qubit-pair", "near-unitary-tol", "negative-eigenvalue",
+                                      "trace-off"])
+    def test_fallback_validates_as_today(self, rng, solves_in, name):
+        rho, switch, tol = self.fallback_cases(rng)[name]
+        m = conjugated(rho.matrix, switch)
+        try:
+            expected = DensityMatrix(m, rho.split, tol=tol)
+        except StateValidationError as exc:
+            expected = exc
+        try:
+            moved, counts = solves_in(lambda: conjugate(rho, switch, tol=tol))
+        except StateValidationError as exc:
+            assert isinstance(expected, StateValidationError)
+            assert (exc.invariant, str(exc), exc.value) == (
+                expected.invariant, str(expected), expected.value)
+            assert (name, exc.invariant) in {("negative-eigenvalue", "positive"), ("trace-off", "trace")}
+            return
         assert counts == {"eigh": 1, "eigvalsh": 0}
+        np.testing.assert_array_equal(moved.matrix, expected.matrix)
+        np.testing.assert_array_equal(moved.spectrum.values, expected.spectrum.values)
+        np.testing.assert_array_equal(moved.spectrum.vectors, expected.spectrum.vectors)
+        if name == "near-unitary-tol":
+            # carrying rho's eigenvalues here would move printed digits
+            gap = np.abs(expected.spectrum.values - rho.spectrum.values).max()
+            assert gap > rho.dim * ZERO_FLOOR
+
+    @given(seed=st.integers(0, 2**32 - 1), split=st.sampled_from([(2, 3), (3, 3), (4, 4), (8, 8)]),
+           rank=st.sampled_from([None, 1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_carried_spectrum_within_bound(self, seed, split, rank):
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, split, rank)
+        switch = FactorizationSwitch(haar_unitary(rng, rho.dim), split, "random")
+        moved = conjugate(rho, switch)
+        w, v = moved.spectrum.values, moved.spectrum.vectors
+        # carried: rho's eigenvalues, and eigenvectors U V
+        np.testing.assert_array_equal(w, rho.spectrum.values)
+        np.testing.assert_array_equal(v, switch.unitary @ rho.spectrum.vectors)
+        bound = states._carry_bound(moved.matrix, w, v, hermitian_deviation(moved.matrix))
+        assert bound <= rho.dim * ZERO_FLOOR
+        assert np.abs(np.linalg.eigvalsh(moved.matrix)[::-1] - w).max() <= bound
+        assert np.abs(moved.matrix @ v - v * w).max() <= bound
+
+    @pytest.mark.parametrize("d", [3, 4, 6, 8])
+    @pytest.mark.parametrize("kind", ["ginibre", "noisy", "pure"])
+    def test_report_bytes_equal_fresh_validation(self, d, kind):
+        rng = np.random.default_rng(1000 * d + len(kind))
+        dim = d * d
+        m = ginibre_density(rng, dim, rank=1 if kind == "pure" else None)
+        if kind == "noisy":
+            p = rng.uniform(0.3, 0.9)
+            m = (1.0 - p) * np.eye(dim) / dim + p * m
+        rho = DensityMatrix(m, (d, d))
+        switches = [separabilize(rho), weylize(rho), constrained_entangle(rho),
+                    pure_to_maxent(rho.spectrum.vectors[:, 0], (d, d))]
+        for switch in switches:
+            if isinstance(switch, NotApplicable):
+                continue
+            moved = conjugate(rho, switch)
+            np.testing.assert_array_equal(moved.spectrum.vectors, switch.unitary @ rho.spectrum.vectors)
+            fresh = DensityMatrix(conjugated(rho.matrix, switch), rho.split)
+            assert (cli.render_report(cli.classification_report(moved), "json")
+                    == cli.render_report(cli.classification_report(fresh), "json")), switch.description
 
 
 class TestConstrainedEntangle:
