@@ -358,8 +358,9 @@ _PROTOCOLS = {
 
 
 def run_protocol(kind: str, d: int, seed: int) -> dict:
-    """Exhaustive-outcome trace for one protocol; raises ProtocolCheckError on
-    any probability/fidelity/composition failure."""
+    """Exhaustive-outcome trace for one protocol, its outcomes a column-major
+    ``_Table``; raises ProtocolCheckError on any probability/fidelity/composition
+    failure."""
     if not 2 <= d <= MAX_QUDIT:
         raise CliParseError(f"protocol --d must lie in [2, {MAX_QUDIT}], got {d}")
     if seed < 0:
@@ -367,12 +368,9 @@ def run_protocol(kind: str, d: int, seed: int) -> dict:
     if kind not in _PROTOCOLS:
         raise CliParseError(f"unknown protocol {kind!r}; valid: {', '.join(_PROTOCOLS)}")
     stack = _PROTOCOLS[kind](np.random.default_rng(seed), d)
-    rows = [
-        {"outcome": o, "probability": p, "correction": c, "fidelity": f}
-        for o, p, c, f in zip(stack.indices.tolist(), stack.probabilities.tolist(), stack.labels,
-                              stack.fidelities.tolist())
-    ]
-    return {"kind": kind, "d": d, "seed": seed, "outcomes": rows}
+    outcomes = _Table(("outcome", "probability", "correction", "fidelity"), (
+        stack.indices, stack.probabilities.tolist(), stack.labels, stack.fidelities.tolist()))
+    return {"kind": kind, "d": d, "seed": seed, "outcomes": outcomes}
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +378,10 @@ def run_protocol(kind: str, d: int, seed: int) -> dict:
 #
 # Each float is formatted once, to 12 significant digits: CSV prints that text,
 # JSON what ``float.__repr__`` prints for the float it denotes (NaN, Infinity),
-# as ``json.dumps(..., indent=2)`` would.  A report is one pass over its payload;
-# a table is column-major: one pass formats each column, one template each row.
+# as ``json.dumps(..., indent=2)`` would.  A report is one pass over its payload.
+# A table, a sweep's or the ``_Table`` of a protocol trace's outcomes, is
+# column-major: one pass formats each column and one template writes each row,
+# an integer array column's lists (an outcome's [k, l]) included.
 
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _json_str = json.encoder.encode_basestring_ascii
@@ -408,6 +408,8 @@ def _json(obj, pad: str = "") -> str:
         items = ",\n".join(f"{inner}{_json_str(k)}: {_json(v, inner)}" for k, v in obj.items())
         return f"{{\n{items}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
+        if isinstance(obj, _Table):
+            return _json_table(*obj, pad)
         if not obj:
             return "[]"
         inner = pad + "  "
@@ -432,21 +434,42 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+# A column-major table inside a report payload, rendered as the list of its rows.
+_Table = namedtuple("_Table", "columns cells")
+
+
+def _json_table(columns, table, pad: str = "") -> str:
+    """JSON text of the rows of a column-major table, starting on a line
+    indented by pad.  A column is a list of cells, or an (N, m) integer array,
+    m >= 1, each of whose rows is a cell printed as a list."""
+    inner, cell_pad = pad + "  ", pad + "    "
+    fields, args = [], []
+    for name, column in zip(columns, table):
+        value = "%s"
+        if isinstance(column, np.ndarray):
+            value = "[\n" + ",\n".join([f"{cell_pad}  %d"] * column.shape[1]) + f"\n{cell_pad}]"
+            args += column.T.tolist()
+        elif not (types := set(map(type, column))) - {float}:
+            # a text with a point and no exponent is already JSON
+            args.append([s if "." in s and "e" not in s else _json_number(s) for s in map(_g12, column)])
+        elif types == {str}:
+            args.append(list(map(_json_str, column)))
+        else:
+            args.append([_json(v, cell_pad) for v in column])
+        fields.append(f"{cell_pad}{_json_str(name).replace('%', '%%')}: {value}")
+    row = f"{inner}{{\n" + ",\n".join(fields) + f"\n{inner}}}"
+    text = ",\n".join(map(row.__mod__, zip(*args)))
+    return f"[\n{text}\n{pad}]" if text else "[]"
+
+
 def render_table(columns: list[str], table: list[list], fmt: str) -> str:
     """Text of a column-major table: ``table`` holds the cells of each of the
     distinct ``columns`` in turn, one list per column, all of one length."""
-    cells = []
-    for column in table:
-        if set(map(type, column)) - {float}:  # not all Python floats: cell by cell
-            cells.append([_json(v, "    ") if fmt == "json" else _fmt_cell(v) for v in column])
-        elif fmt == "json":  # a text with a point and no exponent is already JSON
-            cells.append([s if "." in s and "e" not in s else _json_number(s) for s in map(_g12, column)])
-        else:
-            cells.append(list(map(_g12, column)))
     if fmt == "json":
-        fields = ",\n".join(f"    {_json_str(c).replace('%', '%%')}: %s" for c in columns)
-        text = ",\n".join(map(f"  {{\n{fields}\n  }}".__mod__, zip(*cells)))
-        return f"[\n{text}\n]\n" if text else "[]\n"
+        return _json_table(columns, table) + "\n"
+    # not all Python floats: cell by cell
+    cells = [list(map(_fmt_cell if set(map(type, column)) - {float} else _g12, column))
+             for column in table]
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 

@@ -232,20 +232,31 @@ def _require_close(residual: np.ndarray, names: list[str], law: str) -> None:
         f"{names[n]}{law} violated by {residual[n]:.3e}"))
 
 
+class _OutcomeNames:
+    """``names[n]``: the message prefix of outcome (k[n], l[n]), formatted only
+    when a failing check reads it."""
+
+    def __init__(self, k: np.ndarray, l: np.ndarray):
+        self.k, self.l = k, l
+
+    def __getitem__(self, n: int) -> str:
+        return f"outcome ({self.k[n]},{self.l[n]}): "
+
+
 def _bell_step(k, l, d: int, joint: np.ndarray):
     """The Bell measurement both kernels open with: for each outcome (k[n], l[n]),
     broadcast to 1-D, the bra <chi_kl| times ``joint``, whose rows are the measured
-    pair's basis states.  Returns the (N, 2) indices, each outcome's message
-    prefix, and each branch's probability and normalized state.
+    pair's basis states.  Returns the (N, 2) indices, the ``_OutcomeNames`` of
+    the outcomes, and each branch's probability and normalized state.
 
     One vector-matrix product per outcome, never one product over the whole
     stack, so that a batch of one equals its row of any batch bit for bit.
     """
     k, l = np.broadcast_arrays(np.ravel(k), np.ravel(l))
-    names = [f"outcome ({a},{b}): " for a, b in zip(k.tolist(), l.tolist())]
     branch = (weyl_basis_state(k, l, d).conj()[:, None, :] @ joint)[:, 0, :]
     probability = np.einsum("ni,ni->n", branch.conj(), branch).real
-    return np.stack([k, l], axis=-1), names, probability, branch / np.sqrt(probability)[:, None]
+    normalized = branch / np.sqrt(probability)[:, None]
+    return np.stack([k, l], axis=-1), _OutcomeNames(k, l), probability, normalized
 
 
 def teleport_stack(phi: np.ndarray, k, l) -> OutcomeStack:

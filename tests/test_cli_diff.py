@@ -32,14 +32,14 @@ def test_reports_every_changed_line(tmp_path):
     shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     cli = changed / "factorlab" / "cli.py"
     text = cli.read_text()
-    text = text.replace('"outcomes": rows}', '"outcomes": rows[::-1]}')
+    text = text.replace("stack.labels,", "stack.labels[::-1],")
     text = text.replace('rows: 1.0 - rows["purity"]),', 'rows: 0.25 + 0.0 * rows["purity"]),')
     cli.write_text(text)
     differ = cli_diff(SRC, changed, "--commands", commands)
     assert differ.returncode == 1
     lines = differ.stdout.splitlines()
     assert lines[0] == "3 commands, 3 differences"
-    # the reversed outcome list: every changed line, old then new, numbered
+    # the reversed correction labels: every changed line, old then new, numbered
     werner = lines.index("factorlab classify werner 0.5 (exit code 0 vs 0)")
     teleport = lines[1:werner]
     assert teleport[0] == "factorlab protocol teleport --d 2 --seed 3 (exit code 0 vs 0)"

@@ -3,7 +3,8 @@
 The oracle is the two-pass renderer the CLI once used: round every float to
 12 significant digits while walking the payload, then ``json.dumps(indent=2)``.
 ``render_report`` must reproduce its bytes on any nested payload, and
-``render_table`` on the rows of any column-major table.  A CSV report is a
+``render_table`` on the rows of any column-major table, as must
+``render_report`` on a payload holding one, as a protocol trace does.  A CSV report is a
 two-column ``key,value`` file whose every number is the JSON report's number.
 """
 
@@ -119,6 +120,8 @@ def assert_table_equals_oracle(columns, table):
     rows = as_rows(columns, table)
     assert render_table(columns, table, "json") == oracle_json(rows)
     assert render_table(columns, table, "csv") == oracle_csv_table(columns, rows)
+    # the same writer, one level down in a report
+    assert render_report({"t": cli._Table(columns, table)}, "json") == oracle_json({"t": rows})
 
 
 @settings(max_examples=400, deadline=None)
@@ -173,6 +176,68 @@ def test_empty_containers_equal_oracle():
     assert render_table(["x"], [[]], "json") == oracle_json([])
     assert render_table([], [], "json") == oracle_json([])
     assert render_table([], [], "csv") == "\n"
+
+
+# ---------------------------------------------------------------------------
+# protocol traces: outcomes as a column-major table inside the report
+
+OUTCOME_COLUMNS = ("outcome", "probability", "correction", "fidelity")
+# correction labels a row template could misread, beside the protocols' own
+LABELS = ['"', "\\", "%", "%s", "%d", "%%", "{0}", "W[0,1]", "composed@2,3", "état", "ψ⁻", "日本"]
+
+
+def trace_payloads(outcome, probability, correction, fidelity):
+    """(the trace as ``run_protocol`` builds it, the same trace with one dict
+    per outcome)."""
+    meta = {"kind": "swap", "d": 3, "seed": 5}
+    indices = np.array(outcome, dtype=np.int64).reshape(-1, 2)
+    table = cli._Table(OUTCOME_COLUMNS, (indices, probability, correction, fidelity))
+    rows = as_rows(OUTCOME_COLUMNS, (indices.tolist(), probability, correction, fidelity))
+    return {**meta, "outcomes": table}, {**meta, "outcomes": rows}
+
+
+@st.composite
+def traces(draw):
+    num = draw(st.integers(0, 9))
+    column = lambda cells: draw(st.lists(cells, min_size=num, max_size=num))
+    pair = st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1))
+    return trace_payloads(column(pair), column(floats), column(st.text() | st.sampled_from(LABELS)),
+                          column(floats))
+
+
+def assert_trace_equals_oracle(columnar, rows):
+    assert render_report(columnar, "json") == oracle_json(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces())
+def test_trace_equals_oracle(trace):
+    assert_trace_equals_oracle(*trace)
+
+
+@pytest.mark.parametrize("num", [0, 1])
+def test_trace_shapes_equal_oracle(num):
+    assert_trace_equals_oracle(*trace_payloads([(0, 1)][:num], [0.25][:num], ["W[0,1]"][:num],
+                                                [1.0][:num]))
+
+
+def test_edge_float_trace_equals_oracle():
+    """Every edge value in both float columns, under every template-like label."""
+    num = len(EDGE_FLOATS)
+    labels = (LABELS * num)[:num]
+    assert_trace_equals_oracle(*trace_payloads(
+        [(n, num - n) for n in range(num)], EDGE_FLOATS, labels, EDGE_FLOATS[::-1]))
+
+
+@pytest.mark.parametrize("kind", ["teleport", "swap"])
+def test_protocol_trace_equals_oracle(kind):
+    """run_protocol hands the stack's columns over, and no dict per outcome."""
+    trace = cli.run_protocol(kind, 3, 5)
+    outcomes = trace["outcomes"]
+    assert isinstance(outcomes, cli._Table) and outcomes.columns == OUTCOME_COLUMNS
+    indices, *rest = outcomes.cells
+    rows = as_rows(OUTCOME_COLUMNS, (indices.tolist(), *rest))
+    assert render_report(trace, "json") == oracle_json({**trace, "outcomes": rows})
 
 
 # ---------------------------------------------------------------------------
