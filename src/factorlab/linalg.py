@@ -67,9 +67,9 @@ def require(ok: np.ndarray, error) -> None:
     ``index``, so a caller that knows what each matrix stands for (a sweep's
     grid value) can name it.
     """
-    hits = np.flatnonzero(~np.ravel(ok))
-    if hits.size:
-        k = int(hits[0])
+    ok = np.asarray(ok)
+    if not ok.all():
+        k = int(np.flatnonzero(~ok.ravel())[0])
         exc = error(k)
         exc.index = k
         raise exc
@@ -101,8 +101,11 @@ def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def unitary_deviation(m: np.ndarray) -> np.ndarray:
     """max |m m^dagger - 1| of each matrix of a stack (a 0-d array for one matrix)."""
-    eye = np.eye(m.shape[-1])
-    return np.abs(m @ m.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
+    d = m.shape[-1]
+    g = m @ m.conj().swapaxes(-1, -2)
+    # matmul's result is C-contiguous, so this reshape is a view: 1 off each diagonal entry
+    g.reshape(g.shape[:-2] + (d * d,))[..., ::d + 1] -= 1
+    return np.abs(g).max(axis=(-2, -1))
 
 
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -109,10 +109,11 @@ class OutcomeStack:
     Row n of every array belongs to outcome ``indices[n] = (k, l)``:
     ``post_states[n]`` is the normalized state the branch leaves behind and
     ``maps[n]`` its isometry (teleportation's correction, swapping's extracted
-    composition), named ``labels[n]``.  Construction checks that every field
-    has one row per outcome (ValueError naming the field), then that every
-    probability is 1/d^2 within UNITARY_TOL, then that every fidelity is 1
-    within NORM_TOL, and names the first failing outcome.
+    composition), named by the str ``labels[n]``.  Construction checks that
+    every field has one row per outcome and every label is a str (ValueError
+    naming the field), then that every probability is 1/d^2 within
+    UNITARY_TOL, then that every fidelity is 1 within NORM_TOL, and names the
+    first failing outcome.
     """
 
     d: int
@@ -132,9 +133,13 @@ class OutcomeStack:
         rows = {"indices": (n, 2), "probabilities": (n,), "post_states": (n, None),
                 "maps": (n, self.d, self.d), "fidelities": (n,), "labels": (n,)}
         for name, want in rows.items():
-            got = np.shape(getattr(self, name))
+            value = getattr(self, name)
+            got = (len(value),) if isinstance(value, (tuple, list)) else np.shape(value)
             if len(got) != len(want) or any(w not in (None, g) for w, g in zip(want, got)):
                 raise ValueError(f"OutcomeStack {name} has shape {got}, expected {want}")
+        if not {str}.issuperset(map(type, self.labels)):
+            at, label = next((i, s) for i, s in enumerate(self.labels) if type(s) is not str)
+            raise ValueError(f"OutcomeStack labels entry {at} is {label!r}, expected a str")
         require(np.abs(p - 1.0 / (self.d * self.d)) <= UNITARY_TOL, lambda n: ProtocolCheckError(
             f"outcome {self.indices[n].tolist()}: probability {float(p[n])} != 1/d^2"))
         require(np.abs(f - 1.0) <= NORM_TOL, lambda n: ProtocolCheckError(
@@ -209,11 +214,11 @@ def _phase_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     The phase is extracted at the largest-magnitude entry of the reference row
     of v and applied to v; a single shared pivot keeps the comparison stable
     when several entries tie in magnitude.  Where that pivot is zero in u or
-    v, the rows are compared as they are.
+    v, the rows are compared as they are.  u and v have one shape.
     """
-    idx = np.argmax(np.abs(v), axis=-1)[..., None]
-    pu = np.take_along_axis(u, idx, -1)
-    pv = np.take_along_axis(v, idx, -1)
+    idx = np.abs(v).argmax(axis=-1)
+    at = idx + v.shape[-1] * np.arange(idx.size).reshape(idx.shape)  # flat index of each pivot
+    pu, pv = u.take(at)[..., None], v.take(at)[..., None]
     zero = (pu == 0.0) | (pv == 0.0)
     phase = np.where(zero, 1.0, pu / np.where(zero, 1.0, pv))
     return np.abs(u - phase / np.abs(phase) * v).max(axis=-1)
@@ -277,7 +282,7 @@ def teleport_stack(phi: np.ndarray, k, l) -> OutcomeStack:
     norm = np.linalg.norm(phi)
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"input state must be normalized, |phi| = {norm}")
-    joint = np.kron(phi, maxent_vectors(np.eye(d, dtype=complex))).reshape(d * d, d)
+    joint = np.multiply.outer(phi, maxent_vectors(np.eye(d, dtype=complex))).reshape(d * d, d)
     indices, names, probability, bob = _bell_step(k, l, d, joint)
 
     correction = weyl_operator(*indices.T, d).conj()
@@ -321,7 +326,7 @@ def swap_stack(k, l, i12: Isometry, i34: Isometry) -> OutcomeStack:
     if i12.d != i34.d:
         raise ValueError(f"resource dimension mismatch: {i12.d} vs {i34.d}")
     d = i12.d
-    joint = np.kron(maxent_from_isometry(i12), maxent_from_isometry(i34))
+    joint = np.multiply.outer(maxent_from_isometry(i12), maxent_from_isometry(i34))
     # rows (b, c): the measured pair (2, 3); columns (a, e): the pair (1, 4)
     joint = joint.reshape(d, d * d, d).transpose(1, 0, 2).reshape(d * d, d * d)
     indices, names, probability, pair14 = _bell_step(k, l, d, joint)

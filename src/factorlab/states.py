@@ -362,9 +362,11 @@ def weyl_operator(k, l, d: int) -> np.ndarray:
         raise error(0, "must be integers")  # a non-integer dtype makes every pair fail
     require((0 <= k) & (k < d) & (0 <= l) & (l < d), lambda i: error(i, f"out of range for d = {d}"))
     j = np.arange(d)
-    row = (j + k[..., None]) % d
-    phase = np.exp(1j * ((2 * np.pi * j * l[..., None]) / d))
-    return np.where(j[:, None] == row[..., None, :], phase[..., None, :], 0)
+    phases = np.exp(1j * ((2 * np.pi * j * j[:, None]) / d))  # row l: exp(2 pi i j l / d)
+    k_flat = np.ravel(k).astype(np.intp)  # j + a uint64 k would be float, no index
+    w = np.zeros((k_flat.size, d, d), dtype=complex)
+    w[np.arange(k_flat.size)[:, None], (j + k_flat[:, None]) % d, j] = phases[np.ravel(l)]
+    return w.reshape(k.shape + (d, d))
 
 
 def unit_interval(x, name: str) -> np.ndarray:
