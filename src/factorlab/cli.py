@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -195,12 +197,12 @@ def classification_report(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> dict:
 # ---------------------------------------------------------------------------
 # sweep
 
-# A sweep evaluates its whole grid as one stack of 4x4 matrices, so its memory
-# grows with num (about 5 kB per grid point for gisin_compare, the widest
-# family).  The README's sweeps use 101-point grids over a parameter's whole
-# range; the cap allows 100 times that resolution, and a gisin_compare sweep at
-# the cap peaks at about 85 MB resident (x86-64, numpy 2.4).  Larger grids are
-# rejected before anything is allocated.
+# A sweep evaluates every stack of its whole grid as one stack of 4x4 matrices,
+# so its memory grows with num (5.6 kB per grid point for gisin_compare, the
+# widest family).  The README's sweeps use 101-point grids over a parameter's
+# whole range; the cap allows 100 times that resolution, and a fresh process's
+# every-measure gisin_compare sweep at the cap peaks at 89.2 MB resident, CSV or
+# JSON (ru_maxrss, x86-64, numpy 2.4.6).  Larger grids are rejected up front.
 MAX_SWEEP_POINTS = 10_000
 
 
@@ -232,14 +234,13 @@ class SweepSpec:
 
 def _switched(source: str, switch):
     """Stack builder: the stack ``source`` conjugated by ``switch()``."""
-    return lambda x, theta, built: transforms.conjugated(built[source][0], switch())
+    return lambda x, theta, built: transforms.conjugated(built[source], switch())
 
 
 # A sweep family.  ``stacks`` are (name, builder) in build order; a builder
-# takes the grid, --theta and the (stack, spectrum) pairs built so far, and each
-# stack is validated before the next is built, so the switches are built once.
-# ``columns`` maps each column to (measure, stack, ...); a column over two
-# stacks takes the larger value at each point.
+# takes the grid, --theta and the stacks built so far, by name, so the switches
+# are built once.  ``columns`` maps each column to (measure, stack, ...); a
+# column over two stacks takes the larger value at each point.
 _SweepFamily = namedtuple("_SweepFamily", "param needs_theta stacks columns default_outputs")
 _SWEEP_FAMILIES = {
     "rho_theta": _SweepFamily(
@@ -268,7 +269,7 @@ _SWEEP_FAMILIES = {
         "lambda", True,
         (("gisin", lambda x, theta, built: states.gisin_matrices(x, theta)),
          ("filtered", lambda x, theta, built: transforms.filtered(
-             built["gisin"][0], transforms.gisin_filter(theta))),
+             built["gisin"], transforms.gisin_filter(theta))),
          ("unitary", lambda x, theta, built: transforms.gisin_unitary_matrices(x, theta))),
         {"C_gisin": ("concurrence", "gisin"), "C_filtered": ("concurrence", "filtered"),
          "C_unitary": ("concurrence", "unitary"), "B_gisin": ("bmax", "gisin"),
@@ -292,12 +293,14 @@ _SWEEP_FAMILIES = {
 
 
 def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], list[list[float]]]:
-    """Evaluate the printed columns of one sweep family over its grid as one
-    stacked batch; returns (column names, table), the table column-major: one
-    list of Python floats per column, the grid first.
+    """Evaluate the printed columns of one sweep family over its grid: its
+    stacks, built in order, are validated joined into one stack, on which each
+    measure is evaluated once; returns (column names, table), the table
+    column-major: one list of Python floats per column, the grid first.
 
     Every check of the per-state functions runs on each grid point; a check
-    that fails on a state names the first offending grid value.
+    that fails names the first offending grid value in build order, which is
+    also the error's ``index``.
     """
     if spec.family not in _SWEEP_FAMILIES:
         raise CliParseError(
@@ -317,19 +320,38 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> tuple[list[str], lis
     if repeated:
         raise CliParseError(f"repeated measure(s) {repeated} for family {spec.family!r}")
     grid = np.linspace(spec.start, spec.stop, spec.num)
+    n, order = len(grid), {name: k for k, (name, _) in enumerate(family.stacks)}
+    columns = [(measure, [order[s] for s in stacks])
+               for measure, *stacks in (family.columns[name] for name in outputs)]
+    # measure -> (first, one past the last) of the stacks its columns read it from
+    span: dict = {}
+    for measure, ks in columns:
+        lo, hi = span.get(measure, (len(order), 0))
+        span[measure] = min(lo, *ks), max(hi, max(ks) + 1)
     try:
         built: dict = {}
-        for name, build in family.stacks:
-            stack = build(grid, spec.theta, built)
-            built[name] = stack, states.validate_stack(stack, tol)
-        # each row evaluated once per stack, so a column over two stacks reuses their values
-        rows = {name: _Rows(*pair, (2, 2), tol) for name, pair in built.items()}
-        values = [functools.reduce(lambda a, b: np.where(b > a, b, a), (rows[s][measure] for s in stacks))
-                  for measure, *stacks in (family.columns[name] for name in outputs)]
+        try:
+            for name, build in family.stacks:
+                built[name] = build(grid, spec.theta, built)
+        except (ValueError, AssertionError):
+            if built:  # a check failing on a stack built earlier wins, as in build order
+                states.validate_stack(np.concatenate(list(built.values())), tol)
+            raise
+        # every stack in one validation, matrix k * n + j the stack k state at grid[j]
+        m = np.concatenate(list(built.values()))
+        built.clear()
+        s = states.validate_stack(m, tol)
+        rows = {(lo, hi): _Rows(m[lo * n:hi * n], SimpleNamespace(
+                    values=s.values[lo * n:hi * n], vectors=s.vectors[lo * n:hi * n]), (2, 2), tol)
+                for lo, hi in set(span.values())}
+        values = [functools.reduce(lambda a, b: np.where(b > a, b, a), (
+                      rows[span[measure]][measure][(k - span[measure][0]) * n:][:n] for k in ks))
+                  for measure, ks in columns]
     except (ValueError, AssertionError) as exc:
         index = getattr(exc, "index", None)
         if index is not None:
-            exc.args = (f"{exc} at {family.param} = {float(grid[index])!r}",)
+            exc.index = index % n
+            exc.args = (f"{exc} at {family.param} = {float(grid[exc.index])!r}",)
         raise
     return [family.param] + outputs, [grid.tolist(), *(v.astype(float).tolist() for v in values)]
 
@@ -467,10 +489,13 @@ def render_table(columns: list[str], table: list[list], fmt: str) -> str:
     distinct ``columns`` in turn, one list per column, all of one length."""
     if fmt == "json":
         return _json_table(columns, table) + "\n"
-    # not all Python floats: cell by cell
-    cells = [list(map(_fmt_cell if set(map(type, column)) - {float} else _g12, column))
-             for column in table]
-    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+    # one template for the whole table: %.12g for a column of Python floats, the
+    # text of each cell for any other column
+    text = [bool(set(map(type, column)) - {float}) for column in table]
+    cells = [list(map(_fmt_cell, column)) if t else column for t, column in zip(text, table)]
+    row = "\n" + ",".join(["%s" if t else "%.12g" for t in text])
+    template = ",".join(columns).replace("%", "%%") + row * (len(table[0]) if table else 0) + "\n"
+    return template % tuple(itertools.chain.from_iterable(zip(*cells)))
 
 
 def _flatten(prefix: str, obj, out: list[tuple[str, str]]):

@@ -69,7 +69,7 @@ def require(ok: np.ndarray, error) -> None:
     """
     ok = np.asarray(ok)
     if not ok.all():
-        k = int(np.flatnonzero(~ok.ravel())[0])
+        k = int(np.flatnonzero(np.logical_not(ok.ravel()))[0])
         exc = error(k)
         exc.index = k
         raise exc
@@ -216,7 +216,7 @@ def eigh_sqrt(w: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
     lo = np.ravel(w.min(axis=-1))
     require(lo >= -tol, lambda k: ValueError(
         f"psd_sqrt: negative eigenvalue {lo[k]:.3e} below -{tol:.1e}"))
-    w = np.sqrt(np.clip(w, 0.0, None))
+    w = np.sqrt(w.clip(0.0))
     return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 

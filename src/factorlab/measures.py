@@ -38,7 +38,7 @@ _FLIP_SIGN = np.outer(_YY_SIGN, _YY_SIGN)
 
 def purities(m: np.ndarray) -> np.ndarray:
     """Tr m^2 of a matrix or of each matrix of a stack."""
-    return np.trace(m @ m, axis1=-2, axis2=-1).real
+    return (m @ m).trace(axis1=-2, axis2=-1).real
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -118,18 +118,17 @@ def concurrences(m: np.ndarray, spectrum: Spectrum, tol: float) -> np.ndarray:
     sqrt(m), with psd_sqrt's checks, is built from ``spectrum`` read in LAPACK's
     ascending order, so it is ``psd_sqrt(m)`` bit for bit.  The core's eigenvalues
     come from ``eigh`` (``eigvalsh`` takes another LAPACK path and can move a
-    last digit), reversed to descending order; reversing can only swap tied
-    signed zeros, which the ZERO_FLOOR clamp sets to +0.  The clamp to [0, 1]
+    last digit) and are read ascending, the largest last.  The clamp to [0, 1]
     picks exactly what ``min(1, max(0, c))`` picks, zeros included.
     """
     require_hermitian(m, tol, "psd_sqrt")
     s = eigh_sqrt(spectrum.values[..., ::-1], spectrum.vectors[..., ::-1], tol)
     core = s @ _spin_flip(m) @ s
     core = (core + np.swapaxes(core.conj(), -1, -2)) / 2.0
-    w = np.linalg.eigh(core)[0][..., ::-1].copy()
+    w = np.linalg.eigh(core)[0]
     w[w < ZERO_FLOOR] = 0.0
     lam = np.sqrt(w)
-    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
     c = np.where(c > 0.0, c, 0.0)
     return np.where(c < 1.0, c, 1.0)
 

@@ -109,11 +109,11 @@ class OutcomeStack:
     Row n of every array belongs to outcome ``indices[n] = (k, l)``:
     ``post_states[n]`` is the normalized state the branch leaves behind and
     ``maps[n]`` its isometry (teleportation's correction, swapping's extracted
-    composition), named by the str ``labels[n]``.  Construction checks that
-    every field has one row per outcome and every label is a str (ValueError
-    naming the field), then that every probability is 1/d^2 within
-    UNITARY_TOL, then that every fidelity is 1 within NORM_TOL, and names the
-    first failing outcome.
+    composition), named by the str ``labels[n]``; every field is held as a copy,
+    the labels as a tuple.  Construction checks that every field has one row per
+    outcome and every label is a str (ValueError naming the field), then that
+    every probability is 1/d^2 within UNITARY_TOL, then that every fidelity is
+    1 within NORM_TOL, and names the first failing outcome.
     """
 
     d: int
@@ -137,6 +137,7 @@ class OutcomeStack:
             got = (len(value),) if isinstance(value, (tuple, list)) else np.shape(value)
             if len(got) != len(want) or any(w not in (None, g) for w, g in zip(want, got)):
                 raise ValueError(f"OutcomeStack {name} has shape {got}, expected {want}")
+        object.__setattr__(self, "labels", tuple(self.labels))
         if not {str}.issuperset(map(type, self.labels)):
             at, label = next((i, s) for i, s in enumerate(self.labels) if type(s) is not str)
             raise ValueError(f"OutcomeStack labels entry {at} is {label!r}, expected a str")

@@ -686,21 +686,26 @@ class TestParserReuse:
 
 
 class TestSolveBudget:
-    """The numpy solver calls of whole commands: each state or stack is
-    decomposed once, by validation, and the concurrence reads that solve."""
+    """The numpy solver calls of whole commands: each state, or a sweep's
+    stacks joined into one, is decomposed once, by validation, and the
+    concurrence reads that solve."""
 
     @pytest.mark.parametrize("argv,budget", [
         (("classify", "werner", "0.5"), {"eigh": 2, "eigvalsh": 2, "svd": 1}),
         (("transform", "u-switch", "werner", "0.8"), {"eigh": 3, "eigvalsh": 2, "svd": 1}),
         (("sweep", "ghz_traced", "--start", "0", "--stop", "1.5707963", "--num", "11",
           "--outputs", "C_u1,C_u2,C_best,C_after_u_switch,mixedness"),
-         {"eigh": 7, "eigvalsh": 0, "svd": 0}),
+         {"eigh": 2, "eigvalsh": 0, "svd": 0}),
+        (("sweep", "gisin_compare", "--theta", "0.35", "--start", "0", "--stop", "1", "--num", "11",
+          "--outputs", "C_gisin,C_filtered,C_unitary,B_gisin,B_filtered,B_unitary,"
+          "purity_gisin,purity_filtered,purity_unitary"),
+         {"eigh": 2, "eigvalsh": 1, "svd": 0}),
         (("sweep", "werner", "--start", "0", "--stop", "1", "--num", "11"),
          {"eigh": 1, "eigvalsh": 2, "svd": 0}),
         (("protocol", "swap", "--d", "8"), {"svd": 0, "qr": 2}),
         (("protocol", "teleport", "--d", "8"), {"svd": 0, "qr": 0}),
-    ], ids=["classify", "transform", "sweep-every-measure", "sweep-default-outputs",
-            "protocol-swap", "protocol-teleport"])
+    ], ids=["classify", "transform", "sweep-every-measure", "sweep-compare-every-measure",
+            "sweep-default-outputs", "protocol-swap", "protocol-teleport"])
     def test_solver_calls_per_command(self, capsys, monkeypatch, argv, budget):
         calls = dict.fromkeys(budget, 0)
 

@@ -9,6 +9,8 @@ same way and is compared with ``tests/golden/figures/``.  The protocol traces
 ``protocol {teleport,swap} --d 2..8 --seed 5`` are compared with
 ``tests/golden/protocol/<kind>_d<d>_seed5/stdout``.  All of these run once
 more in one process, between failing calls, since ``main`` reuses its parser.
+The JSON ``ghz_traced`` sweep with every measure is compared with
+``tests/golden/sweep/ghz_traced_every_measure/stdout``.
 A difference is a finding to explain, not a fixture to regenerate.
 """
 
@@ -144,6 +146,20 @@ def test_reproduce_figures_bytes(tmp_path, monkeypatch):
 def test_protocol_trace_bytes(kind, d):
     want = GOLDEN / "protocol" / f"{kind}_d{d}_seed{PROTOCOL_SEED}" / "stdout"
     assert run_protocol_trace(kind, d) == want.read_bytes()
+
+
+# every measure of the traced GHZ family, each state under U1, U2 and the switch
+GHZ_SWEEP = ["sweep", "ghz_traced", "--start", "0", "--stop", "1.5707963", "--num", "101",
+             "--outputs", "C_u1,C_u2,C_best,C_after_u_switch,mixedness", "--format", "json"]
+
+
+def test_ghz_traced_every_measure_sweep_bytes():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(GHZ_SWEEP))
+    assert code == 0 and err.getvalue() == ""
+    want = GOLDEN / "sweep" / "ghz_traced_every_measure" / "stdout"
+    assert out.getvalue().encode("utf-8") == want.read_bytes()
 
 
 def test_golden_bytes_survive_reuse_in_one_process(tmp_path, monkeypatch):

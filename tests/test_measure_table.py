@@ -86,8 +86,9 @@ def test_classify_computes_purity_once(rng, purity_calls, split):
     ("gisin_compare", 0.35, ["purity_gisin", "purity_filtered", "purity_unitary"], 3),
 ])
 def test_sweep_computes_purity_once_per_stack(purity_calls, family, theta, outputs, stacks):
+    """One call per sweep, on every stack a purity column reads."""
     cli.run_sweep(cli.SweepSpec(family, 0.0, 1.0, 11, outputs, theta))
-    assert purity_calls == [11] * stacks
+    assert purity_calls == [11 * stacks]
 
 
 @given(seed=st.integers(0, 2**32 - 1),

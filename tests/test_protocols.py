@@ -439,6 +439,16 @@ class TestOutcomeLaws:
         with pytest.raises(ValueError, match=rf"^OutcomeStack {field} has shape "):
             dataclasses.replace(stack, **{field: self.MISSHAPEN[field](stack)})
 
+    def test_labels_are_held_as_a_tuple(self, rng):
+        stack = teleport_stack(haar_vector(rng, 2), *weyl_indices(2))
+        labels = list(stack.labels)
+        held = dataclasses.replace(stack, labels=labels)
+        labels.append("x")
+        assert held.labels == stack.labels and type(held.labels) is tuple
+        assert len(held.labels) == len(held.indices) == 4
+        with pytest.raises(ValueError, match=r"^OutcomeStack labels has shape \(\), expected \(4,\)$"):
+            dataclasses.replace(stack, labels="".join(s[0] for s in stack.labels))
+
     def test_probability_is_checked_before_fidelity(self, rng):
         stack = teleport_stack(haar_vector(rng, 2), *weyl_indices(2))
         with pytest.raises(ProtocolCheckError, match=r"^outcome \[1, 1\]: probability 0\.3 != 1/d\^2$"):

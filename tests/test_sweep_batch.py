@@ -4,13 +4,15 @@ The reference evaluates each grid point on its own, one DensityMatrix at a
 time, the way a sweep was computed before it became one stacked batch.  The
 batched table, column-major, must equal the transposed reference rows exactly
 (``==``, not a tolerance), and a failing grid must raise the same error with
-the same message.
+the same message.  A sweep validates all its stacks joined into one; where that
+fails, it must fail as a sweep that validates each stack before building the
+next, naming the same grid value.
 """
 
 import numpy as np
 import pytest
 
-from factorlab import measures, states, transforms, witness_bell
+from factorlab import cli, measures, states, transforms, witness_bell
 from factorlab.cli import SweepSpec, run_sweep
 from factorlab.linalg import DEFAULT_TOL
 
@@ -157,3 +159,95 @@ def test_default_outputs_are_a_subset_of_the_reference():
         theta = 0.35 if family.startswith("gisin") else None
         columns, _ = run_sweep(SweepSpec(family, 0.1, 0.2, 2, theta=theta))
         assert set(columns[1:]) <= set(MEASURES[family])
+
+
+# ---------------------------------------------------------------------------
+# every stack of a family joined into one validation
+
+def stack_by_stack(spec, tol=DEFAULT_TOL):
+    """(type, message, grid index) of the first failure of a sweep that
+    validates each stack before it builds the next, or None if all pass."""
+    family = cli._SWEEP_FAMILIES[spec.family]
+    grid = np.linspace(spec.start, spec.stop, spec.num)
+    built = {}
+    try:
+        for name, build in family.stacks:
+            built[name] = build(grid, spec.theta, built)
+            states.validate_stack(built[name], tol)
+    except (ValueError, AssertionError) as exc:
+        index = getattr(exc, "index", None)
+        where = "" if index is None else f" at {family.param} = {float(grid[index])!r}"
+        return type(exc), f"{exc}{where}", index
+    return None
+
+
+def joined(spec, tol=DEFAULT_TOL):
+    try:
+        run_sweep(spec, tol)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    return None
+
+
+def poison(monkeypatch, family, at):
+    """Make each stack named in ``at`` hold a NaN at entry (0, 0) of grid point at[name]."""
+    row = cli._SWEEP_FAMILIES[family]
+
+    def poisoned(build, j):
+        def build_with_nan(x, theta, built):
+            m = build(x, theta, built).copy()
+            m[j, 0, 0] = np.nan
+            return m
+        return build_with_nan
+
+    stacks = tuple((name, poisoned(build, at[name]) if name in at else build) for name, build in row.stacks)
+    monkeypatch.setitem(cli._SWEEP_FAMILIES, family, row._replace(stacks=stacks))
+
+
+def every_measure(family, num=11):
+    theta = 0.35 if family == "gisin_compare" else None
+    return SweepSpec(family, 0.0, 1.0, num, outputs=MEASURES[family], theta=theta)
+
+
+@pytest.mark.parametrize("family,stack", [
+    ("ghz_traced", "u1"), ("ghz_traced", "u2"), ("gisin_compare", "filtered"),
+    ("gisin_compare", "unitary")])
+@pytest.mark.parametrize("j", [0, 7, 10])
+def test_later_stack_failure_names_its_grid_value(monkeypatch, family, stack, j):
+    poison(monkeypatch, family, {stack: j})
+    spec = every_measure(family)
+    grid = np.linspace(spec.start, spec.stop, spec.num)
+    with pytest.raises(states.StateValidationError) as info:
+        run_sweep(spec)
+    param = cli._SWEEP_FAMILIES[family].param
+    assert str(info.value) == f"finite: entry (0, 0) is (nan+0j) at {param} = {float(grid[j])!r}"
+    assert info.value.index == j
+
+
+@pytest.mark.parametrize("family,at,j", [
+    ("ghz_traced", {"u1": 8, "switched": 2}, 8),
+    ("ghz_traced", {"u2": 5, "switched": 0}, 5),
+    ("ghz_traced", {"u1": 9, "u2": 1}, 9),
+    ("gisin_compare", {"filtered": 6, "unitary": 1}, 6),
+    ("gisin_compare", {"gisin": 10, "unitary": 0}, 10),
+])
+def test_earlier_stack_fails_first(monkeypatch, family, at, j):
+    poison(monkeypatch, family, at)
+    spec = every_measure(family)
+    got = joined(spec)
+    assert got[2] == j
+    assert got == stack_by_stack(spec)
+
+
+# grids that fail at a tolerance below rounding, or at a filter angle out of
+# range, where the gisin stack fails validation before the filter is built
+@pytest.mark.parametrize("family,theta,tol", [
+    *[(family, 0.35 if family.startswith("gisin") else None, tol)
+      for family in REFERENCE for tol in (0.0, 1e-16)],
+    ("gisin_compare", 1.0, 0.0),
+    ("gisin_compare", 1.0, DEFAULT_TOL),
+    ("gisin_compare", HALF_PI, 0.0),
+])
+def test_joined_validation_fails_as_stack_by_stack(family, theta, tol):
+    spec = SweepSpec(family, 0.0, 1.0, 101, outputs=MEASURES[family], theta=theta)
+    assert joined(spec, tol) == stack_by_stack(spec, tol)

@@ -122,3 +122,27 @@ def test_require_raises_for_the_first_failing_entry(ok, index):
     with pytest.raises(ValueError) as info:
         linalg.require(ok, lambda k: ValueError(k))
     assert info.value.args == (index,) and info.value.index == index
+
+
+# an integer, bool or 0-d ok fails where it is zero, as ok.all() reads it
+@pytest.mark.parametrize("ok, index", [
+    (np.array([1, 0]), 1),
+    (np.array([2, 0, 3]), 1),
+    (np.array([-1, 2, 0, 0]), 2),
+    (np.array([[3, 1], [0, 5]]), 2),
+    (np.array([True, False]), 1),
+    (np.array([1, 2]), None),
+    (np.array(0), 0),
+    (np.array(7), None),
+    (np.array(False), 0),
+    (np.array(True), None),
+    (np.float64(0.0), 0),
+])
+def test_require_reads_any_dtype_as_truth(ok, index):
+    assert bool(np.all(ok)) is (index is None)
+    try:
+        linalg.require(ok, lambda k: ValueError(k))
+    except ValueError as exc:
+        assert exc.args == (index,) and exc.index == index
+    else:
+        assert index is None
