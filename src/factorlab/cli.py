@@ -270,7 +270,7 @@ _SWEEP_FAMILIES = {
         (("gisin", lambda x, theta, built: states.gisin_matrices(x, theta)),
          ("filtered", lambda x, theta, built: transforms.filtered(
              built["gisin"], transforms.gisin_filter(theta))),
-         ("unitary", lambda x, theta, built: transforms.gisin_unitary_matrices(x, theta))),
+         ("unitary", lambda x, theta, built: transforms.gisin_unitary_matrices(x, theta, built["gisin"]))),
         {"C_gisin": ("concurrence", "gisin"), "C_filtered": ("concurrence", "filtered"),
          "C_unitary": ("concurrence", "unitary"), "B_gisin": ("bmax", "gisin"),
          "B_filtered": ("bmax", "filtered"), "B_unitary": ("bmax", "unitary"),

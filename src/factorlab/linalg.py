@@ -59,6 +59,15 @@ def hold(obj, name: str, dtype=complex, shape=None) -> np.ndarray:
     return a
 
 
+def _prechecked(cls, **fields):
+    """Frozen dataclass cls of fields whose checks have passed: no ``__post_init__``, arrays held."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    for name in [k for k, v in fields.items() if isinstance(v, np.ndarray)]:
+        hold(obj, name)
+    return obj
+
+
 def require(ok: np.ndarray, error) -> None:
     """Raise ``error(k)`` for the first k, in flattened order, where ``ok[k]`` is false.
 

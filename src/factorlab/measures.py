@@ -24,7 +24,6 @@ from .linalg import (
     hs_norm,
     partial_transpose,
     require_finite,
-    require_hermitian,
 )
 from .states import PAULI, DensityMatrix, require_split, schmidt_flatness
 
@@ -115,13 +114,13 @@ def concurrences(m: np.ndarray, spectrum: Spectrum, tol: float) -> np.ndarray:
     """Two-qubit concurrence of a 4x4 matrix or of each matrix of a stack; see
     ``concurrence``.
 
-    sqrt(m), with psd_sqrt's checks, is built from ``spectrum`` read in LAPACK's
-    ascending order, so it is ``psd_sqrt(m)`` bit for bit.  The core's eigenvalues
-    come from ``eigh`` (``eigvalsh`` takes another LAPACK path and can move a
-    last digit) and are read ascending, the largest last.  The clamp to [0, 1]
-    picks exactly what ``min(1, max(0, c))`` picks, zeros included.
+    m is validated at tol (``validate_stack``, whose Hermitian screen does not run again).
+    sqrt(m), with psd_sqrt's positivity check, is built from ``spectrum`` read in LAPACK's
+    ascending order, so it is ``psd_sqrt(m)`` bit for bit.  The core's eigenvalues come
+    from ``eigh`` (``eigvalsh`` takes another LAPACK path and can move a last digit) and
+    are read ascending, the largest last.  The clamp to [0, 1] picks exactly what
+    ``min(1, max(0, c))`` picks, zeros included.
     """
-    require_hermitian(m, tol, "psd_sqrt")
     s = eigh_sqrt(spectrum.values[..., ::-1], spectrum.vectors[..., ::-1], tol)
     core = s @ _spin_flip(m) @ s
     core = (core + np.swapaxes(core.conj(), -1, -2)) / 2.0

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    MAXENT_TOL, NORM_TOL, UNITARY_TOL, ZERO_FLOOR, hold, is_unitary, require, require_finite,
+    MAXENT_TOL, NORM_TOL, UNITARY_TOL, ZERO_FLOOR, _prechecked, hold, require, require_finite,
     unitary_deviation,
 )
 from .states import (
@@ -73,8 +73,7 @@ class Isometry:
         if m.shape != (self.d, self.d):
             raise ValueError(f"isometry matrix shape {m.shape} does not match d = {self.d}")
         require_finite(m, "isometry matrix")
-        if not is_unitary(m, UNITARY_TOL):
-            raise ValueError("isometry matrix must be unitary")
+        _require_unitary(m, [""])
 
     @classmethod
     def identity(cls, d: int) -> "Isometry":
@@ -147,9 +146,10 @@ class OutcomeStack:
             f"outcome {self.indices[n].tolist()}: fidelity {float(f[n])} != 1"))
 
     def outcomes(self) -> list[BellMeasurementOutcome]:
-        """One BellMeasurementOutcome per row."""
+        """One BellMeasurementOutcome per row.  Its correction's map is not checked again:
+        the kernel that built the stack checked every map's unitarity within UNITARY_TOL."""
         return [
-            BellMeasurementOutcome((k, l), p, state, Isometry(m, self.d, label), f)
+            BellMeasurementOutcome((k, l), p, state, _prechecked(Isometry, map=m, d=self.d, label=label), f)
             for (k, l), p, state, m, f, label in zip(
                 self.indices.tolist(), self.probabilities.tolist(), self.post_states,
                 self.maps, self.fidelities.tolist(), self.labels,

@@ -20,6 +20,7 @@ from .linalg import (
     Spectrum,
     _factors,
     _is_integer,
+    _prechecked,
     hermitian_deviation,
     hold,
     partial_trace,
@@ -170,11 +171,7 @@ def _switched_state(rho: DensityMatrix, u: np.ndarray, m: np.ndarray, tol: float
         dev, _, ok = _screen(m, tol)
         b = _carry_bound(m, w, v, dev) if ok else np.inf
         if b <= rho.dim * ZERO_FLOOR and w[-1] - b >= -tol:
-            moved = object.__new__(DensityMatrix)
-            for name, value in (("matrix", m), ("split", rho.split), ("spectrum", Spectrum(w, v))):
-                object.__setattr__(moved, name, value)
-            hold(moved, "matrix")
-            return moved
+            return _prechecked(DensityMatrix, matrix=m, split=rho.split, spectrum=Spectrum(w, v))
     return DensityMatrix(m, rho.split, tol=tol)
 
 
@@ -317,8 +314,9 @@ def schmidt_flatness(v: np.ndarray, d: int) -> np.ndarray:
 
 
 def maxent_projector(projector: np.ndarray, d: int, tol: float = MAXENT_TOL) -> np.ndarray:
-    """``projector`` as a complex array, once checked to be a rank-1 projector onto
-    a maximally entangled vector: P^2 = P, Tr P = 1 and Tr_2 P = 1/d within tol."""
+    """``projector`` as a complex array, once d passes ``require_dimension`` and it is a rank-1
+    projector onto a maximally entangled vector: P^2 = P, Tr P = 1 and Tr_2 P = 1/d within tol."""
+    require_dimension(d)
     p = np.asarray(projector, dtype=complex)
     if p.shape != (d * d, d * d):
         raise DimensionMismatchError(f"projector shape {p.shape} does not match d = {d}")

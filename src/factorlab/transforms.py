@@ -38,6 +38,7 @@ from .states import (
     maxent_vectors,
     mix_with_diagonal,
     projectors,
+    require_dimension,
     require_split,
     unit_interval,
     weyl_basis_state,
@@ -248,6 +249,7 @@ def geometric_mean_predicts_npt(spectrum: np.ndarray) -> bool:
     p = np.asarray(spectrum, dtype=float).reshape(-1)
     if p.size < 4:
         raise ValueError(f"expected at least four eigenvalues, got {p.size}")
+    require_finite(p, "spectrum")
     return bool(np.sqrt(max(p[-3] * p[-1], 0.0)) < 0.5 * (p[0] - p[-2]))
 
 
@@ -297,8 +299,9 @@ def ghz_split_unitary(omega: np.ndarray, d: int) -> FactorizationSwitch:
     the (12)|(3) cut).  The returned switch maps |phi_i> to |i>_1 (x) |0>_2,
     after which factor 2 is in a pure product state (zero mutual information
     with everything else) while the (1, 3) pair carries the full entanglement
-    entropy S(rho_3).
+    entropy S(rho_3).  d must be a positive integer (``require_dimension``).
     """
+    require_dimension(d)
     omega = np.asarray(omega, dtype=complex).reshape(-1)
     if omega.size != d ** 3:
         raise DimensionMismatchError(f"vector of length {omega.size} is not a ({d},{d},{d}) state")
@@ -380,18 +383,18 @@ def gisin_unitary_family(lam: float, theta: float, tol: float = DEFAULT_TOL) -> 
     dependence drops out, so the family carries a constant amount of
     entanglement at fixed lam while keeping the purity of the original state.
     """
-    return DensityMatrix(gisin_unitary_matrices(lam, theta), (2, 2), tol=tol)
+    return DensityMatrix(gisin_unitary_matrices(lam, theta, gisin_matrices(lam, theta)), (2, 2), tol=tol)
 
 
-def gisin_unitary_matrices(lam, theta: float) -> np.ndarray:
+def gisin_unitary_matrices(lam, theta: float, gisin: np.ndarray) -> np.ndarray:
     """Unvalidated gisin_unitary_family matrix (or stack, for an array of lam).
 
-    Each is checked against the conjugation of gisin(lam, theta) by
-    u_theta(theta), which must agree within UNITARY_TOL.
+    Each is checked against its Gisin matrix in ``gisin``, gisin_matrices(lam, theta) as
+    the caller built it, conjugated by u_theta(theta): they must agree within UNITARY_TOL.
     """
     lam = unit_interval(lam, "lambda")
     m = mix_with_diagonal(lam, projectors(bell_vector("psi+")))
-    reference = conjugated(gisin_matrices(lam, theta), u_theta(theta))
+    reference = conjugated(gisin, u_theta(theta))
     residual = np.ravel(np.max(np.abs(reference - m), axis=(-2, -1)))
     require(residual <= UNITARY_TOL, lambda k: AssertionError(
         f"closed form deviates from conjugation by {residual[k]:.3e}"))

@@ -20,7 +20,7 @@ from factorlab.cli import (
     main,
     run_sweep,
 )
-from conftest import ginibre_density, random_density
+from conftest import ginibre_density, haar_unitary, haar_vector, random_density
 
 
 def run(capsys, *argv):
@@ -722,3 +722,63 @@ class TestSolveBudget:
             monkeypatch.setattr(np.linalg, name, counted(name))
         assert run(capsys, *argv)[0] == 0
         assert calls == budget
+
+
+_EVERY_GISIN_COMPARE = ("sweep", "gisin_compare", "--theta", "0.35", "--start", "0", "--stop", "1",
+                        "--num", "11", "--outputs", "C_gisin,C_filtered,C_unitary,B_gisin,B_filtered,"
+                        "B_unitary,purity_gisin,purity_filtered,purity_unitary")
+_EVERY_GHZ_TRACED = ("sweep", "ghz_traced", "--start", "0", "--stop", "1.5707963", "--num", "11",
+                     "--outputs", "C_u1,C_u2,C_best,C_after_u_switch,mixedness")
+
+
+class TestWorkBudget:
+    """Each fact is checked, and each stack built, once per command: the Hermitian
+    screen runs once per validation, a gisin_compare sweep builds its Gisin stack
+    once, and an outcome's map is checked for unitarity only by its kernel."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """A list that grows by one at each call of the factorlab function ``name``,
+        patched in every module that holds it by name."""
+        modules = (fl, fl.linalg, fl.states, fl.measures, fl.transforms, fl.protocols,
+                   fl.witness_bell, cli)
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+        calls = []
+
+        def count(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, count)
+        return calls
+
+    @pytest.mark.parametrize("argv,name,count", [
+        (("classify", "werner", "0.5"), "hermitian_deviation", 1),
+        (("transform", "u-switch", "werner", "0.8"), "hermitian_deviation", 2),
+        (_EVERY_GISIN_COMPARE, "hermitian_deviation", 1),
+        (_EVERY_GISIN_COMPARE, "gisin_matrices", 1),
+        (_EVERY_GISIN_COMPARE, "psi_theta", 1),
+        (_EVERY_GISIN_COMPARE, "mix_with_diagonal", 2),
+        (_EVERY_GHZ_TRACED, "hermitian_deviation", 1),
+    ], ids=["classify", "transform", "compare-hermitian", "compare-gisin", "compare-psi-theta",
+            "compare-mix", "ghz-traced-hermitian"])
+    def test_calls_per_command(self, capsys, monkeypatch, argv, name, count):
+        calls = self.counted(monkeypatch, name)
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == count
+
+    @pytest.mark.parametrize("kind,count", [("teleport", 1), ("swap", 2)])
+    def test_unitarity_checks_per_trace(self, monkeypatch, kind, count):
+        rng = np.random.default_rng(5)
+        d = 8
+        if kind == "teleport":
+            phi = haar_vector(rng, d)
+            trace = lambda: fl.teleport_outcomes(phi)
+        else:
+            i12, i34 = (fl.Isometry(haar_unitary(rng, d), d) for _ in range(2))
+            trace = lambda: fl.swap_outcomes(i12, i34)
+        calls = self.counted(monkeypatch, "unitary_deviation")
+        assert len(trace()) == d * d
+        assert len(calls) == count

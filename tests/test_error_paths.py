@@ -58,6 +58,18 @@ def test_maxent_projector_shape():
         maxent_projector(np.eye(3), 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: fl.witness_projector(np.eye(1), True), "d must be an integer, got True"),
+    (lambda: maxent_projector(np.eye(4) / 4, 2.0), r"d must be an integer, got 2\.0"),
+    (lambda: fl.werner_generalized(0.5, True, np.eye(1)), "d must be an integer, got True"),
+    (lambda: fl.ghz_split_unitary(fl.ghz_vector(0.3), 2.0), r"d must be an integer, got 2\.0"),
+    (lambda: fl.ghz_split_unitary(np.ones(1), 0), "d must be positive"),
+], ids=["witness-bool", "projector-float", "werner", "ghz-float", "ghz-zero"])
+def test_dimension_is_checked_first(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_ghz_split_unitary_needs_d_cubed_entries():
     with pytest.raises(fl.DimensionMismatchError,
                        match=r"^vector of length 4 is not a \(2,2,2\) state$"):

@@ -47,7 +47,7 @@ from factorlab import (
     weyl_basis_state,
     weylize,
 )
-from factorlab import cli, states
+from factorlab import cli, states, transforms
 from factorlab.linalg import DEFAULT_TOL, ZERO_FLOOR, hermitian_deviation
 from factorlab.states import I2, PAULI, StateValidationError
 from factorlab.transforms import FactorizationSwitch, conjugated
@@ -672,6 +672,14 @@ class TestConstrainedEntangle:
         with pytest.raises(ValueError, match=f"expected at least four eigenvalues, got {length}"):
             geometric_mean_predicts_npt(np.full(length, 1.0 / max(length, 1)))
 
+    @pytest.mark.parametrize("spectrum, message", [
+        ([0.7, 0.1, 0.1, np.nan], "spectrum entry 3 is nan"),
+        ([np.inf, 0.1, 0.1, 0.1], "spectrum entry 0 is inf"),
+    ])
+    def test_geometric_predictor_rejects_a_non_finite_spectrum(self, spectrum, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            geometric_mean_predicts_npt(spectrum)
+
     def test_geometric_predictor_matches_block_determinant(self, rng):
         for _ in range(200):
             p = np.sort(rng.dirichlet(np.ones(4)))[::-1]
@@ -830,6 +838,27 @@ class TestGisinUnitaryFamily:
     def test_nan_theta_fails_the_switch_check(self):
         with pytest.raises(ValueError, match=r"^switch 'u-theta': matrix entry \(0, 0\) is \(nan\+0j\)$"):
             gisin_unitary_family(0.5, float("nan"))
+
+    @staticmethod
+    def _tilt_u_theta(monkeypatch):
+        """Make transforms.u_theta rotate by 1e-6 more than it should."""
+        exact = u_theta
+        monkeypatch.setattr(transforms, "u_theta", lambda theta: exact(theta + 1e-6))
+
+    def test_residual_check_fires(self, monkeypatch):
+        self._tilt_u_theta(monkeypatch)
+        with pytest.raises(AssertionError, match="^closed form deviates from conjugation by "):
+            gisin_unitary_family(0.8, 0.35)
+
+    def test_sweep_checks_its_own_gisin_stack(self, monkeypatch):
+        # at lambda = 0 the Gisin state commutes with the rotation, so the
+        # first failing grid value is the second, 0.1
+        self._tilt_u_theta(monkeypatch)
+        spec = cli.SweepSpec("gisin_compare", 0.0, 1.0, 11, theta=0.35)
+        with pytest.raises(AssertionError, match=r"^closed form deviates from conjugation by "
+                           r"\S+ at lambda = 0\.1$") as exc:
+            cli.run_sweep(spec)
+        assert exc.value.index == 1
 
 
 class TestRegistry:
