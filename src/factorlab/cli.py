@@ -5,10 +5,12 @@ sweep (deterministic parameter-grid tables, CSV or JSON), protocol
 (teleportation / swapping traces with per-outcome checks), and transform
 (apply a named factorization switch, then re-classify).
 
-Every emitted number is produced by a library call; the CLI does no arithmetic
-of its own.  Output is deterministic: identical inputs and seed give
-byte-identical output.  Exit codes: 0 success, 1 validation error, 2 parse
-error, 3 failed protocol assertion.
+Every emitted number is produced by a library call, except three expressions
+in this module: mixedness as 1 - purity, the clipped and renormalized spectrum
+that the absolute-separability test reads, and C_best, the larger of two
+concurrences at each grid point.  Output is deterministic: identical inputs and
+seed give byte-identical output.  Exit codes: 0 success, 1 validation error,
+2 parse error, 3 failed protocol assertion.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import measures, states, transforms, witness_bell
-from .linalg import DEFAULT_TOL, DimensionMismatchError
+from .linalg import DEFAULT_TOL, FLATNESS_TOL, DimensionMismatchError
 from .protocols import Isometry, ProtocolCheckError, swap_stack, teleport_stack
 from .states import DensityMatrix, StateValidationError
 
@@ -163,12 +165,13 @@ _MEASURES = {
     "ppt": (_EVERY, lambda m, s, split, tol, rows: measures.pt_min_eigenvalues(m, split)),
     "concurrence": (_QUBITS, lambda m, s, split, tol, rows: measures.concurrences(m, s, tol)),
     "bmax": (_QUBITS, lambda m, s, split, tol, rows: witness_bell.bmax_values(m)),
-    # at DEFAULT_TOL whatever --tol says, on the spectrum clipped at 0 and renormalized
+    # on the spectrum clipped at 0 and renormalized
     "abs_separable_spectrum": (_QUBITS, lambda m, s, split, tol, rows: measures.abs_separables(
-        (p := np.clip(s.values, 0.0, None)) / p.sum(axis=-1, keepdims=True))),
+        (p := np.clip(s.values, 0.0, None)) / p.sum(axis=-1, keepdims=True), tol)),
     "kz_ball_member": (_SQUARE, lambda m, s, split, tol, rows: measures.kz_ball_members(
         m, tol, rows["purity"])),
-    "split_bound": (_EVERY, lambda m, s, split, tol, rows: measures.maxent_weights(s, split[0])),
+    "split_bound": (_EVERY, lambda m, s, split, tol, rows: measures.maxent_weights(
+        s, split[0], FLATNESS_TOL)),
 }
 
 

@@ -171,20 +171,18 @@ def kz_ball_member(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> bool:
     At D = 4 it reproduces the Werner separability bound alpha <= 1/3.  Every
     member stays PPT under any global unitary conjugation.
     """
-    return bool(kz_ball_members(rho.matrix, tol))
+    return bool(kz_ball_members(rho.matrix, tol, purities(rho.matrix)))
 
 
-def kz_ball_members(m: np.ndarray, tol: float = DEFAULT_TOL,
-                    purity: np.ndarray | None = None) -> np.ndarray:
-    """kz_ball_member of a matrix or of each matrix of a stack; ``purity``, if
-    given, is ``purities(m)`` already computed.
+def kz_ball_members(m: np.ndarray, tol: float, purity: np.ndarray) -> np.ndarray:
+    """kz_ball_member of a matrix or of each matrix of a stack, given its purities(m) as ``purity``.
 
     At D = 1 the bound 1/(D - 1) is infinite: the only 1x1 state is the
     maximally mixed one, the ball's centre, so it is a member.
     """
     dim = m.shape[-1]
     bound = 1.0 / (dim - 1) if dim > 1 else np.inf
-    return (purities(m) if purity is None else purity) <= bound + tol
+    return purity <= bound + tol
 
 
 def abs_sep_2x2(spectrum, tol: float = DEFAULT_TOL) -> bool:
@@ -207,7 +205,7 @@ def abs_sep_2x2(spectrum, tol: float = DEFAULT_TOL) -> bool:
     return bool(abs_separables(p, tol))
 
 
-def abs_separables(p: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def abs_separables(p: np.ndarray, tol: float) -> np.ndarray:
     """abs_sep_2x2's test, unchecked, on a descending spectrum or a (..., 4) stack of them."""
     return p[..., 0] - p[..., 2] - 2.0 * np.sqrt(np.maximum(p[..., 1] * p[..., 3], 0.0)) <= tol
 
@@ -230,7 +228,7 @@ def maxent_weight(rho: DensityMatrix, tol: float = FLATNESS_TOL) -> float | None
     return None if np.isnan(beta) else beta
 
 
-def maxent_weights(spectrum: Spectrum, d: int, tol: float = FLATNESS_TOL) -> np.ndarray:
+def maxent_weights(spectrum: Spectrum, d: int, tol: float) -> np.ndarray:
     """maxent_weight of a matrix or of each matrix of a stack, split (d, d), from its
     ``spectrum``: NaN where the top eigenvector is not maximally entangled or D != d * d."""
     top, v = spectrum.values[..., 0], spectrum.vectors[..., :, 0]

@@ -205,7 +205,9 @@ def isometry_of_maxent(v: np.ndarray, d: int, tol: float = MAXENT_TOL) -> Isomet
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.size != d * d:
         raise ValueError(f"vector of length {v.size} does not match d = {d}")
-    return Isometry(_isometry_maps(v, d, tol, [""])[0], d)
+    maps, dev = _isometry_maps(v, d, tol, [""])
+    _require_unitary(maps, [""], dev)
+    return _prechecked(Isometry, map=maps, d=d, label="")
 
 
 def _phase_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -73,7 +73,7 @@ def _screen(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return dev, tr, np.maximum(dev, np.abs(tr - 1.0)) <= tol
 
 
-def validate_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
+def validate_stack(m: np.ndarray, tol: float) -> Spectrum:
     """Check each matrix of a (..., D, D) stack is a density matrix: finite
     entries, Hermitian (max |m - m^dagger| <= tol), unit trace within tol and
     eigenvalues >= -tol, in that order; return the Spectrum of every matrix,
@@ -313,7 +313,7 @@ def schmidt_flatness(v: np.ndarray, d: int) -> np.ndarray:
     return np.abs(s - 1.0 / np.sqrt(d)).max(axis=-1)
 
 
-def maxent_projector(projector: np.ndarray, d: int, tol: float = MAXENT_TOL) -> np.ndarray:
+def maxent_projector(projector: np.ndarray, d: int, tol: float) -> np.ndarray:
     """``projector`` as a complex array, once d passes ``require_dimension`` and it is a rank-1
     projector onto a maximally entangled vector: P^2 = P, Tr P = 1 and Tr_2 P = 1/d within tol."""
     require_dimension(d)
@@ -400,7 +400,7 @@ def werner_generalized(
     unit_interval(alpha, "alpha")
     if projector is None:
         projector = projectors(weyl_basis_state(0, 0, d))
-    p = maxent_projector(projector, d)
+    p = maxent_projector(projector, d, MAXENT_TOL)
     m = alpha * p + (1.0 - alpha) / (d * d) * np.eye(d * d)
     return DensityMatrix(m, (d, d), tol=tol)
 

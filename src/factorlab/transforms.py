@@ -40,7 +40,6 @@ from .states import (
     projectors,
     require_dimension,
     require_split,
-    unit_interval,
     weyl_basis_state,
     weyl_indices,
 )
@@ -389,10 +388,10 @@ def gisin_unitary_family(lam: float, theta: float, tol: float = DEFAULT_TOL) -> 
 def gisin_unitary_matrices(lam, theta: float, gisin: np.ndarray) -> np.ndarray:
     """Unvalidated gisin_unitary_family matrix (or stack, for an array of lam).
 
-    Each is checked against its Gisin matrix in ``gisin``, gisin_matrices(lam, theta) as
-    the caller built it, conjugated by u_theta(theta): they must agree within UNITARY_TOL.
+    lam is the lambda that built and range-checked ``gisin``, gisin_matrices(lam, theta); each
+    matrix must agree with its Gisin matrix conjugated by u_theta(theta) within UNITARY_TOL.
     """
-    lam = unit_interval(lam, "lambda")
+    lam = np.asarray(lam, dtype=float)
     m = mix_with_diagonal(lam, projectors(bell_vector("psi+")))
     reference = conjugated(gisin, u_theta(theta))
     residual = np.ravel(np.max(np.abs(reference - m), axis=(-2, -1)))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factorlab as fl
-from factorlab import cli
+from factorlab import DEFAULT_TOL, cli
 from factorlab.cli import (
     MAX_DIMENSION,
     MAX_QUDIT,
@@ -176,6 +176,36 @@ class TestClassify:
         code_flag, _, _ = run(capsys, "--tol", "1e-5", "classify", "file", str(path))
         assert code_flag == 0
 
+    @staticmethod
+    def verdicts(out: str, fmt: str) -> dict:
+        """abs_separable_spectrum and kz_ball_member of a classify report, as printed."""
+        if fmt == "json":
+            report = json.loads(out)
+            return {k: json.dumps(report[k]) for k in ("abs_separable_spectrum", "kz_ball_member")}
+        rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+        return {k: rows[k] for k in ("abs_separable_spectrum", "kz_ball_member")}
+
+    # For werner alpha, p1 - p3 - 2 sqrt(p2 p4) = (3 alpha - 1)/2, 0.025 at 0.35, so
+    # the spectral verdict flips between the default tol and 0.1.
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_abs_separable_spectrum_reads_tol(self, capsys, monkeypatch, fmt):
+        monkeypatch.delenv("FACTORLAB_TOL", raising=False)
+        argv = ("classify", "werner", "0.35", "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert (code, err, self.verdicts(out, fmt)["abs_separable_spectrum"]) == (0, "", "false")
+        code, out, err = run(capsys, "--tol", "0.1", *argv)
+        assert (code, err, self.verdicts(out, fmt)["abs_separable_spectrum"]) == (0, "", "true")
+        monkeypatch.setenv("FACTORLAB_TOL", "0.1")
+        assert run(capsys, *argv) == (0, out, "")
+
+    # The two verdicts apply tol to different quantities: werner 0.35's purity exceeds
+    # the ball's 1/3 by (9 alpha^2 - 1)/12 = 0.0085, below 0.01, while its spectral
+    # expression is 0.025.  Above the default tol a member need not pass the spectral test.
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_kz_ball_member_need_not_be_abs_separable_above_the_default_tol(self, capsys, fmt):
+        code, out, err = run(capsys, "--tol", "0.01", "classify", "werner", "0.35", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert self.verdicts(out, fmt) == {"abs_separable_spectrum": "false", "kz_ball_member": "true"}
 
     @pytest.mark.parametrize("source", [("tracial", "1"), ("weyl", "0", "0", "1")])
     def test_one_dimensional_state_is_kz_member(self, capsys, source):
@@ -446,6 +476,17 @@ class TestReportHelpers:
         report = classification_report(fl.DensityMatrix(m + (1.0 - weight) * np.eye(4) / 4, (2, 2)))
         if report["kz_ball_member"]:
             assert report["abs_separable_spectrum"]
+
+    @given(seed=st.integers(0, 2**32 - 1), weight=st.floats(0.0, 1.0),
+           tol=st.sampled_from([DEFAULT_TOL, 1e-3, 0.05, 0.1]))
+    @settings(max_examples=200, deadline=None)
+    def test_abs_separable_spectrum_is_abs_sep_2x2_at_tol(self, seed, weight, tol):
+        # on the spectrum clipped at 0 and renormalized, at the report's own tol
+        m = weight * ginibre_density(np.random.default_rng(seed), 4) + (1.0 - weight) * np.eye(4) / 4
+        rho = fl.DensityMatrix(m, (2, 2))
+        p = np.clip(rho.spectrum.values, 0.0, None)
+        expected = fl.abs_sep_2x2(p / p.sum(), tol)
+        assert classification_report(rho, tol)["abs_separable_spectrum"] is expected
 
     def test_build_state_weyl(self):
         rho = build_state(["weyl", "1", "0", "3"], 1e-9)
@@ -761,12 +802,26 @@ class TestWorkBudget:
         (_EVERY_GISIN_COMPARE, "gisin_matrices", 1),
         (_EVERY_GISIN_COMPARE, "psi_theta", 1),
         (_EVERY_GISIN_COMPARE, "mix_with_diagonal", 2),
+        (_EVERY_GISIN_COMPARE, "unit_interval", 1),
         (_EVERY_GHZ_TRACED, "hermitian_deviation", 1),
     ], ids=["classify", "transform", "compare-hermitian", "compare-gisin", "compare-psi-theta",
-            "compare-mix", "ghz-traced-hermitian"])
+            "compare-mix", "compare-unit-interval", "ghz-traced-hermitian"])
     def test_calls_per_command(self, capsys, monkeypatch, argv, name, count):
         calls = self.counted(monkeypatch, name)
         assert run(capsys, *argv)[0] == 0
+        assert len(calls) == count
+
+    @pytest.mark.parametrize("call,name,count", [
+        ("isometry_of_maxent", "unitary_deviation", 1),
+        ("isometry_of_maxent", "require_dimension", 1),
+        ("gisin_unitary_family", "unit_interval", 1),
+    ])
+    def test_calls_per_library_call(self, monkeypatch, call, name, count):
+        v = fl.weyl_basis_state(1, 1, 3)
+        calls_of = {"isometry_of_maxent": lambda: fl.isometry_of_maxent(v, 3),
+                    "gisin_unitary_family": lambda: fl.gisin_unitary_family(0.8, 0.35)}
+        calls = self.counted(monkeypatch, name)
+        calls_of[call]()
         assert len(calls) == count
 
     @pytest.mark.parametrize("kind,count", [("teleport", 1), ("swap", 2)])

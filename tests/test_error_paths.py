@@ -7,6 +7,7 @@ import pytest
 
 import factorlab as fl
 from factorlab import cli, linalg, transforms
+from factorlab.linalg import MAXENT_TOL
 from factorlab.states import maxent_projector
 
 
@@ -55,12 +56,12 @@ class TestProtocolDimensionAndTolerance:
 def test_maxent_projector_shape():
     with pytest.raises(fl.DimensionMismatchError,
                        match=r"^projector shape \(3, 3\) does not match d = 2$"):
-        maxent_projector(np.eye(3), 2)
+        maxent_projector(np.eye(3), 2, MAXENT_TOL)
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: fl.witness_projector(np.eye(1), True), "d must be an integer, got True"),
-    (lambda: maxent_projector(np.eye(4) / 4, 2.0), r"d must be an integer, got 2\.0"),
+    (lambda: maxent_projector(np.eye(4) / 4, 2.0, MAXENT_TOL), r"d must be an integer, got 2\.0"),
     (lambda: fl.werner_generalized(0.5, True, np.eye(1)), "d must be an integer, got True"),
     (lambda: fl.ghz_split_unitary(fl.ghz_vector(0.3), 2.0), r"d must be an integer, got 2\.0"),
     (lambda: fl.ghz_split_unitary(np.ones(1), 0), "d must be positive"),

@@ -30,7 +30,7 @@ from factorlab import (
     werner,
 )
 from factorlab.linalg import DEFAULT_TOL
-from factorlab.measures import abs_separables, kz_ball_members
+from factorlab.measures import abs_separables, kz_ball_members, purities
 from factorlab.transforms import FactorizationSwitch
 from conftest import (
     ginibre_density,
@@ -212,7 +212,8 @@ class TestKzBall:
     def test_one_dimensional_state_is_the_centre(self):
         # the bound 1/(D - 1) diverges at D = 1, whose only state is 1/D
         assert kz_ball_member(tracial(1))
-        assert kz_ball_members(np.ones((3, 1, 1))).tolist() == [True] * 3
+        m = np.ones((3, 1, 1))
+        assert kz_ball_members(m, DEFAULT_TOL, purities(m)).tolist() == [True] * 3
 
     def test_reference_memberships(self):
         assert kz_ball_member(tracial(4))

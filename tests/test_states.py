@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlab import (
+    DEFAULT_TOL,
     BlochForm,
     DensityMatrix,
     StateValidationError,
@@ -103,11 +104,11 @@ class TestDensityMatrixValidation:
         ]
         for stack, index, invariant in cases:
             with pytest.raises(StateValidationError) as err:
-                validate_stack(np.array(stack))
+                validate_stack(np.array(stack), DEFAULT_TOL)
             assert (err.value.index, err.value.invariant) == (index, invariant)
         # the one eigh of the stack, eigenvalues descending, is what it returns
         stack = np.array([good, werner(0.5).matrix])
-        spectrum = validate_stack(stack)
+        spectrum = validate_stack(stack, DEFAULT_TOL)
         w, v = np.linalg.eigh(stack)
         assert np.array_equal(spectrum.values, w[:, ::-1])
         assert np.array_equal(spectrum.vectors, v[:, :, ::-1])
@@ -119,7 +120,7 @@ class TestDensityMatrixValidation:
         # the same matrix, so they take the same positivity verdict.
         rng = np.random.default_rng(seed)
         m = np.array([ginibre_density(rng, 4, rank) for _ in range(n)])
-        spectrum = validate_stack(m)
+        spectrum = validate_stack(m, DEFAULT_TOL)
         for k in range(n):
             rho = DensityMatrix(m[k], (2, 2))
             assert np.array_equal(rho.spectrum.values, spectrum.values[k])

@@ -49,6 +49,20 @@ def test_no_small_float_literal_outside_the_tolerance_block():
     assert stray == []
 
 
+def test_no_internal_kernel_picks_its_own_tolerance():
+    # A public function may document a default tolerance; an internal kernel
+    # takes the one its caller decided, so no verdict silently ignores --tol.
+    chosen = []
+    for module in ("linalg", "states", "measures", "witness_bell", "transforms", "protocols"):
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name in fl.__all__:
+                continue
+            defaults = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+            if any(isinstance(d, ast.Name) and d.id.endswith("_TOL") for d in defaults):
+                chosen.append(f"{module}.{node.name}")
+    assert chosen == []
+
+
 def test_readme_conventions_list_every_tolerance_with_its_value():
     readme = (ROOT / "README.md").read_text()
     conventions = re.search(r"^## Conventions\n(.*?)(?=^## |\Z)", readme, re.S | re.M).group(1)
@@ -69,7 +83,7 @@ NAN_CASES = {
                     "spectrum entry 0 is nan"),
     "abs_sep_2x2_order": (lambda: fl.abs_sep_2x2([0.5, NAN, 0.3, 0.2]),
                           "spectrum entry 1 is nan"),
-    "maxent_projector": (lambda: states.maxent_projector(np.full((4, 4), NAN), 2),
+    "maxent_projector": (lambda: states.maxent_projector(np.full((4, 4), NAN), 2, linalg.MAXENT_TOL),
                          r"projector entry \(0, 0\) is \(nan\+0j\)"),
     "schmidt_decompose": (lambda: fl.schmidt_decompose(np.full(4, NAN), (2, 2)),
                           r"schmidt_decompose requires a normalized vector, \|v\| = nan"),

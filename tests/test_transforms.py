@@ -835,6 +835,12 @@ class TestGisinUnitaryFamily:
     def test_separable_limit(self):
         assert concurrence(gisin_unitary_family(0.0, 0.5)) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("lam, shown", [(1.5, "1.5"), (-0.1, "-0.1"), (float("nan"), "nan")])
+    def test_lambda_out_of_range(self, lam, shown):
+        # gisin_matrices checks lambda before the switched matrix is built from it
+        with pytest.raises(ValueError, match=rf"^lambda must lie in \[0, 1\], got {shown}$"):
+            gisin_unitary_family(lam, 0.35)
+
     def test_nan_theta_fails_the_switch_check(self):
         with pytest.raises(ValueError, match=r"^switch 'u-theta': matrix entry \(0, 0\) is \(nan\+0j\)$"):
             gisin_unitary_family(0.5, float("nan"))
