@@ -29,9 +29,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import measures, states, transforms, witness_bell
-from .linalg import DEFAULT_TOL, FLATNESS_TOL, DimensionMismatchError
+from .linalg import DEFAULT_TOL, FLATNESS_TOL
 from .protocols import Isometry, ProtocolCheckError, swap_stack, teleport_stack
-from .states import DensityMatrix, StateValidationError
+from .states import DensityMatrix
 
 
 class CliParseError(Exception):
@@ -636,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProtocolCheckError as exc:
         print(f"protocol assertion failed: {exc}", file=sys.stderr)
         return 3
-    except (StateValidationError, DimensionMismatchError, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
 

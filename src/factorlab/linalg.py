@@ -19,7 +19,7 @@ import numpy as np
 DEFAULT_TOL = 1e-9  # validation: Hermiticity, unit trace, positivity, the PPT verdict (--tol)
 UNITARY_TOL = 1e-10  # switches, isometries, gisin_unitary_family, protocol probabilities 1/d^2
 NORM_TOL = 1e-9  # unit norms, protocol fidelities and composition laws, abs_sep_2x2's unit sum
-MAXENT_TOL = 1e-8  # how far a maximally entangled vector or projector may be from exact
+MAXENT_TOL = 1e-8  # how far a maximally entangled projector may be from exact
 FLATNESS_TOL = 1e-6  # Schmidt flatness of maxent_weight's top eigenvector; its lead to carry it
 SLACK = 1e-12  # smallest filtered trace, the schmidt_decompose norm floor, edge slacks
 ZERO_FLOOR = 1e-14  # rounding noise; D * ZERO_FLOOR: the entropy cutoff, a carried spectrum's error

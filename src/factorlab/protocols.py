@@ -10,15 +10,14 @@ the transfer map it realizes is the entrywise conjugate of its ket-convention
 isometry.  With that convention the composition laws hold on the nose:
 teleportation realizes I_13 = I_23 . conj(I_12) and swapping realizes
 I_14 = I_34 . conj(I_23) . I_12 (matrix products, rightmost factor first).
-Every simulated outcome obeys five laws, each checked on every outcome:
+Every simulated outcome obeys five laws, checked on every outcome:
 
 1. unitarity: teleportation's correction and swapping's extracted and
    predicted isometries are unitary within UNITARY_TOL (ValueError);
-2. flatness: a swapped pair's Schmidt coefficients are 1/sqrt(d) within
-   MAXENT_TOL (ValueError).  The pair's isometry M has flatness
-   max_k |s_k - 1/sqrt(d)| <= sqrt(d) * max|M M^dagger - 1|, the deviation
-   law 1 computes anyway; the SVD runs only on the branches this bound
-   leaves open;
+2. flatness: a swapped pair's Schmidt coefficients are 1/sqrt(d), by law 1
+   and not a separate check: the pair's isometry M has max_k |s_k - 1/sqrt(d)|
+   <= sqrt(d) * max|M M^dagger - 1|, and a pair whose M fails law 1 is
+   reported as not maximally entangled (ValueError);
 3. composition: the branch equals the algebraic composition up to a global
    phase within NORM_TOL (ProtocolCheckError);
 4. probability: the outcome occurs with probability 1/d^2 within UNITARY_TOL
@@ -26,7 +25,7 @@ Every simulated outcome obeys five laws, each checked on every outcome:
 5. fidelity: its correction recovers the target with fidelity 1 within
    NORM_TOL (ProtocolCheckError).
 
-The kernels check the first three.  ``OutcomeStack`` checks the last two when
+The kernels check laws 1 and 3.  ``OutcomeStack`` checks the last two when
 it is built, so every stack obeys them, whoever builds it.
 
 Each protocol is one kernel over a stack of outcomes (k, l), ``teleport_stack``
@@ -45,14 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    MAXENT_TOL, NORM_TOL, UNITARY_TOL, ZERO_FLOOR, _prechecked, hold, require, require_finite,
-    unitary_deviation,
-)
-from .states import (
-    maxent_vectors, require_dimension, schmidt_flatness, weyl_basis_state, weyl_indices,
-    weyl_operator,
-)
+from .linalg import NORM_TOL, UNITARY_TOL, _prechecked, hold, require, require_finite, unitary_deviation
+from .states import maxent_vectors, require_dimension, weyl_basis_state, weyl_indices, weyl_operator
 
 
 class ProtocolCheckError(AssertionError):
@@ -162,52 +155,35 @@ def maxent_from_isometry(iso: Isometry) -> np.ndarray:
     return maxent_vectors(iso.map)
 
 
-def _isometry_maps(v: np.ndarray, d: int, tol: float, names) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of ``states.maxent_vectors`` on a (..., d*d) stack, and the unitary
-    deviation dev = max|M M^dagger - 1| of each map M, after checking that each
-    vector is finite and its Schmidt coefficients s_k are flat within tol;
-    ``names[n]`` prefixes the message for vector n.
+def _isometry_maps(v: np.ndarray, d: int, names) -> np.ndarray:
+    """Inverse of ``states.maxent_vectors`` on a (..., d*d) stack, after checking
+    that each vector is finite and maximally entangled, i.e. that its map M is
+    unitary within UNITARY_TOL; ``names[n]`` prefixes the message for vector n.
 
-    M M^dagger - 1 has eigenvalues d s_k^2 - 1 and a spectral norm at most d
-    times its largest entry, so |s_k^2 - 1/d| <= dev and max_k |s_k - 1/sqrt(d)|
-    <= sqrt(d) * dev: a vector whose bound is within tol is flat, and the SVD
-    (``schmidt_flatness``) decides only the others.
+    M M^dagger - 1 has eigenvalues d s_k^2 - 1 over the Schmidt coefficients s_k
+    and a spectral norm at most d times its largest entry, so a unitary M has
+    every s_k within sqrt(d) * UNITARY_TOL of 1/sqrt(d).
     """
     def error(n: int) -> ValueError:
         return ValueError(f"{names[n]}input vector is not maximally entangled")
     require(np.isfinite(v).all(axis=-1), error)
     maps = np.sqrt(d) * np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
-    dev = unitary_deviation(maps)
-    # Rounding: each entry of M M^dagger sums d products of two rows whose squared
-    # norms are at most 1 + dev, so the computed dev is off by at most about
-    # d * eps * (1 + dev).  ZERO_FLOOR * d * (1 + dev), ZERO_FLOOR ~ 45 eps, covers
-    # that; times sqrt(d), the ~44 * d^1.5 * eps * (1 + dev) left over covers the
-    # rounding of M and of the SVD, each a few multiples of sqrt(d) * eps * s_max
-    # with s_max <= sqrt(1 + dev).  So the bound passes no vector that
-    # schmidt_flatness(v, d) <= tol rejects.
-    flat = np.ravel(np.sqrt(d) * (dev + ZERO_FLOOR * d * (1 + dev)) <= tol)
-    if not flat.all():
-        flat[~flat] = schmidt_flatness(v.reshape(-1, d * d)[~flat], d) <= tol
-    require(flat, error)
-    return maps, dev
+    require(unitary_deviation(maps) <= UNITARY_TOL, error)
+    return maps
 
 
-def isometry_of_maxent(v: np.ndarray, d: int, tol: float = MAXENT_TOL) -> Isometry:
+def isometry_of_maxent(v: np.ndarray, d: int) -> Isometry:
     """Inverse of maxent_from_isometry (exact, no phase freedom).
 
-    Raises ValueError when d is not a positive integer, when tol is not finite
-    and >= 0, or when the input is not maximally entangled, i.e. when its
-    Schmidt coefficients deviate from the flat value 1/sqrt(d) beyond tol.
+    Raises ValueError when d is not a positive integer, or when the input is
+    not maximally entangled, i.e. when its isometry is not unitary within
+    UNITARY_TOL.
     """
     require_dimension(d)
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.size != d * d:
         raise ValueError(f"vector of length {v.size} does not match d = {d}")
-    maps, dev = _isometry_maps(v, d, tol, [""])
-    _require_unitary(maps, [""], dev)
-    return _prechecked(Isometry, map=maps, d=d, label="")
+    return _prechecked(Isometry, map=_isometry_maps(v, d, [""]), d=d, label="")
 
 
 def _phase_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -227,11 +203,9 @@ def _phase_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.abs(u - phase / np.abs(phase) * v).max(axis=-1)
 
 
-def _require_unitary(maps: np.ndarray, names: list[str], dev: np.ndarray | None = None) -> None:
-    """Each map is unitary within UNITARY_TOL; ``dev`` is their unitary_deviation
-    when the caller has it already."""
-    dev = unitary_deviation(maps) if dev is None else dev
-    require(dev <= UNITARY_TOL,
+def _require_unitary(maps: np.ndarray, names: list[str]) -> None:
+    """Each map is unitary within UNITARY_TOL."""
+    require(unitary_deviation(maps) <= UNITARY_TOL,
             lambda n: ValueError(f"{names[n]}isometry matrix must be unitary"))
 
 
@@ -322,9 +296,9 @@ def swap_stack(k, l, i12: Isometry, i34: Isometry) -> OutcomeStack:
     For outcome (k, l) (probability 1/d^2) the untouched pair (1, 4) collapses
     to the maximally entangled state whose isometry is the composition
     I_14 = I_34 . conj(W_kl) . I_12.  Each branch is checked in turn: the
-    pair's Schmidt coefficients are flat, the extracted isometry is unitary,
-    it equals that product entrywise up to global phase, and the product is
-    unitary.  The fidelity is the overlap of the pair with maxent(I_14).
+    pair is maximally entangled (its extracted isometry is unitary), that
+    isometry equals the product entrywise up to global phase, and the product
+    is unitary.  The fidelity is the overlap of the pair with maxent(I_14).
     """
     if i12.d != i34.d:
         raise ValueError(f"resource dimension mismatch: {i12.d} vs {i34.d}")
@@ -334,8 +308,7 @@ def swap_stack(k, l, i12: Isometry, i34: Isometry) -> OutcomeStack:
     joint = joint.reshape(d, d * d, d).transpose(1, 0, 2).reshape(d * d, d * d)
     indices, names, probability, pair14 = _bell_step(k, l, d, joint)
 
-    extracted, dev = _isometry_maps(pair14, d, MAXENT_TOL, names)
-    _require_unitary(extracted, names, dev)
+    extracted = _isometry_maps(pair14, d, names)
     predicted = i34.map @ weyl_operator(*indices.T, d).conj() @ i12.map
     residual = _phase_distance(extracted.reshape(-1, d * d), predicted.reshape(-1, d * d))
     _require_close(residual, names, "isometry composition")

@@ -745,9 +745,24 @@ class TestSolveBudget:
          {"eigh": 1, "eigvalsh": 2, "svd": 0}),
         (("protocol", "swap", "--d", "8"), {"svd": 0, "qr": 2}),
         (("protocol", "teleport", "--d", "8"), {"svd": 0, "qr": 0}),
+        *((("protocol", "swap", "--d", str(d)), {"svd": 0}) for d in range(2, 8)),
     ], ids=["classify", "transform", "sweep-every-measure", "sweep-compare-every-measure",
-            "sweep-default-outputs", "protocol-swap", "protocol-teleport"])
+            "sweep-default-outputs", "protocol-swap", "protocol-teleport",
+            *(f"protocol-swap-d{d}" for d in range(2, 8))])
     def test_solver_calls_per_command(self, capsys, monkeypatch, argv, budget):
+        calls = self.counted(monkeypatch, budget)
+        assert run(capsys, *argv)[0] == 0
+        assert calls == budget
+
+    def test_isometry_of_maxent_runs_no_svd(self, monkeypatch):
+        v = fl.weyl_basis_state(1, 1, 3)
+        calls = self.counted(monkeypatch, {"svd": 0})
+        fl.isometry_of_maxent(v, 3)
+        assert calls == {"svd": 0}
+
+    @staticmethod
+    def counted(monkeypatch, budget):
+        """A dict that counts the calls of each numpy.linalg solver in ``budget``."""
         calls = dict.fromkeys(budget, 0)
 
         def counted(name):
@@ -761,8 +776,7 @@ class TestSolveBudget:
 
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counted(name))
-        assert run(capsys, *argv)[0] == 0
-        assert calls == budget
+        return calls
 
 
 _EVERY_GISIN_COMPARE = ("sweep", "gisin_compare", "--theta", "0.35", "--start", "0", "--stop", "1",

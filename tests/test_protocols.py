@@ -108,6 +108,15 @@ class TestMaxentIsometryCorrespondence:
         with pytest.raises(ValueError):
             isometry_of_maxent(v, 2)
 
+    @pytest.mark.parametrize("scale", [1 + 1e-6, 1 + 1e-9])
+    def test_non_unitary_isometry_is_not_maximally_entangled(self, scale):
+        # Schmidt flatness 3.8e-7 and 3.8e-10; both isometries are further
+        # than UNITARY_TOL from unitary
+        v = weyl_basis_state(1, 1, 3).copy()
+        v[np.abs(v).argmax()] *= scale
+        with pytest.raises(ValueError, match=r"^input vector is not maximally entangled$"):
+            isometry_of_maxent(v / np.linalg.norm(v), 3)
+
 
 class TestTeleport:
     def test_trivial_outcome_is_identity(self, rng):
@@ -380,6 +389,15 @@ class TestPerOutcomeChecks:
                         lambda chi, d: chi * np.where(np.arange(d * d) < d, 1.5, 1.0))
         with pytest.raises(ValueError,
                            match=r"^outcome \(1,1\): input vector is not maximally entangled"):
+            swap_outcomes(ident, ident)
+
+    def test_swap_barely_non_unitary_branch_names_outcome(self, monkeypatch):
+        # Schmidt flatness below MAXENT_TOL, isometry further than UNITARY_TOL from unitary
+        ident = Isometry.identity(3)
+        corrupt_outcome(monkeypatch, "weyl_basis_state", (1, 1),
+                        lambda chi, d: chi * np.where(np.arange(d * d) < d, 1 + 1e-9, 1.0))
+        with pytest.raises(ValueError,
+                           match=r"^outcome \(1,1\): input vector is not maximally entangled$"):
             swap_outcomes(ident, ident)
 
     def test_non_unitary_correction_names_outcome(self, rng, monkeypatch):
