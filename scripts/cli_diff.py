@@ -11,7 +11,13 @@ unwritable ``--out``, a negative ``protocol --seed``, a repeated ``sweep
 --outputs`` name, one malformed parameter list per state family, state files
 whose split is not two positive integers, a missing and an unreadable state
 file, a non-finite ``sweep --theta``, a reversed ``sweep`` grid, a
-``tracial`` dimension that is not a perfect square); ``classify`` of every
+``tracial`` dimension that is not a perfect square), then argparse-level
+cases, some of which parse (an unknown option and ``--tol`` after the
+subcommand; the abbreviated and ``=`` forms of ``--format``, ``--start`` and
+``--num``, and an ambiguous abbreviation; ``--`` before and after a family; a
+missing argument, a missing value, an invalid value and an invalid choice;
+``classify -h`` and ``protocol swap --d 3 -h``; an unknown subcommand, a
+bare ``--tol 0.1`` and ``--tol x classify werner 0.5``); ``classify`` of every
 state family at several parameters, in JSON and CSV (``file`` reads
 ``tests/golden/state.json``); ``transform`` with every switch on ten
 states, in JSON and CSV (among them the degenerate tops of ``narnhofer``,
@@ -70,7 +76,9 @@ TESTS = pathlib.Path(__file__).resolve().parents[1] / "tests"
 STATE_FILE = TESTS / "golden" / "state.json"
 
 # Commands that fail at the input boundary; the --out path lies below a file,
-# so it can never be written.
+# so it can never be written.  Then the cases argparse itself decides, some of
+# which parse: ``main`` parses a command that names its subcommand first in one
+# pass, and each must print as argparse's full parse does.
 FAILING = [
     ["classify", "werner", "0.5", "--out", str(STATE_FILE / "x.json")],
     ["protocol", "teleport", "--seed", "-1"],
@@ -87,6 +95,34 @@ FAILING = [
     *(["sweep", family, "--theta", "nan", "--start", "0", "--stop", "1", "--num", "3"]
       for family in ("gisin", "werner")),
     ["sweep", "werner", "--start", "1", "--stop", "0", "--num", "3"],
+    ["classify", "werner", "0.5", "--bogus"],
+    ["sweep", "werner", "--start", "0", "--stop", "1", "--num", "3", "--bogus", "1"],
+    ["classify", "werner", "0.5", "--tol", "0.1"],
+    ["protocol", "teleport", "--tol", "0.1"],
+    ["classify", "werner", "0.5", "--form", "csv"],
+    ["classify", "werner", "0.5", "--format=csv"],
+    ["classify", "werner", "0.5", "--form=csv"],
+    ["sweep", "werner", "--sta", "0", "--stop", "1", "--nu", "3", "--form", "json"],
+    ["sweep", "werner", "--start=0", "--stop=1", "--num=3", "--format=json"],
+    ["sweep", "werner", "--sta=0", "--stop", "1", "--nu=3"],
+    ["sweep", "werner", "--st", "0", "--stop", "1", "--num", "3"],
+    ["classify", "--", "werner", "0.5"],
+    ["classify", "werner", "--", "0.5"],
+    ["classify", "werner", "0.5", "--"],
+    ["sweep", "--start", "0", "--stop", "1", "--num", "3", "--", "werner"],
+    ["sweep", "werner", "--", "--start", "0", "--stop", "1", "--num", "3"],
+    ["classify"],
+    ["sweep", "werner", "--start", "0", "--stop", "1"],
+    ["sweep", "werner", "--start", "0", "--stop", "1", "--num"],
+    ["protocol", "swap", "--d", "x"],
+    ["sweep", "werner", "--start", "0", "--stop", "1", "--num", "2.5"],
+    ["classify", "werner", "0.5", "--format", "xml"],
+    ["protocol", "bounce"],
+    ["classify", "-h"],
+    ["protocol", "swap", "--d", "3", "-h"],
+    ["bogus", "werner", "0.5"],
+    ["--tol", "0.1"],
+    ["--tol", "x", "classify", "werner", "0.5"],
 ]
 
 CLASSIFY_SOURCES = [

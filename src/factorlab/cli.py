@@ -10,7 +10,9 @@ in this module: mixedness as 1 - purity, the clipped and renormalized spectrum
 that the absolute-separability test reads, and C_best, the larger of two
 concurrences at each grid point.  Output is deterministic: identical inputs and
 seed give byte-identical output.  Exit codes: 0 success, 1 validation error,
-2 parse error, 3 failed protocol assertion.
+2 parse error, 3 failed protocol assertion.  A command that names its
+subcommand first is parsed in one pass, by that subcommand's parser alone,
+with the same result as argparse's two.
 """
 
 from __future__ import annotations
@@ -541,9 +543,10 @@ def _emit(text: str, out_path: str | None):
 
 # Built at the first call and shared by every later ``main`` call in the
 # process: the parser holds only the option grammar, while the tolerance, the
-# streams and ``sys.argv`` are read afresh on each call.
+# streams and ``sys.argv`` are read afresh on each call.  Returns the parser
+# and its subcommand parsers by name.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="factorlab",
         description="Classify, sweep, and transform quantum states; run protocol traces.",
@@ -579,7 +582,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p_protocol.add_argument("--seed", type=int, default=0)
     p_protocol.add_argument("--out", default=None)
 
-    return parser
+    commands = {"classify": p_classify, "transform": p_transform, "sweep": p_sweep, "protocol": p_protocol}
+    return parser, commands
+
+
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """The namespace of one command, as ``parser.parse_args(argv)`` gives it, in
+    one pass where that is sure to give the same.
+
+    When argv names a subcommand first and holds no ``--``, the top-level parser
+    would hand everything after the name to that subcommand's parser, so that
+    parser alone reads it, and --tol keeps its default.  Every other argv (a
+    top-level option first, an unknown command, ``--``) and any token left over
+    goes through the full parse, so each message and exit code is argparse's own.
+    """
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in commands and "--" not in argv:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.tol, args.command = None, argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _resolve_tol(cli_tol: float | None) -> float:
@@ -601,8 +625,7 @@ def _resolve_tol(cli_tol: float | None) -> float:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         tol = _resolve_tol(args.tol)
         if args.command == "classify":

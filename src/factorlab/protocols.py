@@ -32,10 +32,17 @@ Each protocol is one kernel over a stack of outcomes (k, l), ``teleport_stack``
 and ``swap_stack``: the joint vector is built once, and every branch's
 contraction, normalization, extraction and check runs on the whole stack; a
 failing check names the first failing outcome.  Both open with one Bell step,
-``_bell_step``: each outcome's bra times the joint vector held as a matrix whose
-rows are the measured pair, one BLAS product per outcome so that a batch of one
-equals its row of any batch bit for bit, then normalized.  ``teleport``/``swap``
-are a batch of one, ``teleport_outcomes``/``swap_outcomes`` a batch of all d^2.
+``_bell_step``.  In the Weyl basis chi_kl = (1/sqrt(d)) sum_j w^(jl) |j>|j+k>,
+w = exp(2 pi i / d), the d^2 branches are one d-point discrete Fourier
+transform over the rows (j, j+k) of the joint vector held as a matrix whose
+rows are the measured pair: one product by the d x d table conj(w^(jl))/sqrt(d)
+gives every outcome, and the requested ones are then selected, so that a
+batch of one equals its row of any batch bit for bit.  The step also returns
+the outcomes' Weyl operators, from ``weyl_operator``, which the kernels'
+predictions are built from; the Fourier table and its row shifts are computed
+apart from them, so each composition law compares two independent
+computations.  ``teleport``/``swap`` are a batch of one,
+``teleport_outcomes``/``swap_outcomes`` a batch of all d^2.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NORM_TOL, UNITARY_TOL, _prechecked, hold, require, require_finite, unitary_deviation
-from .states import maxent_vectors, require_dimension, weyl_basis_state, weyl_indices, weyl_operator
+from .states import maxent_vectors, require_dimension, weyl_indices, weyl_operator
 
 
 class ProtocolCheckError(AssertionError):
@@ -155,20 +162,34 @@ def maxent_from_isometry(iso: Isometry) -> np.ndarray:
     return maxent_vectors(iso.map)
 
 
-def _isometry_maps(v: np.ndarray, d: int, names) -> np.ndarray:
-    """Inverse of ``states.maxent_vectors`` on a (..., d*d) stack, after checking
-    that each vector is finite and maximally entangled, i.e. that its map M is
-    unitary within UNITARY_TOL; ``names[n]`` prefixes the message for vector n.
+def _not_maxent(names):
+    """The error for vector n of a stack that is not maximally entangled."""
+    return lambda n: ValueError(f"{names[n]}input vector is not maximally entangled")
 
-    M M^dagger - 1 has eigenvalues d s_k^2 - 1 over the Schmidt coefficients s_k
-    and a spectral norm at most d times its largest entry, so a unitary M has
-    every s_k within sqrt(d) * UNITARY_TOL of 1/sqrt(d).
+
+def _not_unitary(names):
+    """The error for map n of a stack that is not unitary."""
+    return lambda n: ValueError(f"{names[n]}isometry matrix must be unitary")
+
+
+def _maxent_maps(v: np.ndarray, d: int, names) -> np.ndarray:
+    """Inverse of ``states.maxent_vectors`` on a (..., d*d) stack, after checking
+    that each vector is finite; ``names[n]`` prefixes the message for vector n.
+
+    A vector is maximally entangled exactly when its map M is unitary: M M^dagger
+    - 1 has eigenvalues d s_k^2 - 1 over the Schmidt coefficients s_k and a
+    spectral norm at most d times its largest entry, so a unitary M has every
+    s_k within sqrt(d) * UNITARY_TOL of 1/sqrt(d).
     """
-    def error(n: int) -> ValueError:
-        return ValueError(f"{names[n]}input vector is not maximally entangled")
-    require(np.isfinite(v).all(axis=-1), error)
-    maps = np.sqrt(d) * np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
-    require(unitary_deviation(maps) <= UNITARY_TOL, error)
+    require(np.isfinite(v).all(axis=-1), _not_maxent(names))
+    return np.sqrt(d) * np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
+
+
+def _isometry_maps(v: np.ndarray, d: int, names) -> np.ndarray:
+    """``_maxent_maps``, after checking that each map is unitary within UNITARY_TOL,
+    i.e. that each vector is maximally entangled."""
+    maps = _maxent_maps(v, d, names)
+    require(unitary_deviation(maps) <= UNITARY_TOL, _not_maxent(names))
     return maps
 
 
@@ -205,8 +226,7 @@ def _phase_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _require_unitary(maps: np.ndarray, names: list[str]) -> None:
     """Each map is unitary within UNITARY_TOL."""
-    require(unitary_deviation(maps) <= UNITARY_TOL,
-            lambda n: ValueError(f"{names[n]}isometry matrix must be unitary"))
+    require(unitary_deviation(maps) <= UNITARY_TOL, _not_unitary(names))
 
 
 def _require_close(residual: np.ndarray, names: list[str], law: str) -> None:
@@ -227,18 +247,27 @@ class _OutcomeNames:
 
 def _bell_step(k, l, d: int, joint: np.ndarray):
     """The Bell measurement both kernels open with: for each outcome (k[n], l[n]),
-    broadcast to 1-D, the bra <chi_kl| times ``joint``, whose rows are the measured
-    pair's basis states.  Returns the (N, 2) indices, the ``_OutcomeNames`` of
-    the outcomes, and each branch's probability and normalized state.
+    broadcast to 1-D, the bra <chi_kl| times ``joint``, whose row j * d + b is the
+    measured pair's basis state |j>|b>.  Returns the (N, 2) indices, the
+    ``_OutcomeNames`` of the outcomes, each branch's probability and normalized
+    state, and the outcomes' Weyl operators W_kl (``weyl_operator``, which also
+    checks the indices).
 
-    One vector-matrix product per outcome, never one product over the whole
-    stack, so that a batch of one equals its row of any batch bit for bit.
+    The branch of (k, l) is sum_j conj(w^(jl))/sqrt(d) joint[(j, j + k mod d)]:
+    the rows (j, j + k mod d) of every k, side by side, times the d x d table
+    conj(w^(jl))/sqrt(d) give every outcome in one product, of which the
+    requested ones are taken, so that a batch of one equals its row of any
+    batch bit for bit.
     """
     k, l = np.broadcast_arrays(np.ravel(k), np.ravel(l))
-    branch = (weyl_basis_state(k, l, d).conj()[:, None, :] @ joint)[:, 0, :]
+    w = weyl_operator(k, l, d)
+    j = np.arange(d)
+    table = np.exp(-1j * ((2 * np.pi * j * j[:, None]) / d)) / np.sqrt(d)  # [l, j]
+    shifted = joint[j[:, None] * d + (j[:, None] + j) % d]  # [j, k]: row (j, j + k mod d)
+    branch = (table @ shifted.reshape(d, -1)).reshape(d, d, -1)[l, k]
     probability = np.einsum("ni,ni->n", branch.conj(), branch).real
     normalized = branch / np.sqrt(probability)[:, None]
-    return np.stack([k, l], axis=-1), _OutcomeNames(k, l), probability, normalized
+    return np.stack([k, l], axis=-1), _OutcomeNames(k, l), probability, normalized, w
 
 
 def teleport_stack(phi: np.ndarray, k, l) -> OutcomeStack:
@@ -251,7 +280,8 @@ def teleport_stack(phi: np.ndarray, k, l) -> OutcomeStack:
     correction . phi where the correction is the Weyl-class unitary
     conj(W_kl) = W_(k, -l mod d); undoing it recovers phi.  Each simulated
     branch is checked against this algebraic prediction: the correction's
-    unitarity, then the composition law.
+    unitarity, then the composition law; the fidelity is the overlap
+    |<correction . phi|bob>|.
     """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     d = phi.size
@@ -260,13 +290,13 @@ def teleport_stack(phi: np.ndarray, k, l) -> OutcomeStack:
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"input state must be normalized, |phi| = {norm}")
     joint = np.multiply.outer(phi, maxent_vectors(np.eye(d, dtype=complex))).reshape(d * d, d)
-    indices, names, probability, bob = _bell_step(k, l, d, joint)
+    indices, names, probability, bob, w = _bell_step(k, l, d, joint)
 
-    correction = weyl_operator(*indices.T, d).conj()
+    correction = w.conj()
     _require_unitary(correction, names)
-    _require_close(_phase_distance(bob, correction @ phi), names, "composition law")
-    recovered = np.einsum("nji,nj->ni", correction.conj(), bob)
-    fidelity = np.abs(recovered @ phi.conj())
+    predicted = correction @ phi
+    _require_close(_phase_distance(bob, predicted), names, "composition law")
+    fidelity = np.abs(np.einsum("ni,ni->n", predicted.conj(), bob))
     labels = tuple(f"W[{a},{(d - b) % d}]" for a, b in indices.tolist())
     return OutcomeStack(d, indices, probability, bob, correction, fidelity, labels)
 
@@ -295,10 +325,13 @@ def swap_stack(k, l, i12: Isometry, i34: Isometry) -> OutcomeStack:
 
     For outcome (k, l) (probability 1/d^2) the untouched pair (1, 4) collapses
     to the maximally entangled state whose isometry is the composition
-    I_14 = I_34 . conj(W_kl) . I_12.  Each branch is checked in turn: the
-    pair is maximally entangled (its extracted isometry is unitary), that
-    isometry equals the product entrywise up to global phase, and the product
-    is unitary.  The fidelity is the overlap of the pair with maxent(I_14).
+    I_14 = I_34 . conj(W_kl) . I_12.  Row r of conj(W_kl) . I_12 is row
+    r - k mod d of I_12 times that row's phase in conj(W_kl), so the product is
+    a gather of I_12's rows and one product by I_34 for the whole stack.  Each
+    branch is checked in turn: the pair is maximally entangled (its extracted
+    isometry is unitary), that isometry equals the product entrywise up to
+    global phase, and the product is unitary; one ``unitary_deviation`` covers
+    both isometries.  The fidelity is the overlap of the pair with maxent(I_14).
     """
     if i12.d != i34.d:
         raise ValueError(f"resource dimension mismatch: {i12.d} vs {i34.d}")
@@ -306,13 +339,19 @@ def swap_stack(k, l, i12: Isometry, i34: Isometry) -> OutcomeStack:
     joint = np.multiply.outer(maxent_from_isometry(i12), maxent_from_isometry(i34))
     # rows (b, c): the measured pair (2, 3); columns (a, e): the pair (1, 4)
     joint = joint.reshape(d, d * d, d).transpose(1, 0, 2).reshape(d * d, d * d)
-    indices, names, probability, pair14 = _bell_step(k, l, d, joint)
+    indices, names, probability, pair14, w = _bell_step(k, l, d, joint)
 
-    extracted = _isometry_maps(pair14, d, names)
-    predicted = i34.map @ weyl_operator(*indices.T, d).conj() @ i12.map
+    extracted = _maxent_maps(pair14, d, names)
+    n, r = np.arange(len(indices)), np.arange(d)[:, None]
+    # row r of conj(W_kl) is nonzero in column src[r, n] alone; an unsigned k would make r - k float
+    src = (r - indices[:, 0].astype(np.intp)) % d
+    rows = w[n, r, src].conj()[..., None] * i12.map[src]  # [r, n]: row r of conj(W_kl) . I_12
+    predicted = (i34.map @ rows.reshape(d, -1)).reshape(d, -1, d).swapaxes(0, 1)
+    extracted_deviation, predicted_deviation = unitary_deviation(np.stack([extracted, predicted]))
+    require(extracted_deviation <= UNITARY_TOL, _not_maxent(names))
     residual = _phase_distance(extracted.reshape(-1, d * d), predicted.reshape(-1, d * d))
     _require_close(residual, names, "isometry composition")
-    _require_unitary(predicted, names)
+    require(predicted_deviation <= UNITARY_TOL, _not_unitary(names))
     fidelity = np.abs(np.einsum("ni,ni->n", maxent_vectors(predicted).conj(), pair14))
     labels = tuple(f"composed@{a},{b}" for a, b in indices.tolist())
     return OutcomeStack(d, indices, probability, pair14, extracted, fidelity, labels)

@@ -1,5 +1,11 @@
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import pathlib
+import runpy
+import sys
 import warnings
 
 import numpy as np
@@ -718,12 +724,68 @@ class TestParserReuse:
         ["--tol", "x", "classify", "werner", "0.5"],
     ], ids=lambda argv: " ".join(argv) or "no-args")
     def test_help_and_usage_match_fresh_parser(self, capsys, argv):
-        fresh = cli._build_parser.__wrapped__()
+        fresh, _ = cli._build_parser.__wrapped__()
         want = self.exit_text(capsys, fresh.parse_args, argv)
         assert want[0] in (0, 2) and (want[1] or want[2]).startswith("usage: factorlab")
         assert run(capsys, "classify", "werner", "0.5")[0] == 0
         for _ in range(2):
             assert self.exit_text(capsys, main, argv) == want
+
+
+_CLI_DIFF = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "cli_diff.py"
+
+
+class TestOnePassParse:
+    """``main`` parses a command that names its subcommand first with that
+    subcommand's parser alone.  Every argv must give what argparse's full
+    parse gives: the same namespace, or the same exit code and text."""
+
+    # beyond the argparse-level cases of cli_diff's failing list
+    EDGES = [
+        [], ["--help"], ["-h", "classify"], ["classify", "--help"], ["transform", "-h"],
+        ["protocol", "teleport", "--d", "3", "--h"],
+        ["classify", "--tol", "0.1", "werner", "0.5"], ["classify", "werner", "0.5", "--tol=0.1"],
+        ["classify", "werner", "0.5", "--f", "csv"], ["classify", "werner", "0.5", "--o", "x.json"],
+        ["classify", "werner", "0.5", "--format", "csv", "--format", "json"],
+        ["classify", "werner", "0.5", "--out"], ["classify", "werner", "-0.5"],
+        ["classify", "werner", "0.5", "-"], ["classify", "werner", "0.5", "-x"],
+        ["transform", "u-theta", "--t", "0.6", "werner", "0.5"],
+        ["transform", "u-theta", "werner", "0.5", "--theta=0.6", "--form=csv"],
+        ["transform", "u-theta", "--theta"],
+        ["sweep", "werner", "--start", "0", "--stop", "1", "--num", "3", "--o", "C"],
+        ["sweep", "gisin", "--th", "0.35", "--start", "0", "--stop", "1", "--num", "3"],
+        ["sweep", "werner", "--start", "0", "--stop", "1", "--num", "3", "extra"],
+        ["sweep", "werner", "--start", "-1e-3", "--stop", "1", "--num", "3"],
+        ["protocol", "teleport", "--d", "3", "--d", "4"], ["protocol", "swap", "--seed=-1"],
+        ["protocol", "swap", "teleport"], ["protocol", "--d", "3"],
+        ["classify", "werner", "0.5", "--", "--format", "csv"], ["--", "classify", "werner", "0.5"],
+        ["--tol", "0.1", "--tol", "0.2", "classify", "werner", "0.5"], ["--tol=0.1", "classify", "werner", "0.5"],
+    ]
+
+    @staticmethod
+    def outcome(parse, argv):
+        """(namespace or argparse exit, stdout, stderr) of parse(argv); the namespace
+        as the repr of its sorted items, which tells -0.0 from 0.0 and equals itself at nan."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = repr(sorted(vars(parse(list(argv))).items()))
+            except SystemExit as exc:
+                result = f"SystemExit({exc.code})"
+        return result, out.getvalue(), err.getvalue()
+
+    def test_same_as_the_full_parse(self):
+        parser, _ = cli._build_parser()
+        commands = runpy.run_path(str(_CLI_DIFF))["default_commands"](150) + self.EDGES
+        differing = [argv for argv in commands
+                     if self.outcome(cli.parse_args, argv) != self.outcome(parser.parse_args, argv)]
+        assert differing == []
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["factorlab", "protocol", "swap", "--d", "3"])
+        parser, _ = cli._build_parser()
+        assert cli.parse_args(None) == parser.parse_args() == argparse.Namespace(
+            tol=None, command="protocol", kind="swap", d=3, seed=0, out=None)
 
 
 class TestSolveBudget:
@@ -838,7 +900,24 @@ class TestWorkBudget:
         calls_of[call]()
         assert len(calls) == count
 
-    @pytest.mark.parametrize("kind,count", [("teleport", 1), ("swap", 2)])
+    @pytest.mark.parametrize("argv,count", [
+        (("classify", "werner", "0.5"), 1),
+        (("protocol", "swap", "--d", "8"), 1),
+        (_EVERY_GISIN_COMPARE, 1),
+        (("--tol", "0.1", "classify", "werner", "0.35"), 2),
+    ], ids=["classify", "protocol-swap", "sweep-every-measure", "tol-first"])
+    def test_argparse_passes_per_command(self, capsys, monkeypatch, argv, count):
+        calls, original = [], argparse.ArgumentParser.parse_known_args
+
+        def count_pass(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", count_pass)
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == count
+
+    @pytest.mark.parametrize("kind,count", [("teleport", 1), ("swap", 1)])
     def test_unitarity_checks_per_trace(self, monkeypatch, kind, count):
         rng = np.random.default_rng(5)
         d = 8

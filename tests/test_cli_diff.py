@@ -78,8 +78,13 @@ def test_default_list_covers_every_subcommand():
     commands = script["default_commands"](1)
     failing = script["FAILING"]
     assert commands[:len(failing)] == failing
-    malformed = {argv[1] for argv in failing if argv[0] == "classify"}
+    # the argparse-level cases aside: no source, or an option where the source goes
+    malformed = {argv[1] for argv in failing if argv[0] == "classify" and len(argv) > 1
+                 and not argv[1].startswith("-")}
     assert malformed == set(cli._STATE_FAMILIES) | {"file"}
+    for argv in (["classify", "-h"], ["protocol", "swap", "--d", "3", "-h"], ["classify", "--", "werner", "0.5"],
+                 ["classify", "werner", "0.5", "--tol", "0.1"], ["--tol", "x", "classify", "werner", "0.5"]):
+        assert argv in failing
     assert ["classify", "tracial", "6"] in failing
     assert ["classify", "file", "/no/such.json"] in failing
     assert ["classify", "file"] in failing

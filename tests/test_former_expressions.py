@@ -1,4 +1,4 @@
-"""The protocol helpers against the numpy expressions they replaced, bit for bit.
+"""The protocol helpers against the numpy expressions they replaced.
 
 The joint vector is one outer product instead of ``np.kron``; the phase pivot
 of ``protocols._phase_distance`` is gathered by a flat integer index instead
@@ -10,6 +10,12 @@ former expression written out below, so each must equal it in every bit,
 signed zeros included.  ``linalg.require`` checks ``ok.all()`` before it
 looks for the first failing entry; the inputs that shortcut must handle are
 pinned last.
+
+One replacement is not bit for bit: ``protocols._bell_step`` takes every
+branch from one product by the d x d Fourier table instead of one product of
+each outcome's bra, ``weyl_basis_state(k, l, d).conj()``, with the joint
+vector.  Both sum the same d terms per entry, in another order and with phases
+computed apart, so the branches must agree within 4 d eps max|joint|.
 """
 
 import warnings
@@ -20,7 +26,7 @@ import pytest
 from factorlab import protocols, states
 from factorlab.linalg import require, unitary_deviation
 from factorlab.protocols import Isometry, OutcomeStack, _bell_step, _phase_distance, teleport_stack
-from factorlab.states import maxent_vectors, weyl_indices, weyl_operator
+from factorlab.states import maxent_vectors, weyl_basis_state, weyl_indices, weyl_operator
 from conftest import haar_unitary, haar_vector
 
 
@@ -57,6 +63,10 @@ def former_weyl_operator(k, l, d):
     return np.where(j[:, None] == row[..., None, :], phase[..., None, :], 0)
 
 
+def former_bell_branches(k, l, d, joint):
+    return (weyl_basis_state(k, l, d).conj()[:, None, :] @ joint)[:, 0, :]
+
+
 def former_unitary_deviation(m):
     return np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-1])).max(axis=(-2, -1))
 
@@ -76,7 +86,7 @@ class TestJointVector:
         joint = np.kron(phi, resource)
         assert_same_bits(np.multiply.outer(phi, resource).ravel(), joint)
         stack = teleport_stack(phi, *weyl_indices(d))
-        _, _, probability, bob = _bell_step(*weyl_indices(d), d, joint.reshape(d * d, d))
+        _, _, probability, bob, _ = _bell_step(*weyl_indices(d), d, joint.reshape(d * d, d))
         assert_same_bits(stack.probabilities, probability)
         assert_same_bits(stack.post_states, bob)
 
@@ -88,9 +98,37 @@ class TestJointVector:
         assert_same_bits(np.multiply.outer(v12, v34).ravel(), joint)
         stack = protocols.swap_stack(*weyl_indices(d), i12, i34)
         joint = joint.reshape(d, d * d, d).transpose(1, 0, 2).reshape(d * d, d * d)
-        _, _, probability, pair14 = _bell_step(*weyl_indices(d), d, joint)
+        _, _, probability, pair14, _ = _bell_step(*weyl_indices(d), d, joint)
         assert_same_bits(stack.probabilities, probability)
         assert_same_bits(stack.post_states, pair14)
+
+
+class TestBellStepFourier:
+    """Every branch of the one-product Bell step against the former product of
+    each outcome's bra with the joint vector: within 4 d eps max|joint|, a bound
+    fixed by the dtype alone.  The branch is read back as normalized state times
+    sqrt(probability), which is within 2 roundings of it."""
+
+    @pytest.mark.parametrize("width", ["d", "d^2"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_random_joint(self, rng, d, width):
+        joint = complex_normal(rng, d * d, d if width == "d" else d * d)
+        k, l = weyl_indices(d)
+        indices, _, probability, normalized, w = _bell_step(k, l, d, joint)
+        branch = normalized * np.sqrt(probability)[:, None]
+        bound = 4 * d * np.finfo(float).eps * np.abs(joint).max()
+        assert np.abs(branch - former_bell_branches(k, l, d, joint)).max() <= bound
+        assert np.array_equal(indices, np.stack([k, l], axis=-1))
+        assert_same_bits(w, weyl_operator(k, l, d))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_batch_of_one_is_its_row(self, rng, d):
+        joint = complex_normal(rng, d * d, d * d)
+        _, _, probability, normalized, _ = _bell_step(*weyl_indices(d), d, joint)
+        for n, (k, l) in enumerate(zip(*weyl_indices(d))):
+            _, _, p, v, _ = _bell_step([k], [l], d, joint)
+            assert_same_bits(p, probability[n:n + 1])
+            assert_same_bits(v, normalized[n:n + 1])
 
 
 class TestPhaseDistanceGather:

@@ -359,17 +359,36 @@ def corrupt_outcome(monkeypatch, name, target, change):
     monkeypatch.setattr(protocols, name, corrupted)
 
 
-def phase_on_later_rows(chi, d):
-    """Multiply the j >= 1 terms of chi_kl by one phase: still a maximally
-    entangled unit vector, but no longer chi_kl up to a global phase."""
-    return chi * np.where(np.arange(d * d) >= d, np.exp(0.7j), 1.0)
+def corrupt_branch(monkeypatch, target, change):
+    """Replace ``protocols._bell_step`` by a version whose unnormalized branch for
+    outcome ``target`` is passed through ``change``, then normalized again."""
+    original = protocols._bell_step
+
+    def corrupted(k, l, d, joint):
+        indices, names, probability, normalized, w = original(k, l, d, joint)
+        branch = normalized * np.sqrt(probability)[:, None]
+        hit = (indices[:, 0] == target[0]) & (indices[:, 1] == target[1])
+        branch[hit] = change(branch[hit], d)
+        probability = np.einsum("ni,ni->n", branch.conj(), branch).real
+        return indices, names, probability, branch / np.sqrt(probability)[:, None], w
+
+    monkeypatch.setattr(protocols, "_bell_step", corrupted)
+
+
+def phase_on_later_rows(branch, d):
+    """Multiply the entries of a branch past its first 1/d (past entry 0 of a
+    teleported state, past the a = 0 row of a swapped pair (a, e)) by one phase:
+    still a unit vector, maximally entangled where it was, but no longer the
+    prediction up to a global phase."""
+    n = branch.shape[-1]
+    return branch * np.where(np.arange(n) >= n // d, np.exp(0.7j), 1.0)
 
 
 class TestPerOutcomeChecks:
     @pytest.mark.parametrize("target", [(0, 0), (1, 2), (2, 1)])
     def test_teleport_corrupted_weyl_phase_names_outcome(self, rng, monkeypatch, target):
         phi = haar_vector(rng, 3)
-        corrupt_outcome(monkeypatch, "weyl_basis_state", target, phase_on_later_rows)
+        corrupt_branch(monkeypatch, target, phase_on_later_rows)
         with pytest.raises(ProtocolCheckError,
                            match=rf"^outcome \({target[0]},{target[1]}\): composition law violated"):
             teleport_outcomes(phi)
@@ -378,15 +397,14 @@ class TestPerOutcomeChecks:
     def test_swap_corrupted_weyl_phase_names_outcome(self, rng, monkeypatch, target):
         i12 = Isometry(haar_unitary(rng, 3), 3)
         i34 = Isometry(haar_unitary(rng, 3), 3)
-        corrupt_outcome(monkeypatch, "weyl_basis_state", target, phase_on_later_rows)
+        corrupt_branch(monkeypatch, target, phase_on_later_rows)
         with pytest.raises(ProtocolCheckError,
                            match=rf"^outcome \({target[0]},{target[1]}\): isometry composition violated"):
             swap_outcomes(i12, i34)
 
     def test_swap_partially_entangled_branch_names_outcome(self, monkeypatch):
         ident = Isometry.identity(3)
-        corrupt_outcome(monkeypatch, "weyl_basis_state", (1, 1),
-                        lambda chi, d: chi * np.where(np.arange(d * d) < d, 1.5, 1.0))
+        corrupt_branch(monkeypatch, (1, 1), lambda pair, d: pair * np.where(np.arange(d * d) < d, 1.5, 1.0))
         with pytest.raises(ValueError,
                            match=r"^outcome \(1,1\): input vector is not maximally entangled"):
             swap_outcomes(ident, ident)
@@ -394,8 +412,7 @@ class TestPerOutcomeChecks:
     def test_swap_barely_non_unitary_branch_names_outcome(self, monkeypatch):
         # Schmidt flatness below MAXENT_TOL, isometry further than UNITARY_TOL from unitary
         ident = Isometry.identity(3)
-        corrupt_outcome(monkeypatch, "weyl_basis_state", (1, 1),
-                        lambda chi, d: chi * np.where(np.arange(d * d) < d, 1 + 1e-9, 1.0))
+        corrupt_branch(monkeypatch, (1, 1), lambda pair, d: pair * np.where(np.arange(d * d) < d, 1 + 1e-9, 1.0))
         with pytest.raises(ValueError,
                            match=r"^outcome \(1,1\): input vector is not maximally entangled$"):
             swap_outcomes(ident, ident)
@@ -428,10 +445,10 @@ class TestOutcomeLaws:
         lambda phi, iso: swap((1, 0), iso, iso),
     ], ids=["teleport_outcomes", "swap_outcomes", "teleport", "swap"])
     def test_wrong_probability_names_outcome(self, rng, monkeypatch, call):
-        # 1.5 chi_10 leaves every branch state as it was, but outcome (1, 0)
-        # then has probability 2.25 / 4
+        # 1.5 times branch (1, 0) leaves every branch state as it was, but
+        # outcome (1, 0) then has probability 2.25 / 4
         phi, iso = haar_vector(rng, 2), Isometry(haar_unitary(rng, 2), 2)
-        corrupt_outcome(monkeypatch, "weyl_basis_state", (1, 0), lambda chi, d: 1.5 * chi)
+        corrupt_branch(monkeypatch, (1, 0), lambda branch, d: 1.5 * branch)
         with pytest.raises(ProtocolCheckError, match=r"^outcome \[1, 0\]: probability 0\.562\d* != 1/d\^2$"):
             call(phi, iso)
 
