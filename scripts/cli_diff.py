@@ -2,7 +2,7 @@
 
 Usage:
 
-    python scripts/cli_diff.py OLD_SRC NEW_SRC [--seeds N] [--commands FILE]
+    python scripts/cli_diff.py OLD_SRC NEW_SRC [--seeds N] [--commands FILE] [--expect FILE]
 
 OLD_SRC and NEW_SRC are directories holding the ``factorlab`` package (the
 ``src/`` of two checkouts, e.g. a ``git archive`` of the parent commit).  The
@@ -38,13 +38,25 @@ script prints the number of commands and of differences in exit code, stdout
 or stderr, then each differing command with its two exit codes and the lines
 that differ (``-N:`` the old tree's stdout line N, ``+N:`` the new tree's;
 ``stderr -N:`` and ``stderr +N:`` the same for stderr); it exits 1 when there
-is a difference.  Standard library only.
+is a difference.
+
+``--expect FILE`` declares the differences a change makes on purpose.  FILE
+is a JSON list of ``{"argv", "exit", "stdout_sha256", "stderr_sha256"}``: a
+command's ``factorlab`` arguments, then the new tree's exit code and the
+SHA-256 of its stdout and stderr (UTF-8).  After the report the script
+prints one line per command that differs but is not listed (``undeclared:``),
+differs from its entry (``not as declared:``) or is listed but does not
+differ (``declared but unchanged:``), then ``N declared differences, M
+problems``; it exits 1 when there is a problem.  So every undeclared
+difference still fails, and the list must be emptied once its change has
+landed.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import hashlib
 import json
 import pathlib
 import shlex
@@ -240,12 +252,39 @@ def changed_lines(old: str, new: str) -> list[str]:
     return out
 
 
+def declared_entry(argv: list[str], result: list) -> dict:
+    """The ``--expect`` entry of argv whose new tree gave [exit code, stdout, stderr]."""
+    code, out, err = result
+    return {"argv": argv, "exit": code,
+            "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest(),
+            "stderr_sha256": hashlib.sha256(err.encode("utf-8")).hexdigest()}
+
+
+def declared_problems(commands: list[list[str]], new: list[list], differing: list[int],
+                      declared: list[dict]) -> list[str]:
+    """One line per differing command that is not declared or not as declared,
+    and per declared command that does not differ."""
+    listed = {tuple(entry["argv"]): entry for entry in declared}
+    problems = []
+    for i in differing:
+        entry = listed.get(tuple(commands[i]))
+        if entry is None:
+            problems.append(f"undeclared: factorlab {shlex.join(commands[i])}")
+        elif entry != declared_entry(commands[i], new[i]):
+            problems.append(f"not as declared: factorlab {shlex.join(commands[i])}")
+    differed = {tuple(commands[i]) for i in differing}
+    problems += [f"declared but unchanged: factorlab {shlex.join(argv)}"
+                 for argv in listed if argv not in differed]
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
     parser.add_argument("--seeds", type=int, default=150)
     parser.add_argument("--commands", default=None, help="file with one command per line")
+    parser.add_argument("--expect", default=None, help="JSON list of the differences to expect")
     args = parser.parse_args()
     if args.commands:
         with open(args.commands, encoding="utf-8") as fh:
@@ -263,7 +302,15 @@ def main() -> int:
             print(f"  {line}")
         for line in changed_lines(err_a, err_b):
             print(f"  stderr {line}")
-    return 1 if differing else 0
+    if args.expect is None:
+        return 1 if differing else 0
+    with open(args.expect, encoding="utf-8") as fh:
+        declared = json.load(fh)
+    problems = declared_problems(commands, new, differing, declared)
+    for line in problems:
+        print(line)
+    print(f"{len(declared)} declared differences, {len(problems)} problems")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

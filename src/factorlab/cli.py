@@ -49,6 +49,10 @@ class CliParseError(Exception):
 # joint vector per swap; larger values are rejected before allocation.
 MAX_DIMENSION = 64
 MAX_QUDIT = math.isqrt(MAX_DIMENSION)
+# A state file is read whole before its split is checked, so its size is capped:
+# a 64 x 64 state takes 191 kB as ``json.dumps(state_to_dict(rho))``, 291 kB at
+# indent=4, and 1 MiB leaves room for any layout of one.
+MAX_STATE_FILE_BYTES = 1 << 20
 
 
 def _parse_float(token: str, name: str) -> float:
@@ -134,6 +138,9 @@ def build_state(tokens: list[str], tol: float) -> DensityMatrix:
 def load_state_file(path: str, tol: float) -> DensityMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size > MAX_STATE_FILE_BYTES:
+                raise CliParseError(f"{path}: {size} bytes, above the cap {MAX_STATE_FILE_BYTES}")
             data = json.load(fh)
     except OSError as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from None
@@ -165,7 +172,7 @@ _MEASURES = {
     "mixedness": (_EVERY, lambda m, s, split, tol, rows: 1.0 - rows["purity"]),
     "entropy": (_EVERY, lambda m, s, split, tol, rows: measures.entropies(s)),
     "ppt": (_EVERY, lambda m, s, split, tol, rows: measures.pt_min_eigenvalues(m, split)),
-    "concurrence": (_QUBITS, lambda m, s, split, tol, rows: measures.concurrences(m, s, tol)),
+    "concurrence": (_QUBITS, lambda m, s, split, tol, rows: measures.concurrences(s, tol)),
     "bmax": (_QUBITS, lambda m, s, split, tol, rows: witness_bell.bmax_values(m)),
     # on the spectrum clipped at 0 and renormalized
     "abs_separable_spectrum": (_QUBITS, lambda m, s, split, tol, rows: measures.abs_separables(

@@ -217,16 +217,17 @@ def psd_sqrt(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     an (N, D, D) stack)."""
     m = _as_square(m, stack=True)
     require_hermitian(m, tol, "psd_sqrt")
-    return eigh_sqrt(*np.linalg.eigh(m), tol)
+    w, v = np.linalg.eigh(m)
+    return psd_factor(w, v, tol) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def eigh_sqrt(w: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
-    """``psd_sqrt`` of the matrix (or stack) whose ``eigh`` is (w, v), w ascending."""
+def psd_factor(w: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
+    """B = v diag(sqrt(w)), so B B^dagger = m, for the matrix (or stack) m whose
+    eigenvalues w (each >= -tol, negatives clipped to 0) have eigenvectors v."""
     lo = np.ravel(w.min(axis=-1))
     require(lo >= -tol, lambda k: ValueError(
         f"psd_sqrt: negative eigenvalue {lo[k]:.3e} below -{tol:.1e}"))
-    w = np.sqrt(w.clip(0.0))
-    return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return v * np.sqrt(w.clip(0.0))[..., None, :]
 
 
 @dataclass(frozen=True, eq=False)

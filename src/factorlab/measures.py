@@ -20,9 +20,9 @@ from .linalg import (
     ZERO_FLOOR,
     DimensionMismatchError,
     Spectrum,
-    eigh_sqrt,
     hs_norm,
     partial_transpose,
+    psd_factor,
     require_finite,
 )
 from .states import PAULI, DensityMatrix, require_split, schmidt_flatness
@@ -32,7 +32,6 @@ from .states import PAULI, DensityMatrix, require_split, schmidt_flatness
 _YY = np.kron(PAULI[1], PAULI[1]).real
 _YY_PERM = np.abs(_YY).argmax(axis=1)
 _YY_SIGN = _YY[np.arange(4), _YY_PERM]
-_FLIP_SIGN = np.outer(_YY_SIGN, _YY_SIGN)
 
 
 def purities(m: np.ndarray) -> np.ndarray:
@@ -102,32 +101,18 @@ def ppt_check(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> PptVerdict:
     return PptVerdict.from_min(float(pt_min_eigenvalues(rho.matrix, rho.split)), tol)
 
 
-def _spin_flip(m: np.ndarray) -> np.ndarray:
-    """(s_y(x)s_y) m* (s_y(x)s_y) of a 4x4 matrix or of each matrix of a stack,
-    as a gather: entry (a, b) is sign(a) sign(b) m*[perm(a), perm(b)].  Adding
-    +0.0 turns an exact -0.0 into the +0.0 the dense product gives, so the
-    result equals that product bit for bit."""
-    return m.conj()[..., _YY_PERM[:, None], _YY_PERM[None, :]] * _FLIP_SIGN + 0.0
+def concurrences(spectrum: Spectrum, tol: float) -> np.ndarray:
+    """Two-qubit concurrence of a 4x4 matrix or of each matrix of a stack, read from
+    its validated ``spectrum``; see ``concurrence``.
 
-
-def concurrences(m: np.ndarray, spectrum: Spectrum, tol: float) -> np.ndarray:
-    """Two-qubit concurrence of a 4x4 matrix or of each matrix of a stack; see
-    ``concurrence``.
-
-    m is validated at tol (``validate_stack``, whose Hermitian screen does not run again).
-    sqrt(m), with psd_sqrt's positivity check, is built from ``spectrum`` read in LAPACK's
-    ascending order, so it is ``psd_sqrt(m)`` bit for bit.  The core's eigenvalues come
-    from ``eigh`` (``eigvalsh`` takes another LAPACK path and can move a last digit) and
-    are read ascending, the largest last.  The clamp to [0, 1] picks exactly what
-    ``min(1, max(0, c))`` picks, zeros included.
+    B = V diag(sqrt(w)) comes from (w, V) with psd_sqrt's positivity check, and
+    (s_y(x)s_y) B is a signed gather of B's rows.  The clamp to [0, 1] picks
+    exactly what ``min(1, max(0, c))`` picks, zeros included.
     """
-    s = eigh_sqrt(spectrum.values[..., ::-1], spectrum.vectors[..., ::-1], tol)
-    core = s @ _spin_flip(m) @ s
-    core = (core + np.swapaxes(core.conj(), -1, -2)) / 2.0
-    w = np.linalg.eigh(core)[0]
-    w[w < ZERO_FLOOR] = 0.0
-    lam = np.sqrt(w)
-    c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
+    b = psd_factor(spectrum.values, spectrum.vectors, tol)
+    tau = np.swapaxes(b, -1, -2) @ (b[..., _YY_PERM, :] * _YY_SIGN[:, None])
+    lam = np.linalg.svd(tau, compute_uv=False)
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     c = np.where(c > 0.0, c, 0.0)
     return np.where(c < 1.0, c, 1.0)
 
@@ -135,16 +120,12 @@ def concurrences(m: np.ndarray, spectrum: Spectrum, tol: float) -> np.ndarray:
 def concurrence(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
     """Two-qubit concurrence max{0, l1 - l2 - l3 - l4}.
 
-    The l_i are the descending square roots of the eigenvalues of
-    rho (s_y(x)s_y) rho* (s_y(x)s_y), evaluated on the Hermitian form
-    sqrt(rho) rho~ sqrt(rho) for numerical stability.  Eigenvalues of that
-    product below ZERO_FLOOR (including tiny negatives from rounding) are treated
-    as exact zeros: for a unit-trace input the product's spectrum is bounded
-    by 1, so anything at that scale is floating-point noise, and taking its
-    square root would otherwise inflate it to ~1e-7.
+    The l_i are the descending singular values of tau = B^T (s_y(x)s_y) B, where
+    rho = B B^dagger; they are the square roots of the eigenvalues of
+    rho (s_y(x)s_y) rho* (s_y(x)s_y) (Wootters, PRL 80, 2245 (1998)).
     """
     require_split(rho, (2, 2), "concurrence")
-    return float(concurrences(rho.matrix, rho.spectrum, tol))
+    return float(concurrences(rho.spectrum, tol))
 
 
 def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

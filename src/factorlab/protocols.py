@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NORM_TOL, UNITARY_TOL, _prechecked, hold, require, require_finite, unitary_deviation
-from .states import maxent_vectors, require_dimension, weyl_indices, weyl_operator
+from .states import index_pairs, maxent_vectors, require_dimension, weyl_indices, weyl_operator
 
 
 class ProtocolCheckError(AssertionError):
@@ -259,7 +259,7 @@ def _bell_step(k, l, d: int, joint: np.ndarray):
     requested ones are taken, so that a batch of one equals its row of any
     batch bit for bit.
     """
-    k, l = np.broadcast_arrays(np.ravel(k), np.ravel(l))
+    k, l = index_pairs(np.ravel(k), np.ravel(l))
     w = weyl_operator(k, l, d)
     j = np.arange(d)
     table = np.exp(-1j * ((2 * np.pi * j * j[:, None]) / d)) / np.sqrt(d)  # [l, j]

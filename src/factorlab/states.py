@@ -160,9 +160,11 @@ def _switched_state(rho: DensityMatrix, u: np.ndarray, m: np.ndarray, tol: float
     above -tol.  The noise bound keeps w as close to m's eigenvalues as a fresh
     ``eigh`` would be (a U up to UNITARY_TOL from unitary fails it, for one).
     Two cases keep the fresh ``eigh``:
-    a (2, 2) split, since the concurrence builds sqrt(rho) from every eigenvector,
-    and a top eigenvalue within FLATNESS_TOL of the next, since ``maxent_weight``
-    reads its eigenvector.  There, and whenever a check fails, the result is
+    a (2, 2) split, since the concurrence reads every eigenvector (through
+    B = V diag(sqrt(w))) and carried ones would move its last digits off those of
+    a sweep, whose switched stacks are decomposed afresh; and a top eigenvalue
+    within FLATNESS_TOL of the next, since ``maxent_weight`` reads its eigenvector.
+    There, and whenever a check fails, the result is
     DensityMatrix(m, rho.split, tol), so every error is validation's own.
     """
     w = rho.spectrum.values
@@ -342,6 +344,13 @@ def require_dimension(d: int) -> None:
         raise ValueError("d must be positive")
 
 
+def index_pairs(k, l) -> tuple[np.ndarray, np.ndarray]:
+    """k and l broadcast together; with no pair, as integer arrays, since an
+    empty list becomes a float array and no float array can index."""
+    k, l = np.broadcast_arrays(k, l)
+    return (k, l) if k.size else (k.astype(np.intp), l.astype(np.intp))
+
+
 def weyl_operator(k, l, d: int) -> np.ndarray:
     """Shift-and-phase unitary W_kl = sum_j exp(2 pi i j l / d) |(j+k) mod d><j|.
 
@@ -352,11 +361,11 @@ def weyl_operator(k, l, d: int) -> np.ndarray:
     d must be a positive integer (``require_dimension``).
     """
     require_dimension(d)
-    k, l = np.broadcast_arrays(k, l)
+    k, l = index_pairs(k, l)
 
     def error(i: int, problem: str) -> ValueError:
         return ValueError(f"indices (k, l) = ({np.ravel(k)[i]}, {np.ravel(l)[i]}) {problem}")
-    if k.size and not (k.dtype.kind in "iu" and l.dtype.kind in "iu"):
+    if not (k.dtype.kind in "iu" and l.dtype.kind in "iu"):
         raise error(0, "must be integers")  # a non-integer dtype makes every pair fail
     require((0 <= k) & (k < d) & (0 <= l) & (l < d), lambda i: error(i, f"out of range for d = {d}"))
     j = np.arange(d)

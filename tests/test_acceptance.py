@@ -263,7 +263,7 @@ def test_criterion_14_oracle_equivalences():
     for _ in range(500):
         rho = random_density(rng, (2, 2), rank=int(rng.integers(1, 5)))
         is_npt = fl.ppt_check(rho).classification == "NPT"
-        assert is_npt == (fl.concurrence(rho) > 1e-7)
+        assert is_npt == (fl.concurrence(rho) > 0.0)
     _pass(14, "concurrence pipeline matches 2|ad-bc|; PPT verdict matches concurrence sign")
 
 

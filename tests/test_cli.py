@@ -120,6 +120,24 @@ class TestClassify:
         assert run(capsys, "classify", "file", str(path)) == (
             2, "", f"parse error: {path}: split [9, 9] gives dimension 81, above the cap 64\n")
 
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_file_size_cap_is_checked_before_parsing(self, capsys, monkeypatch, tmp_path, pad):
+        # a valid state padded with blanks to the cap loads; one byte more is refused unread
+        path = tmp_path / "state.json"
+        text = json.dumps(fl.state_to_dict(fl.tracial(4)))
+        path.write_text(text + " " * (cli.MAX_STATE_FILE_BYTES - len(text) + pad))
+        if not pad:
+            assert run(capsys, "classify", "file", str(path))[0] == 0
+            return
+
+        def must_not_parse(*args, **kwargs):
+            raise AssertionError("json.load called above the cap")
+
+        monkeypatch.setattr(cli.json, "load", must_not_parse)
+        size = cli.MAX_STATE_FILE_BYTES + 1
+        assert run(capsys, "classify", "file", str(path)) == (
+            2, "", f"parse error: {path}: {size} bytes, above the cap {cli.MAX_STATE_FILE_BYTES}\n")
+
     def test_file_state_checked_at_the_given_tol(self, capsys, tmp_path):
         # Hermitian to 1e-7 only: accepted at --tol 1e-6, and every spectral
         # measure then works on the state as accepted.
@@ -794,15 +812,15 @@ class TestSolveBudget:
     concurrence reads that solve."""
 
     @pytest.mark.parametrize("argv,budget", [
-        (("classify", "werner", "0.5"), {"eigh": 2, "eigvalsh": 2, "svd": 1}),
-        (("transform", "u-switch", "werner", "0.8"), {"eigh": 3, "eigvalsh": 2, "svd": 1}),
+        (("classify", "werner", "0.5"), {"eigh": 1, "eigvalsh": 2, "svd": 2}),
+        (("transform", "u-switch", "werner", "0.8"), {"eigh": 2, "eigvalsh": 2, "svd": 2}),
         (("sweep", "ghz_traced", "--start", "0", "--stop", "1.5707963", "--num", "11",
           "--outputs", "C_u1,C_u2,C_best,C_after_u_switch,mixedness"),
-         {"eigh": 2, "eigvalsh": 0, "svd": 0}),
+         {"eigh": 1, "eigvalsh": 0, "svd": 1}),
         (("sweep", "gisin_compare", "--theta", "0.35", "--start", "0", "--stop", "1", "--num", "11",
           "--outputs", "C_gisin,C_filtered,C_unitary,B_gisin,B_filtered,B_unitary,"
           "purity_gisin,purity_filtered,purity_unitary"),
-         {"eigh": 2, "eigvalsh": 1, "svd": 0}),
+         {"eigh": 1, "eigvalsh": 1, "svd": 1}),
         (("sweep", "werner", "--start", "0", "--stop", "1", "--num", "11"),
          {"eigh": 1, "eigvalsh": 2, "svd": 0}),
         (("protocol", "swap", "--d", "8"), {"svd": 0, "qr": 2}),

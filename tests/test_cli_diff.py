@@ -1,12 +1,17 @@
 """scripts/cli_diff.py: same tree gives no difference, every changed output
-line is shown with its line number, and the default list reaches every
-subcommand, family, switch and measure, and the tolerance edge."""
+line is shown with its line number, ``--expect`` passes exactly the declared
+differences, and the default list reaches every subcommand, family, switch and
+measure, and the tolerance edge."""
 
+import hashlib
+import json
 import pathlib
 import runpy
 import shutil
 import subprocess
 import sys
+
+import pytest
 
 from factorlab import cli, transforms
 
@@ -71,6 +76,46 @@ def test_reports_changed_stderr(tmp_path):
         "  stderr -1: parse error: unknown Bell kind 'psi0'",
         "  stderr +1: parse error: no Bell kind 'psi0'",
     ]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+PSI0 = {"argv": ["classify", "bell", "psi0"], "exit": 2, "stdout_sha256": sha256(""),
+        "stderr_sha256": sha256("parse error: no Bell kind 'psi0'\n")}
+PSI_PLUS = {"argv": ["classify", "bell", "psi+"], "exit": 0, "stdout_sha256": sha256(""),
+            "stderr_sha256": sha256("")}
+
+
+@pytest.mark.parametrize("declared,problem", [
+    ([PSI0], None),
+    ([], "undeclared: factorlab classify bell psi0"),
+    ([PSI0, PSI_PLUS], "declared but unchanged: factorlab classify bell psi+"),
+    ([{**PSI0, "stderr_sha256": sha256("parse error: unknown Bell kind 'psi0'\n")}],
+     "not as declared: factorlab classify bell psi0"),
+    ([{**PSI0, "exit": 1}], "not as declared: factorlab classify bell psi0"),
+], ids=["declared", "undeclared", "stale", "hash-mismatch", "exit-mismatch"])
+def test_expect_passes_exactly_the_declared_differences(tmp_path, declared, problem):
+    commands = tmp_path / "commands.txt"
+    commands.write_text("classify bell psi0\nclassify bell psi+\n")
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    cli = changed / "factorlab" / "cli.py"
+    cli.write_text(cli.read_text().replace("unknown Bell kind", "no Bell kind"))
+    expect = tmp_path / "declared.json"
+    expect.write_text(json.dumps(declared))
+    differ = cli_diff(SRC, changed, "--commands", commands, "--expect", expect)
+    # the report, then the problems and their count
+    assert differ.stdout.splitlines() == [
+        "2 commands, 1 differences",
+        "factorlab classify bell psi0 (exit code 2 vs 2)",
+        "  stderr -1: parse error: unknown Bell kind 'psi0'",
+        "  stderr +1: parse error: no Bell kind 'psi0'",
+        *([problem] if problem else []),
+        f"{len(declared)} declared differences, {1 if problem else 0} problems",
+    ]
+    assert differ.returncode == (1 if problem else 0)
 
 
 def test_default_list_covers_every_subcommand():

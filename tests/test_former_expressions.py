@@ -16,6 +16,12 @@ branch from one product by the d x d Fourier table instead of one product of
 each outcome's bra, ``weyl_basis_state(k, l, d).conj()``, with the joint
 vector.  Both sum the same d terms per entry, in another order and with phases
 computed apart, so the branches must agree within 4 d eps max|joint|.
+
+Nor is the concurrence: ``measures.concurrences`` takes the Wootters lambda_i
+as singular values of B^T (s_y(x)s_y) B, where the former kernel took square
+roots of the eigenvalues of sqrt(rho) rho~ sqrt(rho) and read those below
+ZERO_FLOOR as zero.  Each lambda_i it dropped was below sqrt(ZERO_FLOOR), so
+the two must agree within 4 sqrt(ZERO_FLOOR).
 """
 
 import warnings
@@ -24,10 +30,11 @@ import numpy as np
 import pytest
 
 from factorlab import protocols, states
-from factorlab.linalg import require, unitary_deviation
+from factorlab.linalg import ZERO_FLOOR, psd_sqrt, require, unitary_deviation
+from factorlab.measures import concurrences
 from factorlab.protocols import Isometry, OutcomeStack, _bell_step, _phase_distance, teleport_stack
 from factorlab.states import maxent_vectors, weyl_basis_state, weyl_indices, weyl_operator
-from conftest import haar_unitary, haar_vector
+from conftest import ginibre_density, haar_unitary, haar_vector
 
 
 def assert_same_bits(got, want):
@@ -69,6 +76,17 @@ def former_bell_branches(k, l, d, joint):
 
 def former_unitary_deviation(m):
     return np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-1])).max(axis=(-2, -1))
+
+
+def former_concurrences(m, tol):
+    yy = np.kron(states.PAULI[1], states.PAULI[1])
+    s = psd_sqrt(m, tol)
+    core = s @ (yy @ m.conj() @ yy) @ s
+    core = (core + np.swapaxes(core.conj(), -1, -2)) / 2.0
+    w = np.linalg.eigh(core)[0]
+    w[w < ZERO_FLOOR] = 0.0
+    lam = np.sqrt(w)
+    return np.clip(lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0], 0.0, 1.0)
 
 
 def complex_normal(rng, *shape):
@@ -129,6 +147,24 @@ class TestBellStepFourier:
             _, _, p, v, _ = _bell_step([k], [l], d, joint)
             assert_same_bits(p, probability[n:n + 1])
             assert_same_bits(v, normalized[n:n + 1])
+
+
+class TestFloorClippedConcurrence:
+    """The concurrence against the former floor-clipped one, within 4 sqrt(ZERO_FLOOR),
+    on stacks of every rank, on Bell-diagonal states with weights at 1e-12 to 1e-7
+    and on rho_theta up to pi/2, where C = sin(2 theta) falls below 1e-7."""
+
+    def test_stacks(self, rng):
+        chi = weyl_basis_state(*weyl_indices(2), 2)
+        weights = np.column_stack([rng.dirichlet(np.ones(3), size=200), 10.0 ** rng.uniform(-12, -7, 200)])
+        stacks = [
+            np.array([ginibre_density(rng, 4, rank=int(rng.integers(1, 5))) for _ in range(200)]),
+            (chi.T * (weights / weights.sum(axis=1, keepdims=True))[:, None, :]) @ chi.conj(),
+            states.rho_theta_matrices(np.pi / 2 - np.geomspace(1e-6, 1e-10, 200)),
+        ]
+        for m in stacks:
+            got = concurrences(states.validate_stack(m, 1e-9), 1e-9)
+            assert np.abs(got - former_concurrences(m, 1e-9)).max() <= 4 * np.sqrt(ZERO_FLOOR)
 
 
 class TestPhaseDistanceGather:

@@ -1,11 +1,13 @@
 """The kernels against the dense or separate computations they replace.
 
 ``states.bloch_coefficients`` reads each Pauli trace as a signed sum of four
-entries of m, and ``measures._spin_flip`` reads (s_y(x)s_y) m* (s_y(x)s_y) as
-a signed permutation of m*.  ``measures.concurrences`` builds sqrt(m) from the
-eigendecomposition that ``states.validate_stack`` returns, not from an
-``eigh`` of its own.  Each must equal the form written out below bit for bit,
-signed zeros included, on stacks of 1, 7 and 101 matrices of several kinds.
+entries of m, and ``measures.concurrences`` reads (s_y(x)s_y) B as a signed
+gather of the rows of B (``_YY_PERM``, ``_YY_SIGN``).  ``concurrences`` builds
+B = V diag(sqrt(w)) from the eigendecomposition that ``states.validate_stack``
+returns, not from an ``eigh`` of its own.  Each must equal the form written
+out below bit for bit, signed zeros included (the gather up to the sign of a
+zero, which a dense product with zero entries does not keep), on stacks of 1,
+7 and 101 matrices of several kinds.
 """
 
 import numpy as np
@@ -13,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlab import from_bloch, psd_sqrt, to_bloch
-from factorlab.measures import _spin_flip, concurrences
+from factorlab import from_bloch, to_bloch
+from factorlab.measures import _YY_PERM, _YY_SIGN, concurrences
 from factorlab.states import (
     PAULI,
     PAULI_PRODUCTS,
@@ -32,18 +34,13 @@ def dense_bloch_coefficients(m):
     return c.reshape(m.shape[:-2] + (4, 4))
 
 
-def dense_spin_flip(m):
-    return YY @ m.conj() @ YY
-
-
-def separate_concurrences(m, tol):
-    """The concurrence with a square root that decomposes m again (psd_sqrt)."""
-    s = psd_sqrt(m, tol=tol)
-    core = s @ dense_spin_flip(m) @ s
-    core = (core + np.swapaxes(core.conj(), -1, -2)) / 2.0
-    w = np.linalg.eigh(core)[0][..., ::-1].copy()
-    w[w < 1e-14] = 0.0
-    lam = np.sqrt(w)
+def separate_concurrences(m):
+    """The concurrence from an ``eigh`` of m of its own, eigenvalues descending,
+    and the dense product (s_y(x)s_y) B."""
+    w, v = np.linalg.eigh(m)
+    b = v[..., ::-1] * np.sqrt(w[..., ::-1].clip(0.0))[..., None, :]
+    tau = np.swapaxes(b, -1, -2) @ (YY @ b)
+    lam = np.linalg.svd(tau, compute_uv=False)
     c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     c = np.where(c > 0.0, c, 0.0)
     return np.where(c < 1.0, c, 1.0)
@@ -104,9 +101,12 @@ def test_bloch_coefficients_equal_dense_traces(kind, n):
 def test_spin_flip_equals_dense_product(kind, n):
     rng = np.random.default_rng(1000 + n)
     for _ in range(5):
-        m = kind(rng, n)
-        for stack in (m, m[0]):
-            got, want = _spin_flip(stack), dense_spin_flip(stack)
+        b = kind(rng, n)
+        for stack in (b, b[0]):
+            # (s_y(x)s_y) B as ``concurrences`` gathers it; + 0.0 turns an
+            # exact -0.0 into +0.0 on both sides
+            got = stack[..., _YY_PERM, :] * _YY_SIGN[:, None] + 0.0
+            want = YY @ stack + 0.0
             assert_bitwise_equal(got.real, want.real)
             assert_bitwise_equal(got.imag, want.imag)
 
@@ -118,12 +118,12 @@ def test_concurrence_reads_the_validated_decomposition(kind, n):
     for tol in (1e-9, 1e-12):
         m = kind(rng, n)
         for stack in (m, m[0]):
-            got = concurrences(stack, validate_stack(stack, tol), tol)
-            assert_bitwise_equal(got, separate_concurrences(stack, tol))
-        # a state's spectrum is a descending copy, reversed again to ascending
+            got = concurrences(validate_stack(stack, tol), tol)
+            assert_bitwise_equal(got, separate_concurrences(stack))
+        # a state's spectrum is a read-only copy of the same descending views
         rho = DensityMatrix(m[-1], (2, 2), tol)
-        got = concurrences(rho.matrix, rho.spectrum, tol)
-        assert_bitwise_equal(got, separate_concurrences(m[-1], tol))
+        got = concurrences(rho.spectrum, tol)
+        assert_bitwise_equal(got, separate_concurrences(m[-1]))
 
 
 @settings(max_examples=50, deadline=None)

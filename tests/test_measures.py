@@ -41,6 +41,10 @@ from conftest import (
     xstate_concurrence,
 )
 
+# How far a concurrence may sit from its closed form: a few hundred roundings
+# of one 4x4 eigensolve and one 4x4 singular-value solve.
+C_TOL = 64 * np.finfo(float).eps
+
 
 class TestPurityMixedness:
     def test_reference_values(self):
@@ -130,7 +134,7 @@ class TestConcurrence:
     def test_rho_theta_grid(self):
         for theta in np.linspace(0.0, np.pi / 2, 25):
             assert concurrence(rho_theta(theta)) == pytest.approx(
-                abs(np.sin(2 * theta)), abs=1e-8
+                abs(np.sin(2 * theta)), abs=C_TOL
             )
 
     def test_switched_rho_theta_grid(self):
@@ -138,7 +142,7 @@ class TestConcurrence:
         for theta in np.linspace(0.0, np.pi / 2, 25):
             expected = abs(np.cos(2 * theta))
             assert concurrence(conjugate(rho_theta(theta), u)) == pytest.approx(
-                expected, abs=1e-8
+                expected, abs=C_TOL
             )
 
     def test_gisin_closed_form(self):
@@ -157,22 +161,22 @@ class TestConcurrence:
         for _ in range(200):
             v = haar_vector(rng, 4)
             rho = DensityMatrix(np.outer(v, v.conj()), (2, 2))
-            assert concurrence(rho) == pytest.approx(pure_concurrence(v), abs=1e-8)
+            assert concurrence(rho) == pytest.approx(pure_concurrence(v), abs=C_TOL)
 
     @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_local_unitary_invariance(self, seed):
         rng = np.random.default_rng(seed)
         rho = random_density(rng, (2, 2))
         local = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
         switched = conjugate(rho, FactorizationSwitch(local, (2, 2), "local"))
-        assert concurrence(switched) == pytest.approx(concurrence(rho), abs=1e-8)
+        assert concurrence(switched) == pytest.approx(concurrence(rho), abs=C_TOL)
 
     def test_ppt_equivalence_two_qubits(self, rng):
         # Peres-Horodecki at 2x2: NPT iff positive concurrence.
         for _ in range(200):
             rho = random_density(rng, (2, 2), rank=int(rng.integers(1, 5)))
-            assert (ppt_check(rho).classification == "NPT") == (concurrence(rho) > 1e-7)
+            assert (ppt_check(rho).classification == "NPT") == (concurrence(rho) > 0.0)
 
     def test_requires_two_qubit_split(self, rng):
         with pytest.raises(Exception):
@@ -186,7 +190,7 @@ class TestConcurrence:
         rng = np.random.default_rng(seed)
         rho = random_density(rng, (2, 2), rank=int(rng.integers(1, 5)))
         verdict = ppt_check(rho)
-        assume(abs(verdict.min_pt_eigenvalue) >= 1e-6)
+        assume(abs(verdict.min_pt_eigenvalue) >= 1e-12)
         assert (verdict.classification == "PPT") == (concurrence(rho) == 0.0)
 
 

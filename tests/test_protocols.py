@@ -305,6 +305,26 @@ class TestStackedKernels:
             vectors = weyl_basis_state(k, l, d)
             assert (vectors == stack.transpose(0, 2, 1).reshape(d * d, -1) / np.sqrt(d)).all()
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_empty_lists_give_the_empty_stack_of_empty_integer_arrays(self, rng, d):
+        phi = haar_vector(rng, d)
+        i12 = Isometry(haar_unitary(rng, d), d)
+        i34 = Isometry(haar_unitary(rng, d), d)
+        calls = [lambda k, l: weyl_operator(k, l, d), lambda k, l: weyl_basis_state(k, l, d),
+                 lambda k, l: teleport_stack(phi, k, l), lambda k, l: swap_stack(k, l, i12, i34)]
+        none = np.array([], dtype=int)
+
+        def fields(result):
+            return list(vars(result).values()) if isinstance(result, OutcomeStack) else [result]
+        for call in calls:
+            for got, want in zip(fields(call([], [])), fields(call(none, none))):
+                if isinstance(want, np.ndarray):
+                    assert (got.shape[0], got.shape, got.dtype) == (0, want.shape, want.dtype)
+                else:
+                    assert got == want
+        with pytest.raises(ValueError, match=r"^indices \(k, l\) = \(0\.5, 0\) must be integers$"):
+            teleport_stack(phi, [0.5], [0])
+
     def test_weyl_operator_names_first_index_out_of_range(self):
         with pytest.raises(ValueError, match=r"\(k, l\) = \(1, 3\) out of range for d = 3"):
             weyl_operator([0, 1, 2], [1, 3, 4], 3)
