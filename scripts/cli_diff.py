@@ -38,7 +38,14 @@ script prints the number of commands and of differences in exit code, stdout
 or stderr, then each differing command with its two exit codes and the lines
 that differ (``-N:`` the old tree's stdout line N, ``+N:`` the new tree's;
 ``stderr -N:`` and ``stderr +N:`` the same for stderr); it exits 1 when there
-is a difference.
+is a difference.  On stderr it then prints one line per changed key or column
+over all commands (``changed KEY: N cells``), with the largest |difference| of
+its cells that are finite numbers in both trees; a cell changed to or from any
+other value (a number to null, say) is only counted.  A JSON stdout is compared
+by its keys (nested ones dotted, a list's items under the list's key), a
+``key,value`` CSV by the same dotted keys, another CSV by its header's columns,
+any other stdout (key ``stdout``) and stderr (key ``stderr``) line by line; the
+exit code has the key ``exit``.
 
 ``--expect FILE`` declares the differences a change makes on purpose.  FILE
 is a JSON list of ``{"argv", "exit", "stdout_sha256", "stderr_sha256"}``: a
@@ -55,9 +62,12 @@ landed.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import csv
 import difflib
 import hashlib
+import itertools
 import json
+import math
 import pathlib
 import shlex
 import subprocess
@@ -252,6 +262,84 @@ def changed_lines(old: str, new: str) -> list[str]:
     return out
 
 
+def _csv_cell(text: str):
+    """A CSV cell as a number, as a list when it holds several blank-separated
+    tokens (a matrix row, a split), or as its text."""
+    tokens = []
+    for token in text.split(" "):
+        try:
+            tokens.append(float(token))
+        except ValueError:
+            tokens.append(token)
+    return tokens[0] if len(tokens) == 1 else tokens
+
+
+def output_tree(text: str):
+    """A command's stdout as nested dicts and lists: JSON as parsed, a ``key,value``
+    CSV as dicts on its dotted keys, any other rectangular CSV as one dict per row,
+    anything else as its list of lines."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    rows = list(csv.reader(text.splitlines()))
+    if not rows or len(rows[0]) < 2 or any(len(row) != len(rows[0]) for row in rows):
+        return text.splitlines()
+    if rows[0] != ["key", "value"]:
+        return [dict(zip(rows[0], map(_csv_cell, row))) for row in rows[1:]]
+    tree = {}
+    for key, value in rows[1:]:
+        *parents, leaf = key.split(".")
+        node = tree
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = _csv_cell(value)
+    return tree
+
+
+_ABSENT = object()
+
+
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def changed_cells(old, new, key: str = ""):
+    """(key, |new - old| or None) for each cell that differs between two trees: dict
+    entries under ``key.name``, list items under the list's own key.  None stands
+    for a change that is not between two finite numbers."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for name in dict.fromkeys([*old, *new]):
+            yield from changed_cells(old.get(name, _ABSENT), new.get(name, _ABSENT),
+                                     f"{key}.{name}" if key else name)
+    elif isinstance(old, list) and isinstance(new, list):
+        for a, b in itertools.zip_longest(old, new, fillvalue=_ABSENT):
+            yield from changed_cells(a, b, key)
+    elif old != new:
+        yield key, abs(new - old) if _finite(old) and _finite(new) else None
+
+
+def summary_lines(old: list[list], new: list[list], differing: list[int]) -> list[str]:
+    """One line per key or column changed by the differing commands: its count of
+    changed cells and, where both cells of a change are finite numbers, the largest
+    |difference|."""
+    changes = {}
+    for i in differing:
+        (code_a, out_a, err_a), (code_b, out_b, err_b) = old[i], new[i]
+        cells = itertools.chain(
+            changed_cells(str(code_a), str(code_b), "exit"),
+            changed_cells(output_tree(out_a), output_tree(out_b)),
+            changed_cells(err_a.splitlines(), err_b.splitlines(), "stderr"))
+        for key, diff in cells:
+            changes.setdefault(key or "stdout", []).append(diff)
+    lines = []
+    for key, diffs in changes.items():
+        numbers = [diff for diff in diffs if diff is not None]
+        largest = f", largest |difference| {max(numbers):.3g}" if numbers else ""
+        lines.append(f"changed {key}: {len(diffs)} cells{largest}")
+    return lines
+
+
 def declared_entry(argv: list[str], result: list) -> dict:
     """The ``--expect`` entry of argv whose new tree gave [exit code, stdout, stderr]."""
     code, out, err = result
@@ -302,6 +390,8 @@ def main() -> int:
             print(f"  {line}")
         for line in changed_lines(err_a, err_b):
             print(f"  stderr {line}")
+    for line in summary_lines(old, new, differing):
+        print(line, file=sys.stderr)
     if args.expect is None:
         return 1 if differing else 0
     with open(args.expect, encoding="utf-8") as fh:

@@ -49,7 +49,7 @@ class CliParseError(Exception):
 # joint vector per swap; larger values are rejected before allocation.
 MAX_DIMENSION = 64
 MAX_QUDIT = math.isqrt(MAX_DIMENSION)
-# A state file is read whole before its split is checked, so its size is capped:
+# A state file is read whole before its split is checked, so the read is capped:
 # a 64 x 64 state takes 191 kB as ``json.dumps(state_to_dict(rho))``, 291 kB at
 # indent=4, and 1 MiB leaves room for any layout of one.
 MAX_STATE_FILE_BYTES = 1 << 20
@@ -137,11 +137,14 @@ def build_state(tokens: list[str], tol: float) -> DensityMatrix:
 
 def load_state_file(path: str, tol: float) -> DensityMatrix:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size > MAX_STATE_FILE_BYTES:
-                raise CliParseError(f"{path}: {size} bytes, above the cap {MAX_STATE_FILE_BYTES}")
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            # a 64 KiB read first: a read of the cap's size allocates a 1 MiB buffer
+            raw = fh.read(1 << 16)
+            if len(raw) == 1 << 16:
+                raw += fh.read(MAX_STATE_FILE_BYTES + 1 - len(raw))
+        if len(raw) > MAX_STATE_FILE_BYTES:
+            raise CliParseError(f"{path}: longer than the cap of {MAX_STATE_FILE_BYTES} bytes")
+        data = json.loads(raw.decode("utf-8"))
     except OSError as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -200,10 +200,11 @@ def split_bound_check(beta: float, d: int) -> bool:
 def maxent_weight(rho: DensityMatrix, tol: float = FLATNESS_TOL) -> float | None:
     """Weight of a detected maximally entangled projector in the spectral top.
 
-    If the eigenvector of the largest eigenvalue is maximally entangled (all
-    Schmidt coefficients equal within tol), the state splits as
-    beta * P + (1 - beta) * sigma with sigma orthogonal to P, and beta (the top
-    eigenvalue) is returned for use with split_bound_check.  Otherwise None.
+    If the largest eigenvalue leads the next by more than tol and its eigenvector
+    is maximally entangled (all Schmidt coefficients equal within tol), the state
+    splits as beta * P + (1 - beta) * sigma with sigma orthogonal to P, and beta
+    (the top eigenvalue) is returned for use with split_bound_check.  Otherwise
+    None: a degenerate top's eigenvector is the eigensolver's arbitrary pick.
     """
     beta = float(maxent_weights(rho.spectrum, rho.split[0], tol))
     return None if np.isnan(beta) else beta
@@ -211,7 +212,9 @@ def maxent_weight(rho: DensityMatrix, tol: float = FLATNESS_TOL) -> float | None
 
 def maxent_weights(spectrum: Spectrum, d: int, tol: float) -> np.ndarray:
     """maxent_weight of a matrix or of each matrix of a stack, split (d, d), from its
-    ``spectrum``: NaN where the top eigenvector is not maximally entangled or D != d * d."""
-    top, v = spectrum.values[..., 0], spectrum.vectors[..., :, 0]
-    flat = schmidt_flatness(v, d) <= tol if v.shape[-1] == d * d else False
-    return np.where(flat, top, np.nan)
+    ``spectrum``: NaN where the top eigenvalue leads the next by tol or less (a 1x1
+    has no next), its eigenvector is not maximally entangled within tol, or D != d * d."""
+    w, v = spectrum.values, spectrum.vectors[..., :, 0]
+    lead = w[..., 0] - w[..., 1] if w.shape[-1] > 1 else np.inf
+    found = (lead > tol) & (schmidt_flatness(v, d) <= tol) if v.shape[-1] == d * d else False
+    return np.where(found, w[..., 0], np.nan)

@@ -47,6 +47,7 @@ computations.  ``teleport``/``swap`` are a batch of one,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,15 +147,24 @@ class OutcomeStack:
             f"outcome {self.indices[n].tolist()}: fidelity {float(f[n])} != 1"))
 
     def outcomes(self) -> list[BellMeasurementOutcome]:
-        """One BellMeasurementOutcome per row.  Its correction's map is not checked again:
-        the kernel that built the stack checked every map's unitarity within UNITARY_TOL."""
+        """One BellMeasurementOutcome per row, its correction an ``Isometry`` checked as any
+        other: a map that is not unitary within UNITARY_TOL raises ValueError."""
+        return self._outcomes(Isometry)
+
+    def _outcomes(self, isometry) -> list[BellMeasurementOutcome]:
+        """``outcomes`` with each correction built as isometry(map=, d=, label=)."""
         return [
-            BellMeasurementOutcome((k, l), p, state, _prechecked(Isometry, map=m, d=self.d, label=label), f)
+            BellMeasurementOutcome((k, l), p, state, isometry(map=m, d=self.d, label=label), f)
             for (k, l), p, state, m, f, label in zip(
                 self.indices.tolist(), self.probabilities.tolist(), self.post_states,
                 self.maps, self.fidelities.tolist(), self.labels,
             )
         ]
+
+
+# The corrections of a stack that teleport_stack or swap_stack returned: the kernel
+# checked the unitarity of every map on the whole stack, in one unitary_deviation.
+_kernel_checked = functools.partial(_prechecked, Isometry)
 
 
 def maxent_from_isometry(iso: Isometry) -> np.ndarray:
@@ -309,14 +319,14 @@ def teleport(
     Returns Bob's state, the correction and the branch probability.
     """
     k, l = alice_outcome
-    (out,) = teleport_stack(phi, [k], [l]).outcomes()
+    (out,) = teleport_stack(phi, [k], [l])._outcomes(_kernel_checked)
     return out.post_state, out.correction, out.probability
 
 
 def teleport_outcomes(phi: np.ndarray) -> list[BellMeasurementOutcome]:
     """Exhaustive teleportation trace over all d^2 measurement outcomes."""
     phi = np.asarray(phi).reshape(-1)
-    return teleport_stack(phi, *weyl_indices(phi.size)).outcomes()
+    return teleport_stack(phi, *weyl_indices(phi.size))._outcomes(_kernel_checked)
 
 
 def swap_stack(k, l, i12: Isometry, i34: Isometry) -> OutcomeStack:
@@ -365,10 +375,10 @@ def swap(
     Returns the (1, 4) pair state and the isometry extracted from it.
     """
     k, l = alice_outcome
-    (out,) = swap_stack([k], [l], i12, i34).outcomes()
+    (out,) = swap_stack([k], [l], i12, i34)._outcomes(_kernel_checked)
     return out.post_state, out.correction
 
 
 def swap_outcomes(i12: Isometry, i34: Isometry) -> list[BellMeasurementOutcome]:
     """Exhaustive swapping trace over all d^2 Bell outcomes on the (2, 3) pair."""
-    return swap_stack(*weyl_indices(i12.d), i12, i34).outcomes()
+    return swap_stack(*weyl_indices(i12.d), i12, i34)._outcomes(_kernel_checked)

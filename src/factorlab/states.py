@@ -13,7 +13,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    FLATNESS_TOL,
     MAXENT_TOL,
     ZERO_FLOOR,
     DimensionMismatchError,
@@ -159,16 +158,14 @@ def _switched_state(rho: DensityMatrix, u: np.ndarray, m: np.ndarray, tol: float
     every eigenvalue of m within rounding noise, D * ZERO_FLOOR, of w and at or
     above -tol.  The noise bound keeps w as close to m's eigenvalues as a fresh
     ``eigh`` would be (a U up to UNITARY_TOL from unitary fails it, for one).
-    Two cases keep the fresh ``eigh``:
-    a (2, 2) split, since the concurrence reads every eigenvector (through
-    B = V diag(sqrt(w))) and carried ones would move its last digits off those of
-    a sweep, whose switched stacks are decomposed afresh; and a top eigenvalue
-    within FLATNESS_TOL of the next, since ``maxent_weight`` reads its eigenvector.
+    A (2, 2) split keeps the fresh ``eigh``, since the concurrence reads every
+    eigenvector (through B = V diag(sqrt(w))) and carried ones would move its last
+    digits off those of a sweep, whose switched stacks are decomposed afresh.
     There, and whenever a check fails, the result is
     DensityMatrix(m, rho.split, tol), so every error is validation's own.
     """
     w = rho.spectrum.values
-    if rho.split != (2, 2) and rho.dim > 1 and w[0] - w[1] > FLATNESS_TOL:
+    if rho.split != (2, 2):
         v = u @ rho.spectrum.vectors
         dev, _, ok = _screen(m, tol)
         b = _carry_bound(m, w, v, dev) if ok else np.inf

@@ -3,8 +3,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import pathlib
 import runpy
+import subprocess
 import sys
 import warnings
 
@@ -27,6 +29,8 @@ from factorlab.cli import (
     run_sweep,
 )
 from conftest import ginibre_density, haar_unitary, haar_vector, random_density
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -131,12 +135,28 @@ class TestClassify:
             return
 
         def must_not_parse(*args, **kwargs):
-            raise AssertionError("json.load called above the cap")
+            raise AssertionError("json.loads called above the cap")
 
-        monkeypatch.setattr(cli.json, "load", must_not_parse)
-        size = cli.MAX_STATE_FILE_BYTES + 1
+        monkeypatch.setattr(cli.json, "loads", must_not_parse)
         assert run(capsys, "classify", "file", str(path)) == (
-            2, "", f"parse error: {path}: {size} bytes, above the cap {cli.MAX_STATE_FILE_BYTES}\n")
+            2, "", f"parse error: {path}: longer than the cap of {cli.MAX_STATE_FILE_BYTES} bytes\n")
+
+    def test_file_size_cap_bounds_a_pipe(self):
+        # a pipe has no size to check up front: the read itself stops past the cap
+        text = " " * (2 << 20) + json.dumps(fl.state_to_dict(fl.tracial(4)))
+        done = subprocess.run([sys.executable, "-m", "factorlab.cli", "classify", "file", "/dev/stdin"],
+                              input=text, capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"parse error: /dev/stdin: longer than the cap of "
+                               f"{cli.MAX_STATE_FILE_BYTES} bytes\n")
+
+    def test_file_not_utf8_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_bytes(b'\xff{"split": [2, 2]}')
+        assert run(capsys, "classify", "file", str(path)) == (
+            1, "", "validation error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n")
 
     def test_file_state_checked_at_the_given_tol(self, capsys, tmp_path):
         # Hermitian to 1e-7 only: accepted at --tol 1e-6, and every spectral
@@ -604,6 +624,12 @@ class TestInputBoundary:
     def test_zero_tol_is_accepted(self, capsys):
         code, _, _ = run(capsys, "--tol", "0", "classify", "tracial", "4")
         assert code == 0
+
+    def test_zero_pt_minimum_is_ppt_at_zero_tol(self, capsys):
+        # |00><00|: its partial transpose has minimum exactly 0.0, which is not below -0
+        code, out, _ = run(capsys, "--tol", "0", "classify", "ghz-traced", "0", "--format", "csv")
+        assert code == 0
+        assert "ppt.classification,PPT\nppt.min_pt_eigenvalue,0\n" in out
 
     def test_sweep_num_cap(self, capsys):
         SweepSpec(family="werner", start=0.0, stop=1.0, num=MAX_SWEEP_POINTS)

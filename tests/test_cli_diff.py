@@ -61,6 +61,53 @@ def test_reports_every_changed_line(tmp_path):
     ]
 
 
+def test_summary_counts_changed_cells_per_key(tmp_path):
+    # the report on stdout is as before; stderr sums the changes up by key
+    commands = tmp_path / "commands.txt"
+    commands.write_text("classify werner 0.5\nclassify narnhofer --format csv\nclassify bell psi0\n")
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    cli = changed / "factorlab" / "cli.py"
+    text = cli.read_text().replace('rows: 1.0 - rows["purity"]),', 'rows: 0.25 + 0.0 * rows["purity"]),')
+    cli.write_text(text.replace("unknown Bell kind", "no Bell kind"))
+    differ = cli_diff(SRC, changed, "--commands", commands)
+    assert differ.stdout.splitlines()[0] == "3 commands, 3 differences"
+    # mixedness 0.5625 -> 0.25 in JSON, 0.5 -> 0.25 in key,value CSV
+    assert differ.stderr.splitlines() == [
+        "changed mixedness: 2 cells, largest |difference| 0.312",
+        "changed stderr: 1 cells",
+    ]
+
+
+def test_summary_reads_each_output_form():
+    script = runpy.run_path(str(SCRIPT))
+    table = "alpha,C,split\n0,0.5,2 2\n1,0.25,2 2\n"
+    old = [
+        [0, table, ""],
+        [0, '{"split_bound": {"beta": 0.5, "entangled": false}, "rows": [{"p": 0.25}, {"p": 0.5}]}', ""],
+        [2, "usage: factorlab classify\n", ""],
+        [2, "", "parse error: x\n"],
+    ]
+    new = [
+        [0, table.replace("0.25", "None").replace("0,0.5", "0,0.5000001").replace("2 2\n1", "2 3\n1"), ""],
+        [0, '{"split_bound": null, "rows": [{"p": 0.25}, {"p": 0.5}, {"p": 1.0}]}', ""],
+        [2, "usage: factorlab sweep\n", ""],
+        ["SystemExit(2)", "", "parse error: y\n"],
+    ]
+    assert script["summary_lines"](old, new, [0, 1, 2, 3]) == [
+        # a table's columns, blank-separated cells item by item, a number to None counted only
+        "changed C: 2 cells, largest |difference| 1e-07",
+        "changed split: 1 cells, largest |difference| 1",
+        # a JSON object to null; a longer list's extra item
+        "changed split_bound: 1 cells",
+        "changed rows: 1 cells",
+        # lines that are not a rectangular CSV, compared line by line
+        "changed stdout: 1 cells",
+        "changed exit: 1 cells",
+        "changed stderr: 1 cells",
+    ]
+
+
 def test_reports_changed_stderr(tmp_path):
     commands = tmp_path / "commands.txt"
     commands.write_text("classify bell psi0\nclassify bell psi+\n")

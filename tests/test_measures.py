@@ -25,9 +25,11 @@ from factorlab import (
     rho_theta,
     split_bound_check,
     tracial,
+    u2_ghz,
     u_switch,
     vn_entropy,
     werner,
+    weyl_basis_state,
 )
 from factorlab.linalg import DEFAULT_TOL
 from factorlab.measures import abs_separables, kz_ball_members, purities
@@ -131,6 +133,16 @@ class TestPpt:
 
 
 class TestConcurrence:
+    def test_bell_images_stay_at_most_one(self, rng):
+        # about one in six local-unitary images of a Bell state has l1 - l2 - l3 - l4
+        # a few eps above 1 before the clamp
+        for kind in ("psi+", "psi-", "phi+", "phi-"):
+            bell = bell_state(kind).matrix
+            for _ in range(750):
+                u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+                c = concurrence(DensityMatrix(u @ bell @ u.conj().T, (2, 2)))
+                assert 1.0 - C_TOL <= c <= 1.0
+
     def test_rho_theta_grid(self):
         for theta in np.linspace(0.0, np.pi / 2, 25):
             assert concurrence(rho_theta(theta)) == pytest.approx(
@@ -219,6 +231,10 @@ class TestKzBall:
         m = np.ones((3, 1, 1))
         assert kz_ball_members(m, DEFAULT_TOL, purities(m)).tolist() == [True] * 3
 
+    def test_purity_on_the_bound_is_a_member(self):
+        # Tr rho^2 = 1/(D - 1) exactly, at tol 0: the bound is inclusive
+        assert kz_ball_members(np.eye(4) / 4, 0.0, np.array(1 / 3))
+
     def test_reference_memberships(self):
         assert kz_ball_member(tracial(4))
         assert kz_ball_member(werner(1 / 3))  # boundary
@@ -274,6 +290,12 @@ class TestAbsSep:
         stack /= stack.sum(axis=1, keepdims=True)
         assert abs_separables(stack, tol).tolist() == [abs_sep_2x2(q, tol) for q in stack]
 
+    def test_left_side_equal_to_tol_passes(self):
+        # p1 - p3 - 2 sqrt(p2 p4) <= tol is inclusive: tol set to the left side itself
+        p = np.array([1 / 2, 1 / 6, 1 / 6, 1 / 6])
+        lhs = p[0] - p[2] - 2.0 * math.sqrt(p[1] * p[3])
+        assert abs_separables(p, lhs)
+
     def test_positive_verdict_implies_ppt_under_unitaries(self, rng):
         spectrum = np.array([0.47, 0.30, 0.13, 0.10])
         assert abs_sep_2x2(spectrum)
@@ -307,3 +329,46 @@ class TestMaxentWeight:
     def test_product_dominated_state_gives_none(self):
         m = 0.9 * product_state(0, 1).matrix + 0.1 * np.eye(4) / 4
         assert maxent_weight(DensityMatrix(m, (2, 2))) is None
+
+    @staticmethod
+    def assert_local_unitary_invariant(rho, rng, images=10):
+        """split_bound (None, or beta and its verdict) is the same on rho and on
+        (U_A (x) U_B) rho (U_A (x) U_B)^dagger for random U_A, U_B."""
+        d = rho.split[0]
+        want = maxent_weight(rho)
+        for _ in range(images):
+            u = np.kron(haar_unitary(rng, d), haar_unitary(rng, d))
+            got = maxent_weight(DensityMatrix(u @ rho.matrix @ u.conj().T, rho.split))
+            assert (got is None) == (want is None), (want, got)
+            if want is not None:
+                assert got == pytest.approx(want, abs=8 * np.finfo(float).eps)
+                assert split_bound_check(got, d) == split_bound_check(want, d)
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+           kind=st.sampled_from(["ginibre", "weyl-diagonal", "tied-top"]))
+    @settings(max_examples=60, deadline=None)
+    def test_split_bound_is_local_unitary_invariant(self, seed, d, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "ginibre":
+            rho = random_density(rng, (d, d))
+        else:
+            # diagonal in a locally rotated Weyl basis, every eigenvector maximally entangled
+            p = rng.dirichlet(np.ones(d * d))
+            if kind == "tied-top":
+                p[:2] = p.max()
+                p /= p.sum()
+            u = np.kron(haar_unitary(rng, d), haar_unitary(rng, d))
+            w = u @ np.array([weyl_basis_state(k, l, d) for k in range(d) for l in range(d)]).T
+            rho = DensityMatrix((w * p) @ w.conj().T, (d, d))
+            assert (maxent_weight(rho) is None) == (kind == "tied-top")
+        self.assert_local_unitary_invariant(rho, rng)
+
+    def test_degenerate_tops_give_none_in_every_basis(self, rng):
+        # in a degenerate top eigenspace the eigensolver picks the vector: narnhofer's
+        # (0.5 at 2x2 in the standard basis), u2-ghz on ghz-traced at pi/4 (a lead
+        # of 3e-12), and the qutrit 0.4 P_00 + 0.4 P_12 + 0.2 P_21 (0.4 > 1/3)
+        p = lambda k, l: np.outer(weyl_basis_state(k, l, 3), weyl_basis_state(k, l, 3).conj())
+        qutrit = DensityMatrix(0.4 * p(0, 0) + 0.4 * p(1, 2) + 0.2 * p(2, 1), (3, 3))
+        for rho in (narnhofer(), conjugate(ghz_traced(0.7853981634), u2_ghz()), qutrit):
+            assert maxent_weight(rho) is None
+            self.assert_local_unitary_invariant(rho, rng, images=20)

@@ -9,6 +9,7 @@ from factorlab import (
     Isometry,
     ProtocolCheckError,
     bell_vector,
+    is_unitary,
     isometry_of_maxent,
     maxent_from_isometry,
     partial_trace,
@@ -503,6 +504,14 @@ class TestOutcomeLaws:
         assert len(held.labels) == len(held.indices) == 4
         with pytest.raises(ValueError, match=r"^OutcomeStack labels has shape \(\), expected \(4,\)$"):
             dataclasses.replace(stack, labels="".join(s[0] for s in stack.labels))
+
+    def test_outcomes_check_each_map(self):
+        # a hand-built stack: OutcomeStack checks no map, outcomes() checks each as Isometry does
+        stack = OutcomeStack(2, [[0, 0]], [0.25], [[1, 0]], 2 * np.eye(2)[None], [1.0], ("x",))
+        with pytest.raises(ValueError, match=r"^isometry matrix must be unitary$"):
+            stack.outcomes()
+        (out,) = dataclasses.replace(stack, maps=np.eye(2)[None]).outcomes()
+        assert out.correction.label == "x" and is_unitary(out.correction.map)
 
     def test_probability_is_checked_before_fidelity(self, rng):
         stack = teleport_stack(haar_vector(rng, 2), *weyl_indices(2))

@@ -23,6 +23,7 @@ from factorlab import (
     gisin_unitary_family,
     herm_eigensystem,
     identity_switch,
+    maxent_weight,
     named_switch,
     narnhofer,
     narnhofer_unitary,
@@ -528,8 +529,9 @@ class TestCarriedSpectrum:
     proves it, and validates the switched matrix afresh everywhere else."""
 
     @staticmethod
-    def fallback_cases(rng):
-        """name -> (rho, switch, tol): each must take exactly today's path."""
+    def cases(rng):
+        """name -> (rho, switch, tol): a degenerate top carries, every other case
+        must take exactly today's path."""
         q = haar_unitary(rng, 9)
         # a scaled unitary: max |U U^dagger - 1| = 2 eps + eps^2 just under UNITARY_TOL,
         # so the switched eigenvalues sit about 1e-10 from rho's
@@ -550,11 +552,20 @@ class TestCarriedSpectrum:
                           haar9, 1e-10),
         }
 
-    @pytest.mark.parametrize("name", ["degenerate-top-tracial", "degenerate-top-rotated",
-                                      "qubit-pair", "near-unitary-tol", "negative-eigenvalue",
+    @pytest.mark.parametrize("name", ["degenerate-top-tracial", "degenerate-top-rotated"])
+    def test_degenerate_top_carries(self, rng, solves_in, name):
+        # maxent_weight itself declines a degenerate top, so conjugate need not guard it
+        rho, switch, tol = self.cases(rng)[name]
+        moved, counts = solves_in(lambda: conjugate(rho, switch, tol=tol))
+        assert counts == {"eigh": 0, "eigvalsh": 0}
+        np.testing.assert_array_equal(moved.spectrum.values, rho.spectrum.values)
+        np.testing.assert_array_equal(moved.spectrum.vectors, switch.unitary @ rho.spectrum.vectors)
+        assert maxent_weight(rho) is None and maxent_weight(moved) is None
+
+    @pytest.mark.parametrize("name", ["qubit-pair", "near-unitary-tol", "negative-eigenvalue",
                                       "trace-off"])
     def test_fallback_validates_as_today(self, rng, solves_in, name):
-        rho, switch, tol = self.fallback_cases(rng)[name]
+        rho, switch, tol = self.cases(rng)[name]
         m = conjugated(rho.matrix, switch)
         try:
             expected = DensityMatrix(m, rho.split, tol=tol)
