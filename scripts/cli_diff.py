@@ -113,6 +113,7 @@ FAILING = [
     *(["classify", "file", str(TESTS / "data" / name)]
       for name in ("split_negative.json", "split_zero.json")),
     ["classify", "file", "/no/such.json"],
+    ["classify", "file", "/dev/zero"],  # past cli.MAX_STATE_FILE_BYTES
     ["classify", "file"],
     *(["sweep", family, "--theta", "nan", "--start", "0", "--stop", "1", "--num", "3"]
       for family in ("gisin", "werner")),

@@ -35,7 +35,6 @@ from .states import (
     _switched_state,
     bell_vector,
     gisin_matrices,
-    maxent_vectors,
     mix_with_diagonal,
     projectors,
     require_dimension,
@@ -170,29 +169,33 @@ def narnhofer_unitary() -> FactorizationSwitch:
     return FactorizationSwitch(u, (2, 2), "narnhofer")
 
 
-def _schmidt_product_frame(psi: np.ndarray, split: tuple[int, int]):
-    """The unitary rotating the Schmidt product frame onto the computational
-    one, and the image of psi under it: the Schmidt coefficients at |kk>."""
+def _schmidt_switch(psi: np.ndarray, split: tuple[int, int], target: np.ndarray,
+                    description: str) -> FactorizationSwitch:
+    """Switch sending psi to -target, a real nonnegative unit vector on the |kk>.
+
+    The Schmidt frame is rotated onto the computational products, which puts
+    psi's Schmidt coefficients c at the |kk>; then one real Householder
+    reflection 1 - 2 w w^T / w^T w on those entries, w = c + target, sends c
+    to -target.  c and target are nonnegative, so w^T w >= 2.
+    """
     sd = schmidt_decompose(psi, split)
     d1, d2 = split
     left = extend_to_unitary(sd.left_basis) if sd.left_basis.shape[1] < d1 else sd.left_basis
     right = extend_to_unitary(sd.right_basis) if sd.right_basis.shape[1] < d2 else sd.right_basis
-    frame = np.kron(left, right)
-    diag = np.zeros(d1 * d2, dtype=complex)
-    diag[np.arange(sd.coefficients.size) * (d2 + 1)] = sd.coefficients
-    return frame.conj().T, diag
+    u = np.kron(left, right).conj().T
+    rows = np.arange(sd.coefficients.size) * (d2 + 1)
+    w = sd.coefficients + target
+    u[rows] -= np.outer(w * (2.0 / (w @ w)), w @ u[rows])
+    return FactorizationSwitch(u, split, description)
 
 
 def pure_to_product(psi: np.ndarray, split: tuple[int, int]) -> FactorizationSwitch:
     """Switch under which the given pure vector becomes a product vector.
 
-    Built from the Schmidt bases: the Schmidt frame is rotated onto the
-    computational products and the resulting diagonal vector is mapped to the
-    |0>(x)|0> anchor, so U psi = |00...> up to a global phase.
+    One Householder reflection in the Schmidt frame (``_schmidt_switch``)
+    sends psi to -|00...>: the product vector up to the global phase -1.
     """
-    to_computational, diag = _schmidt_product_frame(psi, split)
-    anchor = extend_to_unitary(diag).conj().T  # sends diag -> e0 = |0>(x)|0>
-    return FactorizationSwitch(anchor @ to_computational, split, "pure-to-product")
+    return _schmidt_switch(psi, split, np.eye(min(split))[0], "pure-to-product")
 
 
 def _equal_factors(split: tuple[int, int]) -> int:
@@ -206,14 +209,12 @@ def _equal_factors(split: tuple[int, int]) -> int:
 def pure_to_maxent(psi: np.ndarray, split: tuple[int, int]) -> FactorizationSwitch:
     """Switch under which the given pure vector becomes maximally entangled.
 
-    Requires equal factor dimensions; the Schmidt coefficient vector is rotated
-    onto the flat vector (1/sqrt(d)) sum_k |kk>.
+    Requires equal factor dimensions.  One Householder reflection in the
+    Schmidt frame (``_schmidt_switch``) sends psi to -(1/sqrt(d)) sum_k |kk>:
+    the maximally entangled vector up to the global phase -1.
     """
     d = _equal_factors(split)
-    to_computational, diag = _schmidt_product_frame(psi, split)
-    flat = maxent_vectors(np.eye(d, dtype=complex))
-    u = extend_to_unitary(flat) @ extend_to_unitary(diag).conj().T
-    return FactorizationSwitch(u @ to_computational, split, "pure-to-maxent")
+    return _schmidt_switch(psi, split, np.full(d, 1.0 / np.sqrt(d)), "pure-to-maxent")
 
 
 def separabilize(rho: DensityMatrix) -> FactorizationSwitch:

@@ -28,6 +28,24 @@ def random_density(rng, split, rank=None):
     return DensityMatrix(ginibre_density(rng, d1 * d2, rank), split)
 
 
+def solver_calls(monkeypatch, names):
+    """A dict that counts the calls of each numpy.linalg solver in ``names``."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def solve(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return solve
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    return calls
+
+
 def pure_concurrence(v):
     """Independent oracle: concurrence of a pure two-qubit vector (a,b,c,d)
     is 2 |ad - bc|."""

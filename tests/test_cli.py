@@ -28,7 +28,7 @@ from factorlab.cli import (
     main,
     run_sweep,
 )
-from conftest import ginibre_density, haar_unitary, haar_vector, random_density
+from conftest import ginibre_density, haar_unitary, haar_vector, random_density, solver_calls
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -856,33 +856,15 @@ class TestSolveBudget:
             "sweep-default-outputs", "protocol-swap", "protocol-teleport",
             *(f"protocol-swap-d{d}" for d in range(2, 8))])
     def test_solver_calls_per_command(self, capsys, monkeypatch, argv, budget):
-        calls = self.counted(monkeypatch, budget)
+        calls = solver_calls(monkeypatch, budget)
         assert run(capsys, *argv)[0] == 0
         assert calls == budget
 
     def test_isometry_of_maxent_runs_no_svd(self, monkeypatch):
         v = fl.weyl_basis_state(1, 1, 3)
-        calls = self.counted(monkeypatch, {"svd": 0})
+        calls = solver_calls(monkeypatch, {"svd": 0})
         fl.isometry_of_maxent(v, 3)
         assert calls == {"svd": 0}
-
-    @staticmethod
-    def counted(monkeypatch, budget):
-        """A dict that counts the calls of each numpy.linalg solver in ``budget``."""
-        calls = dict.fromkeys(budget, 0)
-
-        def counted(name):
-            original = getattr(np.linalg, name)
-
-            def solve(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return solve
-
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counted(name))
-        return calls
 
 
 _EVERY_GISIN_COMPARE = ("sweep", "gisin_compare", "--theta", "0.35", "--start", "0", "--stop", "1",

@@ -179,6 +179,7 @@ def test_default_list_covers_every_subcommand():
         assert argv in failing
     assert ["classify", "tracial", "6"] in failing
     assert ["classify", "file", "/no/such.json"] in failing
+    assert ["classify", "file", "/dev/zero"] in failing  # the size cap
     assert ["classify", "file"] in failing
     assert ["sweep", "werner", "--start", "1", "--stop", "0", "--num", "3"] in failing
     commands = commands[len(failing):]

@@ -52,9 +52,10 @@ from factorlab import cli, states, transforms
 from factorlab.linalg import DEFAULT_TOL, ZERO_FLOOR, hermitian_deviation
 from factorlab.states import I2, PAULI, StateValidationError
 from factorlab.transforms import FactorizationSwitch, conjugated
-from conftest import ginibre_density, haar_unitary, haar_vector, random_density
+from conftest import ginibre_density, haar_unitary, haar_vector, random_density, solver_calls
 
 SX, SY, SZ = PAULI
+EPS = np.finfo(float).eps
 THETAS = np.linspace(0.0, np.pi / 2, 13)
 
 
@@ -391,6 +392,47 @@ class TestPureStateSwitches:
     def test_maxent_requires_square_split(self, rng):
         with pytest.raises(DimensionMismatchError):
             pure_to_maxent(haar_vector(rng, 6), (2, 3))
+
+    @staticmethod
+    def inputs(rng, split):
+        """(label, vector): Haar vectors, a product vector, a Weyl basis state
+        times a random phase (equal splits), and a vector whose two largest
+        Schmidt coefficients are equal, in random local frames."""
+        d1, d2 = split
+        for i in range(5):
+            yield f"haar-{i}", haar_vector(rng, d1 * d2)
+        yield "product", np.kron(haar_vector(rng, d1), haar_vector(rng, d2))
+        if d1 == d2:
+            yield "weyl", weyl_basis_state(1, d1 - 1, d1) * np.exp(2j * np.pi * rng.uniform())
+        r = min(split)
+        coefficients = np.sort(rng.uniform(0.1, 1.0, r))[::-1]
+        coefficients[1] = coefficients[0]
+        schmidt = np.zeros((d1, d2))
+        schmidt[np.arange(r), np.arange(r)] = coefficients / np.linalg.norm(coefficients)
+        yield "repeated", (haar_unitary(rng, d1) @ schmidt @ haar_unitary(rng, d2).T).reshape(-1)
+
+    @pytest.mark.parametrize("split", [*((d, d) for d in range(2, 9)), (2, 3), (3, 2), (2, 4)])
+    def test_switches_reach_their_targets_up_to_minus_one(self, rng, split):
+        # the target's own overlap is the oracle: <target|U psi> = -1 within a few D eps
+        d1, d2 = split
+        bound = 4 * d1 * d2 * EPS
+        flat = np.eye(d1).reshape(-1) / np.sqrt(d1)
+        for label, v in self.inputs(rng, split):
+            out = pure_to_product(v, split).unitary @ v
+            assert abs(out[0] + 1.0) <= bound, label
+            if d1 == d2:
+                out = pure_to_maxent(v, split).unitary @ v
+                assert abs(np.vdot(flat, out) + 1.0) <= bound, label
+                assert states.schmidt_flatness(out, d1) <= bound, label
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("build", [pure_to_maxent, pure_to_product])
+    def test_one_svd_and_no_qr(self, rng, monkeypatch, build, d):
+        # the Schmidt decomposition is the only factorization; no unitary completion
+        v = haar_vector(rng, d * d)
+        calls = solver_calls(monkeypatch, ("svd", "qr"))
+        build(v, (d, d))
+        assert calls == {"svd": 1, "qr": 0}
 
 
 class TestWernerSwitched:
