@@ -9,8 +9,8 @@ OLD_SRC and NEW_SRC are directories holding the ``factorlab`` package (the
 default command list covers every subcommand: failing commands (an
 unwritable ``--out``, a negative ``protocol --seed``, a repeated ``sweep
 --outputs`` name, one malformed parameter list per state family, state files
-whose split is not two positive integers, a missing and an unreadable state
-file, a non-finite ``sweep --theta``, a reversed ``sweep`` grid, a
+whose split is not two positive integers or that are not a JSON object (a
+list, null), a missing and an unreadable state file, a non-finite ``sweep --theta``, a reversed ``sweep`` grid, a
 ``tracial`` dimension that is not a perfect square), then argparse-level
 cases, some of which parse (an unknown option and ``--tol`` after the
 subcommand; the abbreviated and ``=`` forms of ``--format``, ``--start`` and
@@ -19,7 +19,8 @@ missing argument, a missing value, an invalid value and an invalid choice;
 ``classify -h`` and ``protocol swap --d 3 -h``; an unknown subcommand, a
 bare ``--tol 0.1`` and ``--tol x classify werner 0.5``); ``classify`` of every
 state family at several parameters, in JSON and CSV (``file`` reads
-``tests/golden/state.json``); ``transform`` with every switch on ten
+``tests/golden/state.json``; ``rho-theta`` at 0.785399 and 0.7853984 lies
+near pi/4, where ``split_bound`` detects its projector at one only); ``transform`` with every switch on ten
 states, in JSON and CSV (among them the degenerate tops of ``narnhofer``,
 ``tracial 4``, ``werner 0`` and ``ghz-traced`` at pi/4), and the theta
 switches at the edges of their rotation (``ROTATION_EDGES``) on one state;
@@ -31,8 +32,10 @@ family with every measure at ``--tol 0`` and ``--tol 1e-16``;
 2100 commands); and ``classify weyl k l d`` for every 0 <= k, l < d <= 8.
 ``--commands FILE`` replaces the list with one command per line
 (``factorlab`` arguments, shell quoting).  Each tree runs every command
-through ``factorlab.cli.main`` in one child interpreter, so the list also
-checks that one process can serve every subcommand in turn; an uncaught
+through ``factorlab.cli.main`` in one child interpreter started in the
+repository root (a relative path in a command is read from there; the default
+list's paths are relative, so its commands and outputs do not depend on where
+the repository lies), so the list also checks that one process can serve every subcommand in turn; an uncaught
 exception (or an argparse exit) is recorded in place of the exit code.  The
 script prints the number of commands and of differences in exit code, stdout
 or stderr, then each differing command with its two exit codes and the lines
@@ -94,7 +97,11 @@ json.dump(results, sys.stdout)
 """
 
 
-TESTS = pathlib.Path(__file__).resolve().parents[1] / "tests"
+# Both trees run in the repository root, and the default list names its files
+# relative to it, so that its commands and their messages do not depend on
+# where the repository lies.
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TESTS = pathlib.Path("tests")
 STATE_FILE = TESTS / "golden" / "state.json"
 
 # Commands that fail at the input boundary; the --out path lies below a file,
@@ -111,7 +118,8 @@ FAILING = [
     )),
     ["classify", "tracial", "6"],
     *(["classify", "file", str(TESTS / "data" / name)]
-      for name in ("split_negative.json", "split_zero.json")),
+      for name in ("split_negative.json", "split_zero.json", "not_object_list.json",
+                   "not_object_null.json")),
     ["classify", "file", "/no/such.json"],
     ["classify", "file", "/dev/zero"],  # past cli.MAX_STATE_FILE_BYTES
     ["classify", "file"],
@@ -157,6 +165,9 @@ CLASSIFY_SOURCES = [
     ["narnhofer"],
     *(["tracial", dim] for dim in ("1", "4", "9", "16", "25", "36", "49", "64")),
     *(["rho-theta", theta] for theta in ("0", "0.06421052631578948", "0.6", "1.5707963")),
+    # pi/4 + 8.4e-7 and pi/4 + 2.4e-7: the top eigenvector's Schmidt coefficients are
+    # equal within FLATNESS_TOL at both, its map unitary within it at the second only
+    *(["rho-theta", theta] for theta in ("0.785399", "0.7853984")),
     ["weyl", "1", "2", "3"],
     ["file", str(STATE_FILE)],
 ]
@@ -245,8 +256,8 @@ def default_commands(seeds: int) -> list[list[str]]:
 
 def run_tree(src: str, commands: list[list[str]]) -> list[list]:
     proc = subprocess.run(
-        [sys.executable, "-c", WORKER, src],
-        input=json.dumps(commands), capture_output=True, text=True, check=True,
+        [sys.executable, "-c", WORKER, str(pathlib.Path(src).resolve())],
+        input=json.dumps(commands), capture_output=True, text=True, check=True, cwd=ROOT,
     )
     return json.loads(proc.stdout)
 

@@ -5,9 +5,8 @@ sweep (deterministic parameter-grid tables, CSV or JSON), protocol
 (teleportation / swapping traces with per-outcome checks), and transform
 (apply a named factorization switch, then re-classify).
 
-Every emitted number is produced by a library call, except three expressions
-in this module: mixedness as 1 - purity, the clipped and renormalized spectrum
-that the absolute-separability test reads, and C_best, the larger of two
+Every emitted number is produced by a library call, except two expressions in
+this module: mixedness as 1 - purity, and C_best, the larger of two
 concurrences at each grid point.  Output is deterministic: identical inputs and
 seed give byte-identical output.  Exit codes: 0 success, 1 validation error,
 2 parse error, 3 failed protocol assertion.  A command that names its
@@ -177,9 +176,8 @@ _MEASURES = {
     "ppt": (_EVERY, lambda m, s, split, tol, rows: measures.pt_min_eigenvalues(m, split)),
     "concurrence": (_QUBITS, lambda m, s, split, tol, rows: measures.concurrences(s, tol)),
     "bmax": (_QUBITS, lambda m, s, split, tol, rows: witness_bell.bmax_values(m)),
-    # on the spectrum clipped at 0 and renormalized
     "abs_separable_spectrum": (_QUBITS, lambda m, s, split, tol, rows: measures.abs_separables(
-        (p := np.clip(s.values, 0.0, None)) / p.sum(axis=-1, keepdims=True), tol)),
+        s.values, tol)),
     "kz_ball_member": (_SQUARE, lambda m, s, split, tol, rows: measures.kz_ball_members(
         m, tol, rows["purity"])),
     "split_bound": (_EVERY, lambda m, s, split, tol, rows: measures.maxent_weights(

@@ -20,7 +20,7 @@ DEFAULT_TOL = 1e-9  # validation: Hermiticity, unit trace, positivity, the PPT v
 UNITARY_TOL = 1e-10  # switches, isometries, gisin_unitary_family, protocol probabilities 1/d^2
 NORM_TOL = 1e-9  # unit norms, protocol fidelities and composition laws, abs_sep_2x2's unit sum
 MAXENT_TOL = 1e-8  # how far a maximally entangled projector may be from exact
-FLATNESS_TOL = 1e-6  # maxent_weight: the top eigenvalue's lead, its eigenvector's Schmidt flatness
+FLATNESS_TOL = 1e-6  # maxent_weight: the top eigenvalue's lead, the unitarity of its eigenvector's map
 SLACK = 1e-12  # smallest filtered trace, the schmidt_decompose norm floor, edge slacks
 ZERO_FLOOR = 1e-14  # rounding noise; D * ZERO_FLOOR: the entropy cutoff, a carried spectrum's error
 

@@ -24,8 +24,9 @@ from .linalg import (
     partial_transpose,
     psd_factor,
     require_finite,
+    unitary_deviation,
 )
-from .states import PAULI, DensityMatrix, require_split, schmidt_flatness
+from .states import PAULI, DensityMatrix, maxent_maps, require_split
 
 # s_y(x)s_y is a signed permutation: row a holds its one nonzero entry,
 # _YY_SIGN[a] = +-1, in column _YY_PERM[a].
@@ -201,7 +202,7 @@ def maxent_weight(rho: DensityMatrix, tol: float = FLATNESS_TOL) -> float | None
     """Weight of a detected maximally entangled projector in the spectral top.
 
     If the largest eigenvalue leads the next by more than tol and its eigenvector
-    is maximally entangled (all Schmidt coefficients equal within tol), the state
+    is maximally entangled (its map ``states.maxent_maps`` unitary within tol), the state
     splits as beta * P + (1 - beta) * sigma with sigma orthogonal to P, and beta
     (the top eigenvalue) is returned for use with split_bound_check.  Otherwise
     None: a degenerate top's eigenvector is the eigensolver's arbitrary pick.
@@ -213,8 +214,8 @@ def maxent_weight(rho: DensityMatrix, tol: float = FLATNESS_TOL) -> float | None
 def maxent_weights(spectrum: Spectrum, d: int, tol: float) -> np.ndarray:
     """maxent_weight of a matrix or of each matrix of a stack, split (d, d), from its
     ``spectrum``: NaN where the top eigenvalue leads the next by tol or less (a 1x1
-    has no next), its eigenvector is not maximally entangled within tol, or D != d * d."""
+    has no next), its eigenvector's map is not unitary within tol, or D != d * d."""
     w, v = spectrum.values, spectrum.vectors[..., :, 0]
     lead = w[..., 0] - w[..., 1] if w.shape[-1] > 1 else np.inf
-    found = (lead > tol) & (schmidt_flatness(v, d) <= tol) if v.shape[-1] == d * d else False
+    found = (lead > tol) & (unitary_deviation(maxent_maps(v, d)) <= tol) if v.shape[-1] == d * d else False
     return np.where(found, w[..., 0], np.nan)

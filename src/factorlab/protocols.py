@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NORM_TOL, UNITARY_TOL, _prechecked, hold, require, require_finite, unitary_deviation
-from .states import index_pairs, maxent_vectors, require_dimension, weyl_indices, weyl_operator
+from .states import index_pairs, maxent_maps, maxent_vectors, require_dimension, weyl_indices, weyl_operator
 
 
 class ProtocolCheckError(AssertionError):
@@ -183,24 +183,10 @@ def _not_unitary(names):
 
 
 def _maxent_maps(v: np.ndarray, d: int, names) -> np.ndarray:
-    """Inverse of ``states.maxent_vectors`` on a (..., d*d) stack, after checking
-    that each vector is finite; ``names[n]`` prefixes the message for vector n.
-
-    A vector is maximally entangled exactly when its map M is unitary: M M^dagger
-    - 1 has eigenvalues d s_k^2 - 1 over the Schmidt coefficients s_k and a
-    spectral norm at most d times its largest entry, so a unitary M has every
-    s_k within sqrt(d) * UNITARY_TOL of 1/sqrt(d).
-    """
+    """``states.maxent_maps`` of a (..., d*d) stack, after checking that each vector
+    is finite; ``names[n]`` prefixes the message for vector n."""
     require(np.isfinite(v).all(axis=-1), _not_maxent(names))
-    return np.sqrt(d) * np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
-
-
-def _isometry_maps(v: np.ndarray, d: int, names) -> np.ndarray:
-    """``_maxent_maps``, after checking that each map is unitary within UNITARY_TOL,
-    i.e. that each vector is maximally entangled."""
-    maps = _maxent_maps(v, d, names)
-    require(unitary_deviation(maps) <= UNITARY_TOL, _not_maxent(names))
-    return maps
+    return maxent_maps(v, d)
 
 
 def isometry_of_maxent(v: np.ndarray, d: int) -> Isometry:
@@ -214,7 +200,9 @@ def isometry_of_maxent(v: np.ndarray, d: int) -> Isometry:
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.size != d * d:
         raise ValueError(f"vector of length {v.size} does not match d = {d}")
-    return _prechecked(Isometry, map=_isometry_maps(v, d, [""]), d=d, label="")
+    maps = _maxent_maps(v, d, [""])
+    require(unitary_deviation(maps) <= UNITARY_TOL, _not_maxent([""]))
+    return _prechecked(Isometry, map=maps, d=d, label="")
 
 
 def _phase_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -305,11 +305,12 @@ def maxent_vectors(maps: np.ndarray) -> np.ndarray:
     return np.swapaxes(maps, -1, -2).reshape(maps.shape[:-2] + (d * d,)) / np.sqrt(d)
 
 
-def schmidt_flatness(v: np.ndarray, d: int) -> np.ndarray:
-    """max_k |s_k - 1/sqrt(d)| over the Schmidt coefficients s_k of a d*d vector, or of
-    each vector of a (..., d*d) stack (one SVD, no singular vectors); 0 if maximally entangled."""
-    s = np.linalg.svd(v.reshape(v.shape[:-1] + (d, d)), compute_uv=False)
-    return np.abs(s - 1.0 / np.sqrt(d)).max(axis=-1)
+def maxent_maps(v: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of ``maxent_vectors``: M = sqrt(d) v^T of a d*d vector v, or of each of a
+    (..., d*d) stack.  v is maximally entangled exactly when M is unitary: M M^dagger - 1
+    has eigenvalues d s_k^2 - 1 over v's Schmidt coefficients s_k and a spectral norm at
+    most d times its largest entry, so max_k |s_k - 1/sqrt(d)| <= sqrt(d) * max|M M^dagger - 1|."""
+    return np.sqrt(d) * np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
 
 
 def maxent_projector(projector: np.ndarray, d: int, tol: float) -> np.ndarray:
@@ -494,7 +495,12 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 
 
 def state_split(data: dict) -> tuple[int, int]:
-    """The JSON state's split: KeyError if missing, TypeError unless two positive integers."""
+    """The JSON state's split: TypeError unless ``data`` is a JSON object (a dict), KeyError
+    if the split is missing, TypeError unless it is two positive integers."""
+    if not isinstance(data, dict):
+        kind = {list: "a list", type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+                str: "a string"}.get(type(data), type(data).__name__)  # json.loads' types, by JSON name
+        raise TypeError(f"state must be a JSON object, got {kind}")
     split = data["split"]
     if not (isinstance(split, (list, tuple)) and len(split) == 2 and all(
             _is_integer(x) and x > 0 for x in split)):

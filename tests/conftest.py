@@ -15,6 +15,14 @@ def haar_unitary(rng, d):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def schmidt_flatness(v, d):
+    """Independent oracle: max_k |s_k - 1/sqrt(d)| over the Schmidt coefficients s_k
+    of a d*d vector, or of each vector of a (..., d*d) stack, from one SVD; 0 if
+    maximally entangled."""
+    s = np.linalg.svd(v.reshape(v.shape[:-1] + (d, d)), compute_uv=False)
+    return np.abs(s - 1.0 / np.sqrt(d)).max(axis=-1)
+
+
 def ginibre_density(rng, d, rank=None):
     """Random density matrix from a Ginibre factor G G^dag / Tr."""
     rank = rank or d

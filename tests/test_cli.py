@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import factorlab as fl
@@ -525,11 +525,24 @@ class TestReportHelpers:
            tol=st.sampled_from([DEFAULT_TOL, 1e-3, 0.05, 0.1]))
     @settings(max_examples=200, deadline=None)
     def test_abs_separable_spectrum_is_abs_sep_2x2_at_tol(self, seed, weight, tol):
-        # on the spectrum clipped at 0 and renormalized, at the report's own tol
+        # as on the spectrum clipped at 0 and renormalized, which the report once read
         m = weight * ginibre_density(np.random.default_rng(seed), 4) + (1.0 - weight) * np.eye(4) / 4
         rho = fl.DensityMatrix(m, (2, 2))
         p = np.clip(rho.spectrum.values, 0.0, None)
         expected = fl.abs_sep_2x2(p / p.sum(), tol)
+        assert classification_report(rho, tol)["abs_separable_spectrum"] is expected
+
+    @given(seed=st.integers(0, 2**32 - 1), weight=st.floats(0.0, 1.0), rank=st.integers(1, 4),
+           tol=st.sampled_from([0.0, DEFAULT_TOL, 0.1]))
+    @settings(max_examples=300, deadline=None)
+    def test_abs_separable_spectrum_is_abs_sep_2x2_of_the_spectrum(self, seed, weight, rank, tol):
+        # the report reads the spectrum as validated at its tol, which passes abs_sep_2x2's checks
+        m = weight * ginibre_density(np.random.default_rng(seed), 4, rank) + (1.0 - weight) * np.eye(4) / 4
+        try:
+            rho = fl.DensityMatrix(m, (2, 2), tol=tol)
+        except fl.StateValidationError:
+            assume(False)
+        expected = fl.abs_sep_2x2(rho.spectrum.values, tol)
         assert classification_report(rho, tol)["abs_separable_spectrum"] is expected
 
     def test_build_state_weyl(self):
@@ -838,8 +851,8 @@ class TestSolveBudget:
     concurrence reads that solve."""
 
     @pytest.mark.parametrize("argv,budget", [
-        (("classify", "werner", "0.5"), {"eigh": 1, "eigvalsh": 2, "svd": 2}),
-        (("transform", "u-switch", "werner", "0.8"), {"eigh": 2, "eigvalsh": 2, "svd": 2}),
+        (("classify", "werner", "0.5"), {"eigh": 1, "eigvalsh": 2, "svd": 1}),
+        (("transform", "u-switch", "werner", "0.8"), {"eigh": 2, "eigvalsh": 2, "svd": 1}),
         (("sweep", "ghz_traced", "--start", "0", "--stop", "1.5707963", "--num", "11",
           "--outputs", "C_u1,C_u2,C_best,C_after_u_switch,mixedness"),
          {"eigh": 1, "eigvalsh": 0, "svd": 1}),
@@ -859,6 +872,18 @@ class TestSolveBudget:
         calls = solver_calls(monkeypatch, budget)
         assert run(capsys, *argv)[0] == 0
         assert calls == budget
+
+    @pytest.mark.parametrize("weylized", [False, True], ids=["state", "weylized"])
+    def test_qudit_report_runs_no_svd(self, monkeypatch, rng, weylized):
+        # a (3, 3) state has no concurrence, and its top eigenvector is tested
+        # for maximal entanglement by its map's unitarity; weylize makes it chi_00
+        rho = random_density(rng, (3, 3))
+        if weylized:
+            rho = fl.conjugate(rho, fl.weylize(rho))
+        calls = solver_calls(monkeypatch, {"svd": 0})
+        report = cli.classification_report(rho)
+        assert calls == {"svd": 0}
+        assert (report["split_bound"] is not None) == weylized
 
     def test_isometry_of_maxent_runs_no_svd(self, monkeypatch):
         v = fl.weyl_basis_state(1, 1, 3)

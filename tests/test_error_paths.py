@@ -1,5 +1,6 @@
 """Boundary checks that reject malformed input, each pinned to its message."""
 
+import pathlib
 import re
 
 import numpy as np
@@ -155,6 +156,24 @@ class TestSplitsAreIntegers:
         assert fl.DensityMatrix(np.eye(4) / 4, (two, 2)).split == (2, 2)
         assert fl.partial_trace(np.eye(4) / 4, (two, 2)).shape == (2, 2)
         assert fl.schmidt_decompose(fl.bell_vector("phi+"), (two, 2)).split == (2, 2)
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("data,kind", [([1, 2], "a list"), (None, "null"), (3.5, "a number"),
+                                       (2, "a number"), ("x", "a string"), (True, "a boolean")])
+def test_a_state_is_a_json_object(data, kind):
+    with pytest.raises(TypeError, match=f"^state must be a JSON object, got {kind}$"):
+        fl.state_from_dict(data)
+
+
+@pytest.mark.parametrize("name,kind", [("not_object_list.json", "a list"), ("not_object_null.json", "null")])
+def test_a_state_file_is_a_json_object(capsys, name, kind):
+    path = DATA / name
+    assert cli.main(["classify", "file", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"parse error: {path}: missing or malformed field "
+                                       f"state must be a JSON object, got {kind}\n")
 
 
 def test_build_state_needs_a_source():

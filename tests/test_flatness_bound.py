@@ -1,17 +1,20 @@
 """Law 2 of ``protocols``: a vector whose isometry M is unitary is maximally
 entangled, since max_k |s_k - 1/sqrt(d)| <= sqrt(d) * max|M M^dagger - 1|.
-So unitarity of M within UNITARY_TOL is the one test, and ``isometry_of_maxent``
-raises or returns exactly as the SVD check at MAXENT_TOL it replaced did."""
+So unitarity of M (``states.maxent_maps``) is the library's one test:
+``isometry_of_maxent`` raises or returns exactly as the SVD check at MAXENT_TOL
+it replaced did, and ``maxent_weight`` accepts within FLATNESS_TOL.  The SVD
+flatness of ``conftest`` is the oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlab import Isometry, isometry_of_maxent, protocols
-from factorlab.linalg import MAXENT_TOL, UNITARY_TOL, ZERO_FLOOR, unitary_deviation
-from factorlab.states import maxent_vectors, schmidt_flatness, weyl_indices
-from conftest import haar_unitary
+from factorlab import DensityMatrix, Isometry, isometry_of_maxent, maxent_weight, protocols, rho_theta
+from factorlab.linalg import (FLATNESS_TOL, MAXENT_TOL, UNITARY_TOL, ZERO_FLOOR, require,
+                              unitary_deviation)
+from factorlab.states import maxent_vectors, weyl_indices
+from conftest import haar_unitary, schmidt_flatness
 
 NOISY = dict(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8), log_eps=st.floats(-14.0, 0.0),
              log_norm=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
@@ -108,5 +111,47 @@ def test_the_first_failure_is_named(rng):
     flat = haar_unitary(rng, d).T.ravel() / np.sqrt(d)
     skewed = flat * np.where(np.arange(d * d) < d, 1.5, 1.0)
     stack = np.stack([flat, flat * (1.0 + 1e-12), skewed, flat, skewed])
+    names = ["a: ", "b: ", "c: ", "d: ", "e: "]
+    maps = protocols._maxent_maps(stack, d, names)
     with pytest.raises(ValueError, match=r"^c: input vector is not maximally entangled$"):
-        protocols._isometry_maps(stack, d, ["a: ", "b: ", "c: ", "d: ", "e: "])
+        require(unitary_deviation(maps) <= UNITARY_TOL, protocols._not_maxent(names))
+
+
+def pure_weight(v, d):
+    """maxent_weight of the rank-1 state |v><v| (v normalized), whose top eigenvalue
+    leads the next by 1, so that only its eigenvector's test decides."""
+    v = v / np.linalg.norm(v)
+    return maxent_weight(DensityMatrix(np.outer(v, v.conj()), (d, d)))
+
+
+def assert_weight_decides_by_flatness(v, d):
+    """An accepted vector is flat within sqrt(d) * FLATNESS_TOL (plus rounding), and a
+    vector flat within FLATNESS_TOL / (4 sqrt(d)) is accepted: its deviation is at most
+    2 sqrt(d) flatness + d flatness^2, half of FLATNESS_TOL and a margin."""
+    flatness = float(schmidt_flatness(v / np.linalg.norm(v), d))
+    beta = pure_weight(v, d)
+    if beta is not None:
+        assert flatness <= np.sqrt(d) * (FLATNESS_TOL + ZERO_FLOOR * d)
+    if flatness <= FLATNESS_TOL / (4 * np.sqrt(d)):
+        assert beta is not None
+
+
+@given(**NOISY)
+@settings(max_examples=400, deadline=None)
+def test_maxent_weight_decides_by_flatness(seed, d, log_eps, log_norm):
+    assert_weight_decides_by_flatness(noisy_maxent(seed, d, 10.0 ** log_eps, 10.0 ** log_norm), d)
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8))
+@settings(max_examples=100, deadline=None)
+def test_maxent_weight_decides_by_flatness_on_tight_maxent(seed, d):
+    v = tight_maxent(seed, d)
+    assert_weight_decides_by_flatness(v, d)
+    assert pure_weight(v, d) is None
+
+
+@pytest.mark.parametrize("delta,beta", [(0.0, 1.0), (3e-7, 1.0), (6e-7, None), (1e-6, None)])
+def test_the_band_where_the_former_svd_rule_accepted(delta, beta):
+    # the SVD flatness rule accepted rho_theta(pi/4 + delta) up to delta ~ 1.41e-6,
+    # unitarity of the map within FLATNESS_TOL accepts up to delta ~ 5e-7
+    assert maxent_weight(rho_theta(np.pi / 4 + delta)) == beta

@@ -52,7 +52,8 @@ from factorlab import cli, states, transforms
 from factorlab.linalg import DEFAULT_TOL, ZERO_FLOOR, hermitian_deviation
 from factorlab.states import I2, PAULI, StateValidationError
 from factorlab.transforms import FactorizationSwitch, conjugated
-from conftest import ginibre_density, haar_unitary, haar_vector, random_density, solver_calls
+from conftest import (ginibre_density, haar_unitary, haar_vector, random_density, schmidt_flatness,
+                      solver_calls)
 
 SX, SY, SZ = PAULI
 EPS = np.finfo(float).eps
@@ -423,7 +424,7 @@ class TestPureStateSwitches:
             if d1 == d2:
                 out = pure_to_maxent(v, split).unitary @ v
                 assert abs(np.vdot(flat, out) + 1.0) <= bound, label
-                assert states.schmidt_flatness(out, d1) <= bound, label
+                assert schmidt_flatness(out, d1) <= bound, label
 
     @pytest.mark.parametrize("d", range(2, 9))
     @pytest.mark.parametrize("build", [pure_to_maxent, pure_to_product])
