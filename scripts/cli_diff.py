@@ -36,7 +36,17 @@ through ``factorlab.cli.main`` in one child interpreter started in the
 repository root (a relative path in a command is read from there; the default
 list's paths are relative, so its commands and outputs do not depend on where
 the repository lies), so the list also checks that one process can serve every subcommand in turn; an uncaught
-exception (or an argparse exit) is recorded in place of the exit code.  The
+exception (or an argparse exit) is recorded in place of the exit code.  Each
+child runs BLAS on one thread and caps its data segment (the memory it maps
+writable, reserved address space aside) at ``MEMORY_CAP`` bytes, so a tree
+that reads a file without end (trees older than the state-file size cap read
+``classify file /dev/zero`` whole) records a ``MemoryError`` for that
+command; a command that prints no result within ``COMMAND_SECONDS``, or a
+child that dies, is recorded as ``timed out after N s`` or ``child exited
+with N`` with empty output, and a new child carries on with the next command.
+Such a result in the old tree is a difference like any other; in the new tree
+it is printed as ``cut short:`` and fails the run, because the two trees
+could otherwise be cut short alike and show no difference.  The
 script prints the number of commands and of differences in exit code, stdout
 or stderr, then each differing command with its two exit codes and the lines
 that differ (``-N:`` the old tree's stdout line N, ``+N:`` the new tree's;
@@ -71,19 +81,43 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import pathlib
+import selectors
 import shlex
 import subprocess
 import sys
+import tempfile
+import time
 
-# Runs in the child: argv from stdin (JSON), [exit code, stdout, stderr] per command
-# out; an uncaught exception stands in for the exit code by its type name.
+# A child's data segment, in bytes: four times the 256 MiB under which one child
+# of today's tree runs the default list, the 10000-point sweep included (x86-64).
+MEMORY_CAP = 1 << 30
+# BLAS on one thread, as perfbench runs it, so a child maps no per-thread buffers.
+CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+# How run_tree records a command that it stopped or that ended its child.
+CUT_SHORT = ("MemoryError", "timed out after", "child exited with")
+# How long one command may take; today's tree runs the whole default list in
+# about 1 s (x86-64).
+COMMAND_SECONDS = 120
+
+# Runs in the child: caps its data segment, prints "ready" once the tree's CLI
+# is imported, then one JSON line [exit code, stdout, stderr] per command of the
+# JSON list in file argv[3], from index argv[4] on; an uncaught exception stands
+# in for the exit code by its type name.  A directory without the package would
+# import an installed factorlab instead, so that stops the child.
 WORKER = """
-import contextlib, io, json, sys
+import contextlib, io, json, pathlib, resource, sys
+resource.setrlimit(resource.RLIMIT_DATA, (int(sys.argv[2]), int(sys.argv[2])))
 sys.path.insert(0, sys.argv[1])
+import factorlab.cli
+if pathlib.Path(sys.argv[1], "factorlab") != pathlib.Path(factorlab.cli.__file__).parent:
+    sys.exit(f"no factorlab package in {sys.argv[1]}; found {factorlab.cli.__file__}")
 from factorlab.cli import main
-results = []
-for argv in json.load(sys.stdin):
+print("ready", flush=True)
+with open(sys.argv[3], encoding="utf-8") as fh:
+    commands = json.load(fh)[int(sys.argv[4]):]
+for argv in commands:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -92,8 +126,7 @@ for argv in json.load(sys.stdin):
             code = f"SystemExit({exc.code})"
         except Exception as exc:
             code = type(exc).__name__
-    results.append([code, out.getvalue(), err.getvalue()])
-json.dump(results, sys.stdout)
+    print(json.dumps([code, out.getvalue(), err.getvalue()]), flush=True)
 """
 
 
@@ -254,12 +287,60 @@ def default_commands(seeds: int) -> list[list[str]]:
     return commands
 
 
-def run_tree(src: str, commands: list[list[str]]) -> list[list]:
-    proc = subprocess.run(
-        [sys.executable, "-c", WORKER, str(pathlib.Path(src).resolve())],
-        input=json.dumps(commands), capture_output=True, text=True, check=True, cwd=ROOT,
-    )
-    return json.loads(proc.stdout)
+def _lines(proc: subprocess.Popen, seconds: float):
+    """Each line the child prints, until its stdout ends; TimeoutError when the
+    next line takes longer than seconds."""
+    fd, pending = proc.stdout.fileno(), bytearray()
+    with selectors.DefaultSelector() as selector:
+        selector.register(fd, selectors.EVENT_READ)
+        deadline = time.monotonic() + seconds
+        while True:
+            if not selector.select(max(0.0, deadline - time.monotonic())):
+                raise TimeoutError
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                return
+            pending += chunk
+            start = 0
+            while (end := pending.find(b"\n", start)) >= 0:
+                yield pending[start:end].decode("utf-8")
+                start = end + 1
+                deadline = time.monotonic() + seconds
+            del pending[:start]
+
+
+def run_tree(src: str, commands: list[list[str]], seconds: float = COMMAND_SECONDS) -> list[list]:
+    """[exit code, stdout, stderr] of each command run by the tree in src, in one
+    child, or a new one after each command that outlasts seconds or ends its child."""
+    results: list[list] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        listed, log = pathlib.Path(tmp, "commands.json"), pathlib.Path(tmp, "stderr.txt")
+        listed.write_text(json.dumps(commands), encoding="utf-8")
+        while len(results) < len(commands):
+            with open(log, "wb") as err, subprocess.Popen(
+                    [sys.executable, "-c", WORKER, str(pathlib.Path(src).resolve()), str(MEMORY_CAP),
+                     str(listed), str(len(results))],
+                    stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=err, cwd=ROOT,
+                    env={**os.environ, **CHILD_ENV}) as proc:
+                lines, stopped = _lines(proc, seconds), None
+                try:
+                    ready = next(lines, None)
+                except TimeoutError:
+                    ready = None
+                if ready != "ready":
+                    proc.kill()
+                    proc.wait()
+                    raise RuntimeError(f"{src}: the child did not start:\n{log.read_text()}")
+                try:
+                    for line in lines:
+                        results.append(json.loads(line))
+                except TimeoutError:
+                    stopped = f"timed out after {seconds:g} s"
+                    proc.kill()
+                code = proc.wait()
+            if len(results) < len(commands):
+                results.append([stopped or f"child exited with {code}", "", ""])
+    return results
 
 
 def changed_lines(old: str, new: str) -> list[str]:
@@ -404,15 +485,18 @@ def main() -> int:
             print(f"  stderr {line}")
     for line in summary_lines(old, new, differing):
         print(line, file=sys.stderr)
+    cut = [i for i, (code, _, _) in enumerate(new) if isinstance(code, str) and code.startswith(CUT_SHORT)]
+    for i in cut:
+        print(f"cut short: factorlab {shlex.join(commands[i])} ({new[i][0]})")
     if args.expect is None:
-        return 1 if differing else 0
+        return 1 if differing or cut else 0
     with open(args.expect, encoding="utf-8") as fh:
         declared = json.load(fh)
     problems = declared_problems(commands, new, differing, declared)
     for line in problems:
         print(line)
     print(f"{len(declared)} declared differences, {len(problems)} problems")
-    return 1 if problems else 0
+    return 1 if problems or cut else 0
 
 
 if __name__ == "__main__":

@@ -194,12 +194,18 @@ class _Rows(dict):
         return self.setdefault(key, _MEASURES[key][1](*self.args, self))
 
 
+@functools.cache
+def _applicable(split: tuple[int, int]) -> tuple[str, ...]:
+    """The keys of the ``_MEASURES`` rows that apply to split, in table order."""
+    return tuple(k for k, (applies, _) in _MEASURES.items() if applies(split))
+
+
 def classification_report(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> dict:
     """Aggregate diagnostics for one state: each row of ``_MEASURES`` that
     applies to its split, with ``ppt`` and ``split_bound`` nested."""
     report: dict = {"split": list(rho.split)}
     rows = _Rows(rho.matrix, rho.spectrum, rho.split, tol)
-    report.update((k, rows[k].item()) for k, (applies, _) in _MEASURES.items() if applies(rho.split))
+    report.update((k, rows[k].item()) for k in _applicable(rho.split))
     report["ppt"] = vars(measures.PptVerdict.from_min(report["ppt"], tol))
     beta = report["split_bound"]
     report["split_bound"] = None if math.isnan(beta) else {
@@ -521,7 +527,7 @@ def _flatten(prefix: str, obj, out: list[tuple[str, str]]):
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
     elif isinstance(obj, (list, tuple)):
-        out.append((prefix, " ".join(_fmt_cell(v) for v in obj)))
+        out.append((prefix, " ".join(map(_fmt_cell, obj))))
     else:
         out.append((prefix, _fmt_cell(obj)))
 

@@ -227,7 +227,7 @@ def psd_factor(w: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
     lo = np.ravel(w.min(axis=-1))
     require(lo >= -tol, lambda k: ValueError(
         f"psd_sqrt: negative eigenvalue {lo[k]:.3e} below -{tol:.1e}"))
-    return v * np.sqrt(w.clip(0.0))[..., None, :]
+    return v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
 
 
 @dataclass(frozen=True, eq=False)

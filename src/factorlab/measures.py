@@ -113,7 +113,7 @@ def concurrences(spectrum: Spectrum, tol: float) -> np.ndarray:
     b = psd_factor(spectrum.values, spectrum.vectors, tol)
     tau = np.swapaxes(b, -1, -2) @ (b[..., _YY_PERM, :] * _YY_SIGN[:, None])
     lam = np.linalg.svd(tau, compute_uv=False)
-    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    c = np.subtract.reduce(lam, axis=-1)  # ((l1 - l2) - l3) - l4
     c = np.where(c > 0.0, c, 0.0)
     return np.where(c < 1.0, c, 1.0)
 

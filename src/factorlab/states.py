@@ -7,6 +7,7 @@ mixtures, the Werner/Gisin families) are written in this ordering.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -50,6 +51,9 @@ def _pauli_gather() -> tuple[np.ndarray, np.ndarray]:
 
 
 _PAULI_INDEX, _PAULI_SIGN = _pauli_gather()
+# the rows of the nine s_i(x)s_j with i, j >= 1, the correlation matrix t, row-major
+_CORRELATION_ROWS = [4 * i + j for i in (1, 2, 3) for j in (1, 2, 3)]
+_CORRELATION_INDEX, _CORRELATION_SIGN = _PAULI_INDEX[_CORRELATION_ROWS], _PAULI_SIGN[_CORRELATION_ROWS]
 
 
 class StateValidationError(ValueError):
@@ -72,6 +76,21 @@ def _screen(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return dev, tr, np.maximum(dev, np.abs(tr - 1.0)) <= tol
 
 
+def _screen_error(flat: np.ndarray, dev: np.ndarray, tr: np.ndarray, tol: float,
+                  k: int) -> StateValidationError:
+    """The error of matrix k of a stack that ``_screen`` (deviations dev, traces tr)
+    failed: its first non-finite entry, else its Hermitian deviation, else its trace."""
+    bad = ~np.isfinite(flat[k])
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        return StateValidationError("finite", f"entry ({i}, {j}) is {flat[k, i, j]}")
+    if not dev[k] <= tol:
+        return StateValidationError(
+            "hermitian", f"deviation {dev[k]:.3e} exceeds {tol:.1e}", float(dev[k]))
+    trace = complex(tr[k])
+    return StateValidationError("trace", f"trace {trace} differs from 1", abs(trace - 1.0))
+
+
 def validate_stack(m: np.ndarray, tol: float) -> Spectrum:
     """Check each matrix of a (..., D, D) stack is a density matrix: finite
     entries, Hermitian (max |m - m^dagger| <= tol), unit trace within tol and
@@ -86,19 +105,7 @@ def validate_stack(m: np.ndarray, tol: float) -> Spectrum:
     lo = w.min(axis=-1)
     require(lo >= -tol, lambda k: StateValidationError(
         "positive", f"eigenvalue {lo[k]:.3e} below -{tol:.1e}", float(lo[k])))
-
-    def error(k: int) -> StateValidationError:
-        bad = ~np.isfinite(flat[k])
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            return StateValidationError("finite", f"entry ({i}, {j}) is {flat[k, i, j]}")
-        if not dev[k] <= tol:
-            return StateValidationError(
-                "hermitian", f"deviation {dev[k]:.3e} exceeds {tol:.1e}", float(dev[k]))
-        trace = complex(tr[k])
-        return StateValidationError("trace", f"trace {trace} differs from 1", abs(trace - 1.0))
-
-    require(ok, error)
+    require(ok, functools.partial(_screen_error, flat, dev, tr, tol))
     return Spectrum(values=w[..., ::-1].reshape(m.shape[:-1]), vectors=v[..., ::-1].reshape(m.shape))
 
 
@@ -203,19 +210,31 @@ def from_bloch(b: BlochForm, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(m / 4.0, (2, 2), tol=tol)
 
 
+def _pauli_traces(m: np.ndarray, index: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Re Tr(m s_i(x)s_j) of a 4x4 matrix or of each of a stack, along the last axis
+    one per product whose gather positions and signs (rows of ``_pauli_gather``'s)
+    are index and sign, each summed as (t0 + t1) + (t2 + t3), the order of the
+    trace of the dense product m s_i(x)s_j; adding +0.0 turns an exact -0.0 into
+    the +0.0 that product gives.  Each equals the dense trace bit for bit."""
+    flat = np.ascontiguousarray(m, dtype=complex).view(float).reshape(m.shape[:-2] + (32,))
+    t = flat[..., index] * sign
+    return (t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3]) + 0.0
+
+
 def bloch_coefficients(m: np.ndarray) -> np.ndarray:
     """c[..., i, j] = Re Tr(m s_i(x)s_j) with s_0 = 1, for a 4x4 matrix or a stack.
 
     Each trace is a signed gather of four real or imaginary parts of m (see
-    ``_pauli_gather``), summed as (t0 + t1) + (t2 + t3), the order of the
-    trace of the dense product m s_i(x)s_j; adding +0.0 turns an exact -0.0
-    into the +0.0 that product gives.  The result equals the dense traces bit
-    for bit.
+    ``_pauli_gather``) summed by ``_pauli_traces``; the result equals the dense
+    traces bit for bit.
     """
-    flat = np.ascontiguousarray(m, dtype=complex).view(float).reshape(m.shape[:-2] + (32,))
-    t = flat[..., _PAULI_INDEX] * _PAULI_SIGN
-    c = (t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3]) + 0.0
-    return c.reshape(m.shape[:-2] + (4, 4))
+    return _pauli_traces(m, _PAULI_INDEX, _PAULI_SIGN).reshape(m.shape[:-2] + (4, 4))
+
+
+def _correlation_matrices(m: np.ndarray) -> np.ndarray:
+    """The Bloch correlation matrix t = ``bloch_coefficients(m)[..., 1:, 1:]`` of a 4x4
+    matrix or of each of a stack, bit for bit, from a gather of its nine traces alone."""
+    return _pauli_traces(m, _CORRELATION_INDEX, _CORRELATION_SIGN).reshape(m.shape[:-2] + (3, 3))
 
 
 def require_split(rho: DensityMatrix, split: tuple[int, int], what: str) -> None:
@@ -379,16 +398,20 @@ def unit_interval(x, name: str) -> np.ndarray:
     not); the error names the first entry that fails."""
     x = np.asarray(x, dtype=float)
     flat = np.ravel(x)
-    bad = np.flatnonzero(~((0.0 <= flat) & (flat <= 1.0)))
-    if bad.size:
-        raise ValueError(f"{name} must lie in [0, 1], got {flat[bad[0]]}")
+    inside = (0.0 <= flat) & (flat <= 1.0)
+    if not inside.all():
+        raise ValueError(f"{name} must lie in [0, 1], got {flat[np.argmin(inside)]}")
     return x
+
+
+# the two terms of every Werner matrix
+_PSI_MINUS_PROJECTOR, _EYE4 = projectors(bell_vector("psi-")), np.eye(4)
 
 
 def werner_matrices(alpha) -> np.ndarray:
     """Unvalidated Werner matrix (or stack, for an array of weights)."""
     alpha = unit_interval(alpha, "alpha")[..., None, None]
-    return alpha * projectors(bell_vector("psi-")) + (1.0 - alpha) / 4.0 * np.eye(4)
+    return alpha * _PSI_MINUS_PROJECTOR + (1.0 - alpha) / 4.0 * _EYE4
 
 
 def werner(alpha: float, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -519,7 +542,10 @@ def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
     try:
         re, im = (np.asarray(data[key], dtype=float) for key in ("re", "im"))
         for key in ("re", "im"):
-            for x in np.asarray(data[key], dtype=object).flat:
+            cells = np.asarray(data[key], dtype=object).ravel()
+            if set(map(type, cells)) <= {int, float}:  # what json.loads gives for numbers
+                continue
+            for x in cells:
                 if not (_is_integer(x) or isinstance(x, float)):
                     raise ValueError(f"{key} entry {x!r} is not a number")
     except (ValueError, TypeError) as exc:

@@ -18,7 +18,7 @@ import numpy as np
 from .linalg import (DEFAULT_TOL, MAXENT_TOL, NORM_TOL, SLACK, ZERO_FLOOR,
                      DimensionMismatchError, hold, hs_inner, hs_norm, is_hermitian,
                      require_finite)
-from .states import (PAULI, DensityMatrix, bloch_coefficients, maxent_projector, require_split,
+from .states import (PAULI, DensityMatrix, _correlation_matrices, maxent_projector, require_split,
                      to_bloch)
 
 
@@ -117,7 +117,7 @@ def bmax_values(m: np.ndarray) -> np.ndarray:
 
     Negative eigenvalues are clamped to 0 exactly as ``max(w, 0.0)`` does.
     """
-    t = np.ascontiguousarray(bloch_coefficients(m)[..., 1:, 1:])
+    t = _correlation_matrices(m)
     w = np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t)
     w = np.where(w < 0.0, 0.0, w)
     return np.sqrt(w[..., -1] + w[..., -2])

@@ -1,11 +1,13 @@
 """scripts/cli_diff.py: same tree gives no difference, every changed output
 line is shown with its line number, ``--expect`` passes exactly the declared
-differences, and the default list reaches every subcommand, family, switch and
-measure, and the tolerance edge."""
+differences, the default list reaches every subcommand, family, switch and
+measure, and the tolerance edge, and a command that hangs, runs out of address
+space or ends its child is recorded as one result while the run goes on."""
 
 import hashlib
 import json
 import pathlib
+import re
 import runpy
 import shutil
 import subprocess
@@ -217,3 +219,96 @@ def test_default_list_runs_in_one_process():
     same = cli_diff(SRC, SRC, "--seeds", 1)
     assert same.returncode == 0, same.stdout + same.stderr
     assert same.stdout.endswith(" commands, 0 differences\n")
+
+
+def test_a_loader_that_never_returns_is_one_difference(tmp_path):
+    # a tree whose state-file loader never returns, as older trees read /dev/zero
+    hanging = tmp_path / "src"
+    shutil.copytree(SRC, hanging, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    cli = hanging / "factorlab" / "cli.py"
+    text = cli.read_text().replace("def load_state_file(path: str, tol: float) -> DensityMatrix:\n", (
+        "def load_state_file(path: str, tol: float) -> DensityMatrix:\n"
+        "    import time\n"
+        "    while True:\n"
+        "        time.sleep(0.1)\n"), 1)
+    assert "while True" in text
+    cli.write_text(text)
+    script = runpy.run_path(str(SCRIPT))
+    commands = [["classify", "werner", "0.5"], ["classify", "file", "/dev/zero"], ["classify", "narnhofer"]]
+    old = script["run_tree"](str(SRC), commands, seconds=3)
+    new = script["run_tree"](str(hanging), commands, seconds=3)
+    assert [i for i, (a, b) in enumerate(zip(old, new)) if a != b] == [1]
+    assert old[1][0] == 2 and new[1] == ["timed out after 3 s", "", ""]
+
+
+STUB_CLI = """
+import os, time
+import numpy as np
+
+def main(argv):
+    if argv == ["hang"]:
+        while True:
+            time.sleep(0.1)
+    if argv == ["reserve"]:  # more address space than a child has; no page of it is touched
+        np.empty(3 << 30, dtype=np.uint8)
+    if argv == ["exit"]:
+        os._exit(7)
+    print("done", *argv)
+    return 0
+"""
+
+
+def stub_tree(tmp_path):
+    stub = tmp_path / "stub"
+    (stub / "factorlab").mkdir(parents=True)
+    (stub / "factorlab" / "__init__.py").write_text("")
+    (stub / "factorlab" / "cli.py").write_text(STUB_CLI)
+    return stub
+
+
+def test_each_stopped_command_is_recorded_and_the_next_runs(tmp_path):
+    stub = stub_tree(tmp_path)
+    script = runpy.run_path(str(SCRIPT))
+    assert script["MEMORY_CAP"] < 3 << 30
+    commands = [["a"], ["hang"], ["b"], ["reserve"], ["exit"], ["c"]]
+    assert script["run_tree"](str(stub), commands, seconds=2) == [
+        [0, "done a\n", ""],
+        ["timed out after 2 s", "", ""],
+        [0, "done b\n", ""],
+        ["MemoryError", "", ""],
+        ["child exited with 7", "", ""],
+        [0, "done c\n", ""],
+    ]
+
+
+def test_a_command_the_new_tree_cannot_finish_fails_the_run(tmp_path):
+    # both trees run out of memory alike, so no output differs, yet nothing was compared
+    stub = stub_tree(tmp_path)
+    commands = tmp_path / "commands.txt"
+    commands.write_text("a\nreserve\nexit\n")
+    declared = tmp_path / "declared.json"
+    declared.write_text("[]")
+    for options in ((), ("--expect", declared)):
+        run = cli_diff(stub, stub, "--commands", commands, *options)
+        assert run.returncode == 1, run.stdout + run.stderr
+        assert run.stdout.startswith("3 commands, 0 differences\n")
+        assert "cut short: factorlab reserve (MemoryError)\n" in run.stdout
+        assert "cut short: factorlab exit (child exited with 7)\n" in run.stdout
+        assert "factorlab a " not in run.stdout
+
+
+def test_a_tree_that_cannot_start_stops_the_run(tmp_path):
+    (tmp_path / "factorlab").mkdir()
+    (tmp_path / "factorlab" / "__init__.py").write_text("")
+    (tmp_path / "factorlab" / "cli.py").write_text("raise ImportError('a broken tree')\n")
+    script = runpy.run_path(str(SCRIPT))
+    with pytest.raises(RuntimeError, match="(?s)the child did not start:.*a broken tree"):
+        script["run_tree"](str(tmp_path), [["classify", "werner", "0.5"]], seconds=10)
+    # a directory with no package in it does not fall back to a factorlab that is
+    # installed or on PYTHONPATH, nor runs when there is none
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    message = (f"(?s)the child did not start:.*(no factorlab package in {re.escape(str(empty))}"
+               "|No module named 'factorlab')")
+    with pytest.raises(RuntimeError, match=message):
+        script["run_tree"](str(empty), [["classify", "werner", "0.5"]], seconds=10)

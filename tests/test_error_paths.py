@@ -199,3 +199,98 @@ class TestConstrainedEntangle:
         with pytest.raises(AssertionError,
                            match="^constrained construction failed to produce an NPT state$"):
             fl.constrained_entangle(fl.werner(0.9))
+
+
+# Errors built only when their check fails: each keeps its type, words and index.
+GOOD = np.eye(4, dtype=complex) / 4
+
+
+def breaks(invariant, m):
+    """m with the one fault that fails ``invariant`` first."""
+    m = m.copy()
+    if invariant == "finite":
+        m[2, 1] = np.nan
+    elif invariant == "hermitian":
+        m[0, 1] += 0.1
+    elif invariant == "trace":
+        m = np.eye(4, dtype=complex) / 2
+    else:
+        m = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
+    return m
+
+
+LATE_ERRORS = [
+    ("finite", r"finite: entry \(2, 1\) is \(nan\+0j\)", None),
+    ("hermitian", r"hermitian: deviation 1\.000e-01 exceeds 1\.0e-09", 0.1),
+    ("trace", r"trace: trace \(2\+0j\) differs from 1", 1.0),
+    ("positive", r"positive: eigenvalue -1\.000e-01 below -1\.0e-09", -0.1),
+]
+
+
+@pytest.mark.parametrize("invariant, message, value", LATE_ERRORS)
+def test_validate_stack_names_the_first_bad_matrix(invariant, message, value):
+    # a later matrix fails a check that runs earlier; the first bad matrix still wins
+    stack = np.array([GOOD, GOOD, fl.werner(0.3).matrix, breaks(invariant, GOOD), breaks("finite", GOOD)])
+    with pytest.raises(fl.StateValidationError, match=f"^{message}$") as e:
+        fl.states.validate_stack(stack, fl.DEFAULT_TOL)
+    assert (e.value.index, e.value.invariant) == (3, invariant)
+    assert e.value.value == (None if value is None else pytest.approx(value))
+
+
+def test_psd_factor_names_the_first_negative_matrix():
+    w = np.array([[0.5, 0.3, 0.2, 0.0]] * 3 + [[0.6, 0.5, 0.0, -0.1], [0.6, 0.5, 0.0, -0.2]])
+    with pytest.raises(ValueError, match=r"^psd_sqrt: negative eigenvalue -1\.000e-01 below -1\.0e-09$") as e:
+        linalg.psd_factor(w, np.zeros((5, 4, 4), dtype=complex), 1e-9)
+    assert type(e.value) is ValueError and e.value.index == 3
+    with pytest.raises(ValueError, match=r"^psd_sqrt: negative eigenvalue -2\.000e-01 below -1\.0e-09$") as e:
+        linalg.psd_factor(w[4], np.zeros((4, 4), dtype=complex), 1e-9)
+    assert e.value.index == 0
+
+
+@pytest.mark.parametrize("invariant, message, value", LATE_ERRORS)
+def test_sweep_names_a_grid_value_past_the_first(capsys, monkeypatch, invariant, message, value):
+    werner_matrices = fl.states.werner_matrices
+
+    def broken(alpha):  # the state at alpha = 0.5, the third grid point, is not valid
+        m = werner_matrices(alpha)
+        m[2] = breaks(invariant, m[2])
+        return m
+
+    monkeypatch.setattr(fl.states, "werner_matrices", broken)
+    with pytest.raises(fl.StateValidationError, match=f"^{message} at alpha = 0.5$") as e:
+        cli.run_sweep(cli.SweepSpec("werner", 0.0, 1.0, 5, ["ppt", "C"]))
+    assert (e.value.index, e.value.invariant) == (2, invariant)
+    assert cli.main(["sweep", "werner", "--start", "0", "--stop", "1", "--num", "5"]) == 1
+    assert re.fullmatch(f"validation error: {message} at alpha = 0.5\n", capsys.readouterr().err)
+
+
+def test_unit_interval_names_the_first_entry_outside():
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 2\.0$"):
+        fl.states.werner_matrices([0.5, 2.0, -1.0])
+    with pytest.raises(ValueError, match=r"^lambda must lie in \[0, 1\], got nan$"):
+        fl.states.gisin_matrices([[0.1, 0.2], [np.nan, 3.0]], 0.3)
+
+
+def _with_entry(key, x):
+    data = fl.state_to_dict(fl.werner(0.5))
+    data[key][1][2] = x
+    return data
+
+
+@pytest.mark.parametrize("key", ["re", "im"])
+@pytest.mark.parametrize("x", [True, "0.25", None], ids=["bool", "numeric string", "None"])
+def test_state_entry_that_is_not_a_number(key, x):
+    with pytest.raises(TypeError, match=re.escape(
+            f"re/im must be rectangular arrays of numbers ({key} entry {x!r} is not a number)")):
+        fl.state_from_dict(_with_entry(key, x))
+
+
+def test_state_entries_may_be_numpy_numbers():
+    data = fl.state_to_dict(fl.werner(0.5))
+    data["re"][1][2] = data["re"][2][1] = np.float64(data["re"][1][2])
+    data["re"][0][0] = np.float64(data["re"][0][0])
+    data["im"][3][0] = np.int64(0)
+    assert np.array_equal(fl.state_from_dict(data).matrix, fl.werner(0.5).matrix)
+    data["re"][1][2] = np.float64(0.25)  # the numpy float is read: the matrix is no longer Hermitian
+    with pytest.raises(fl.StateValidationError, match=r"^hermitian: deviation 5\.000e-01 exceeds 1\.0e-09$"):
+        fl.state_from_dict(data)

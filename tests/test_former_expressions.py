@@ -22,6 +22,16 @@ as singular values of B^T (s_y(x)s_y) B, where the former kernel took square
 roots of the eigenvalues of sqrt(rho) rho~ sqrt(rho) and read those below
 ZERO_FLOOR as zero.  Each lambda_i it dropped was below sqrt(ZERO_FLOOR), so
 the two must agree within 4 sqrt(ZERO_FLOOR).
+
+The per-state kernels lost scaffolding around the same arithmetic, each bit
+for bit: ``concurrences`` takes l1 - l2 - l3 - l4 as one
+``np.subtract.reduce`` instead of a chain of three subtractions;
+``witness_bell.bmax_values`` gathers the nine correlation traces alone instead
+of slicing them out of all sixteen ``bloch_coefficients`` and copying;
+``linalg.psd_factor`` clips with ``np.maximum(w, 0.0)`` instead of
+``w.clip(0.0)``; and ``states.werner_matrices`` reads the psi- projector and the
+identity from module constants instead of building them.
+Inputs hold -0.0, NaN, +-inf and subnormals wherever the kernel accepts them.
 """
 
 import warnings
@@ -30,10 +40,12 @@ import numpy as np
 import pytest
 
 from factorlab import protocols, states
-from factorlab.linalg import ZERO_FLOOR, psd_sqrt, require, unitary_deviation
-from factorlab.measures import concurrences
+from factorlab.linalg import ZERO_FLOOR, psd_factor, psd_sqrt, require, unitary_deviation
+from factorlab.measures import _YY_PERM, _YY_SIGN, concurrences
 from factorlab.protocols import Isometry, OutcomeStack, _bell_step, _phase_distance, teleport_stack
-from factorlab.states import maxent_vectors, weyl_basis_state, weyl_indices, weyl_operator
+from factorlab.states import (_correlation_matrices, bell_vector, bloch_coefficients, maxent_vectors,
+                              projectors, weyl_basis_state, weyl_indices, weyl_operator)
+from factorlab.witness_bell import bmax_values
 from conftest import ginibre_density, haar_unitary, haar_vector
 
 
@@ -87,6 +99,50 @@ def former_concurrences(m, tol):
     w[w < ZERO_FLOOR] = 0.0
     lam = np.sqrt(w)
     return np.clip(lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0], 0.0, 1.0)
+
+
+def former_chained_difference(lam):
+    return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+
+
+def former_psd_factor(w, v, tol):
+    lo = np.ravel(w.min(axis=-1))
+    require(lo >= -tol, lambda k: ValueError(
+        f"psd_sqrt: negative eigenvalue {lo[k]:.3e} below -{tol:.1e}"))
+    return v * np.sqrt(w.clip(0.0))[..., None, :]
+
+
+def former_concurrences_chained(spectrum, tol):
+    b = former_psd_factor(spectrum.values, spectrum.vectors, tol)
+    tau = np.swapaxes(b, -1, -2) @ (b[..., _YY_PERM, :] * _YY_SIGN[:, None])
+    lam = np.linalg.svd(tau, compute_uv=False)
+    c = former_chained_difference(lam)
+    c = np.where(c > 0.0, c, 0.0)
+    return np.where(c < 1.0, c, 1.0)
+
+
+def former_bmax_values(m):
+    t = np.ascontiguousarray(bloch_coefficients(m)[..., 1:, 1:])
+    w = np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t)
+    w = np.where(w < 0.0, 0.0, w)
+    return np.sqrt(w[..., -1] + w[..., -2])
+
+
+def former_werner_matrices(alpha):
+    alpha = states.unit_interval(alpha, "alpha")[..., None, None]
+    return alpha * projectors(bell_vector("psi-")) + (1.0 - alpha) / 4.0 * np.eye(4)
+
+
+# -0.0, NaN, +-inf, the smallest subnormal and a larger one, and the largest float
+SPECIALS = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, np.finfo(float).max])
+
+
+def with_specials(rng, x, share=0.2):
+    """x with a share of its entries replaced by SPECIALS."""
+    x = x.copy()
+    hit = rng.random(x.shape) < share
+    x[hit] = rng.choice(SPECIALS, size=int(hit.sum()))
+    return x
 
 
 def complex_normal(rng, *shape):
@@ -320,3 +376,85 @@ class TestOutcomeStackLabels:
         labelled = OutcomeStack(2, stack.indices, stack.probabilities, stack.post_states, stack.maps,
                                 stack.fidelities, list(stack.labels))
         assert list(labelled.labels) == list(stack.labels)
+
+
+class TestSubtractReduce:
+    """``np.subtract.reduce`` over the last axis is the chain ((l1 - l2) - l3) - l4,
+    and the concurrence kernel built on it equals the former chained one, on a
+    stack and on each of its matrices alone."""
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (500, 4), (3, 7, 4)])
+    def test_rows(self, rng, shape):
+        lam = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        for x in (lam, with_specials(rng, lam), np.abs(lam)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+                assert_same_bits(np.subtract.reduce(x, axis=-1), former_chained_difference(x))
+
+    def test_concurrence_kernel(self, rng):
+        chi = weyl_basis_state(*weyl_indices(2), 2)
+        weights = rng.dirichlet(np.full(4, 0.3), size=300)
+        for m in (np.array([ginibre_density(rng, 4, rank=int(rng.integers(1, 5))) for _ in range(300)]),
+                  (chi.T * weights[:, None, :]) @ chi.conj(),
+                  states.rho_theta_matrices(rng.uniform(0.0, np.pi, 300)),
+                  states.werner_matrices(rng.uniform(0.0, 1.0, 300))):
+            spectrum = states.validate_stack(m, 1e-9)
+            assert_same_bits(concurrences(spectrum, 1e-9), former_concurrences_chained(spectrum, 1e-9))
+            one = states.validate_stack(m[7], 1e-9)
+            assert_same_bits(concurrences(one, 1e-9), former_concurrences_chained(one, 1e-9))
+
+
+class TestCorrelationGather:
+    """The nine-trace gather equals the correlation block of all sixteen traces,
+    and ``bmax_values`` on it equals the former kernel on the sliced copy."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 4, 4), (200, 4, 4), (3, 5, 4, 4)])
+    def test_gather(self, rng, shape):
+        m = complex_normal(rng, *shape)
+        parts = with_specials(rng, m.view(float))
+        for x in (m, parts.view(complex), m.real + 0j, -m.conj()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+                got, want = _correlation_matrices(x), np.ascontiguousarray(bloch_coefficients(x)[..., 1:, 1:])
+            assert_same_bits(got, want)
+
+    def test_bmax_kernel(self, rng):
+        m = np.array([ginibre_density(rng, 4, rank=int(rng.integers(1, 5))) for _ in range(300)])
+        zeros = m.view(float).copy()
+        zeros[rng.random(zeros.shape) < 0.3] = -0.0
+        tiny = m.view(float) * 1e-310  # subnormal entries
+        for x in (m, zeros.view(complex), tiny.view(complex), states.werner_matrices(np.linspace(0, 1, 11))):
+            assert_same_bits(bmax_values(x), former_bmax_values(x))
+            assert_same_bits(bmax_values(x[3]), former_bmax_values(x[3]))
+
+
+class TestMaximumClip:
+    """``np.maximum(w, 0.0)`` is ``w.clip(0.0)``, and ``psd_factor`` on it equals
+    the former factor, negatives within tol, signed zeros and subnormals included."""
+
+    def test_values(self, rng):
+        w = with_specials(rng, rng.normal(size=(100, 4)))
+        assert_same_bits(np.maximum(w, 0.0), w.clip(0.0))
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (100, 4), (2, 3, 6)])
+    def test_factor(self, rng, shape):
+        w = np.sort(rng.normal(size=shape), axis=-1)[..., ::-1]
+        w = np.where(w < 0.0, rng.choice([-0.0, -1e-12, -5e-324, 0.0, 2.5e-310], size=shape), w)
+        w[..., 0] = np.where(rng.random(shape[:-1]) < 0.1, np.inf, w[..., 0])
+        v = complex_normal(rng, *shape, shape[-1])
+        assert_same_bits(psd_factor(w, v, 1e-9), former_psd_factor(w, v, 1e-9))
+
+
+class TestWernerConstants:
+    """The module's Werner terms are the projector and identity built afresh,
+    and the matrices built from them are the former ones, for a weight or a stack."""
+
+    def test_constants(self):
+        assert_same_bits(states._PSI_MINUS_PROJECTOR, projectors(bell_vector("psi-")))
+        assert_same_bits(states._EYE4, np.eye(4))
+
+    def test_matrices(self, rng):
+        for alpha in (0.0, -0.0, 1.0, 5e-324, 0.5, 1 / 3, rng.uniform(size=50), np.linspace(0, 1, 101),
+                      rng.uniform(size=(2, 3)), np.array([-0.0, 5e-324, 2.5e-310, 1.0])):
+            assert_same_bits(states.werner_matrices(alpha), former_werner_matrices(alpha))
+
